@@ -5,7 +5,7 @@ of the order-k subgroup, so its vertex set is the graph of inversion on the
 k-th roots of unity.  Chords are stored as canonicalized projective line
 triples, which makes set comparisons exact.
 
-`verify_identity` checks the classical relation 2*n^2*n_P = N_p between the
+`verify_prop41` checks the classical relation 2*n^2*n_P = N_p between the
 chord count through P = (a, b) and the restricted point count of the curve
 with parameters (a, b).  The relation fails precisely when P lies on a
 tangent line of the hyperbola at a k-th root-of-unity point: each such
@@ -15,7 +15,14 @@ The exact decomposition
     N_p = 2*n^2*n_P + (n^2 - n)*D,   D = #{t in mu_k : a t^2 - 2t + b = 0},
 
 is what the verification report exposes, together with the refined count
-that excludes all of x^n = y^n and does satisfy the 2*n^2 identity.
+that excludes all of x^n = y^n and does satisfy the 2*n^2 identity.  The
+refined count is summed directly over the n-th power classes, not derived
+from D, so the two checks are independent.
+
+The bulk engines count on the torus orbits of P: (x, y) -> (t*x, t*y) maps
+the curve (a, b) onto (t^n*a, b/t^n), and (x, y) -> (g*x, y/g), g in mu_k,
+maps the polygon onto itself, so every count depends only on the coset of a
+modulo mu_k = (F_p^*)^n and on a*b (`curve.orbit_counts`).
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .curve import CurveParams, count_points_fast, make_curve
+from .curve import CurveParams, count_points_fast, curve_cell, make_curve, orbit_counts
 from .errors import DegeneratePolygon, IncompatibleOrder, VertexQuery
 from .ffield import FieldCtx, subgroup_generator
 
@@ -106,21 +113,6 @@ def restricted_count(curve: CurveParams) -> int:
     return count_points_fast(curve).off_axes_off_diag
 
 
-def tangency_count(p: int, n: int, a: int, b: int) -> int:
-    """D: k-th roots of unity t with a*t^2 - 2t + b = 0, i.e. hyperbola
-    tangents at polygon vertices passing through the swap point (b, a);
-    D is symmetric in (a, b)."""
-    k = (p - 1) // n
-    g = subgroup_generator(make_ctx_cached(p), k)
-    t = 1
-    hits = 0
-    for _ in range(k):
-        if (a * t * t - 2 * t + b) % p == 0:
-            hits += 1
-        t = t * g % p
-    return hits
-
-
 _CTX_CACHE: dict[int, FieldCtx] = {}
 
 
@@ -160,12 +152,10 @@ def verify_prop41(p: int, n: int, point: tuple) -> IdentityReport:
     poly = build_polygon(ctx, k)
     if (a, b) in poly.vertices:
         raise VertexQuery(f"{(a, b)} is a vertex")
-    curve = make_curve(ctx, n, a, b)
+    make_curve(ctx, n, a, b)  # validates (a, b)
     n_p = chords_through(poly, (a, b))
-    rep = count_points_fast(curve)
-    restricted = rep.off_axes_off_diag
-    d = tangency_count(p, n, a, b)
-    refined = restricted - (n * n - n) * d
+    cell = curve_cell(ctx, n, a, b)
+    restricted, d, refined = cell.restricted, cell.tangency, cell.refined
     lhs = 2 * n * n * n_p
     return IdentityReport(
         p=p,
@@ -208,25 +198,15 @@ def chord_count_grid(poly: Polygon) -> list[list[int]]:
 
 def restricted_count_grid(p: int, n: int) -> list[list[int]]:
     """NP[a][b] = restricted count of the curve with parameters (a, b), for
-    all a, b in F_p*, via one pass over the curve's n-th power classes."""
-    from .curve import class_tables
-
-    ctx = make_ctx_cached(p)
-    t = class_tables(ctx, n)
-    rc, inv, powers = t.root_count, t.inv, t.nonzero_powers
+    all a, b in F_p*, read off the orbit counts: the curve (a, b) with
+    a = r*s, s in mu_k, has the counts of the curve (r, b*s)."""
+    orbits = orbit_counts(make_ctx_cached(p), n)
     grid = [[0] * p for _ in range(p)]
     for a in range(1, p):
-        row = grid[a]
+        i, s = orbits.coset[a]
+        cells, row = orbits.rows[i], grid[a]
         for b in range(1, p):
-            if a * b % p == 1:
-                continue
-            total = rc[b]
-            diag = 0
-            for u in powers:
-                d = (a * u - 1) % p
-                if d:
-                    total += n * rc[(u - b) * inv[d] % p]
-                if (a * u * u - 2 * u + b) % p == 0:
-                    diag += 1
-            row[b] = total - 2 * rc[b] - n * diag
+            cell = cells[b * s % p]
+            if cell is not None:
+                row[b] = cell.restricted
     return grid

@@ -9,7 +9,9 @@ Two counting routes are provided.  `count_points` is the plain exhaustive
 double loop over F_q x F_q.  `count_points_fast` collapses the loop over the
 n-th power classes: writing u = x^n, the equation becomes
 y^n = (u - b)/(a*u - 1), so each of the (q-1)/n nonzero classes contributes
-n * #roots.  Both are exact; the test suite pins them equal.
+n * #roots.  Both are exact; the test suite pins them equal.  The bulk
+sweeps use `orbit_counts`, which runs the same class pass once per torus orbit
+of (a, b) and is pinned to `count_points_fast` in the tests.
 """
 
 from __future__ import annotations
@@ -134,6 +136,77 @@ def class_tables(ctx: FieldCtx, n: int) -> _ClassTables:
         tables = _ClassTables(power, None, root_count, preimages, nonzero, None)
     _TABLES_CACHE[key] = tables
     return tables
+
+
+# ---------------------------------------------------------------------------
+# counts on the torus orbits of (a, b), prime fields only
+#
+# (x, y) -> (t*x, t*y) maps the curve (a, b) onto the curve (t^n*a, b/t^n) and
+# keeps the axes, X = Y and the vertex tangents in place, so every count below
+# depends only on the coset of a modulo mu_k = (F_p^*)^n and on a*b.
+
+
+class CurveCell(NamedTuple):
+    affine_total: int
+    restricted: int   # N_p: off the axes and off X = Y
+    tangency: int     # D = #{u in mu_k : a*u^2 - 2u + b = 0}
+    refined: int      # off the axes with x^n != y^n, summed directly
+
+
+class OrbitCounts(NamedTuple):
+    reps: list   # r_i, the least element of the i-th coset of mu_k
+    coset: list  # a -> (i, s) with a = r_i * s, s in mu_k (index 0 unused)
+    rows: list   # rows[i][c]: CurveCell of the curve (r_i, c); None if r_i*c = 1
+
+
+def _inverted_classes(p: int, t: _ClassTables, a: int) -> list:
+    """(u, 1/(a*u - 1)) over the nonzero n-th powers u with a*u != 1."""
+    inv = t.inv
+    return [(u, inv[d]) for u in t.nonzero_powers if (d := (a * u - 1) % p)]
+
+
+def _cell(p: int, n: int, rc: list, classes: list, b: int) -> CurveCell:
+    """The counts of the curve (a, b), a*b != 1, from its inverted classes:
+    each u contributes n * rc[c_u] points with x^n = u, c_u = (u - b)/(a*u - 1),
+    and c_u = u exactly when a*u^2 - 2u + b = 0."""
+    total = diag = refined = 0
+    for u, iv in classes:
+        c = (u - b) * iv % p
+        m = rc[c]
+        total += m
+        if c == u:
+            diag += 1
+        elif c:
+            refined += m
+    n1 = rc[b]
+    affine = n1 + n * total
+    return CurveCell(affine, affine - 2 * n1 - n * diag, diag, n * refined)
+
+
+def curve_cell(ctx: FieldCtx, n: int, a: int, b: int) -> CurveCell:
+    """The orbit counts of one curve over F_p, by one pass over its classes."""
+    t = class_tables(ctx, n)
+    return _cell(ctx.p, n, t.root_count, _inverted_classes(ctx.p, t, a), b)
+
+
+def orbit_counts(ctx: FieldCtx, n: int) -> OrbitCounts:
+    """CurveCell for one representative r of each coset of mu_k in F_p^* and
+    every c in F_p^*: n*(p-1) curves at O(k) each, instead of (p-1)^2."""
+    p = ctx.p
+    t = class_tables(ctx, n)
+    rc = t.root_count
+    coset = [None] * p
+    reps, rows = [], []
+    for r in range(1, p):
+        if coset[r] is not None:
+            continue
+        for s in t.nonzero_powers:
+            coset[r * s % p] = (len(reps), s)
+        classes, inv_r = _inverted_classes(p, t, r), t.inv[r]
+        reps.append(r)
+        rows.append([None if c in (0, inv_r) else _cell(p, n, rc, classes, c)
+                     for c in range(p)])
+    return OrbitCounts(reps, coset, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@
 The soundness scan enumerates, for each prime p and each admissible degree n,
 every parameter pair (a, b) with a*b outside {0, 1} (or a deterministic
 stride-subsample), counts points on the nonsingular model and compares
-against every applicable upper bound.  Counting is one pass over the n-th
-power classes per curve, and the bound values are precomputed per
-(p, n, n1, n2), so a full sweep to p = 131 takes seconds-to-minutes.
+against every applicable upper bound.  Counting is one orbit pass per (p, n):
+the counts depend only on the coset of a modulo mu_k = (F_p^*)^n and on
+a*b, so `curve.orbit_counts` counts n*(p-1) curves and every (a, b) reads its
+orbit's row.  The columns after b depend only on (affine_total, n1, n2); each
+distinct key gets one shared record with its CSV tail formatted once.  The
+chord sweep behind `verify prop41` reads the same orbit pass.
 
 All output is generated in sorted key order with fixed formatting; identical
 invocations are byte-identical.
@@ -14,14 +17,16 @@ invocations are byte-identical.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import bounds as B
 from . import chords as C
 from . import localexp as LE
-from .curve import class_tables, make_curve
+from .curve import class_tables, make_curve, orbit_counts
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -74,87 +79,89 @@ def _pair_stride(p: int, sample: int | None) -> int:
     return max(1, total // max(1, sample))
 
 
-def scan_task(p: int, n: int, sample: int | None) -> list[ScanRow]:
-    """All rows for one (p, n), in (a, b) order."""
+class _ScanTail(NamedTuple):
+    """The columns k..violation of every row with one (affine_total, n1, n2)."""
+
+    fields: tuple
+    csv: str
+
+
+def scan_task(p: int, n: int, sample: int | None) -> list[tuple[int, int, _ScanTail]]:
+    """All rows for one (p, n), in (a, b) order, as (a, b, tail); the curve
+    (a, b) with a = r*s, s in mu_k, reads the orbit counts of (r, b*s)."""
     ctx = C.make_ctx_cached(p)
     t = class_tables(ctx, n)
-    rc, inv, powers = t.root_count, t.inv, t.nonzero_powers
+    rc, inv = t.root_count, t.inv
     k = (p - 1) // n
     hw = B.hasse_weil(p, (n - 1) ** 2).value
     w_val = B.w_scalar_value(p, n)
     applicable_s = [s for s in range(2, n) if 2 * n * (s - 1) < p]
-    sv_best: dict[tuple[int, int], tuple[int, int] | None] = {}
+    sv_best = {}
     for n1 in (0, n):
         for n2 in (0, n):
             cands = [(math.floor(B.sv_raw(p, n, s, n1, n2)["raw"]), s)
                      for s in applicable_s]
-            sv_best[(n1, n2)] = min(cands) if cands else None
+            sv_best[(n1, n2)] = min(cands) if cands else (None, None)
     flags = "hw" + ("+sv" if applicable_s else "") + ("+w" if w_val is not None else "")
+    shared: dict[tuple[int, int, int], _ScanTail] = {}
 
-    stride = _pair_stride(p, sample)
-    rows = []
-    idx = 0
-    for a in range(1, p):
-        inv_a = inv[a]
-        n2 = rc[inv_a]
-        # per-a tables: 1/(a*u - 1) over the classes, and the diagonal values
-        au = []
-        for u in powers:
-            d = (a * u - 1) % p
-            au.append((u, inv[d] if d else 0))
-        diag_of_b = [0] * p
-        for u in powers:
-            diag_of_b[-(a * u * u - 2 * u) % p] += 1
-        for b in range(1, p):
-            if b == inv_a:
-                continue
-            take = idx % stride == 0
-            idx += 1
-            if not take:
-                continue
-            n1 = rc[b]
-            total = n1
-            for u, iv in au:
-                if iv:
-                    total += n * rc[(u - b) * iv % p]
+    def tail(total: int, n1: int, n2: int) -> _ScanTail:
+        key = (total, n1, n2)
+        if key not in shared:
+            sv, sv_s = sv_best[(n1, n2)]
             model = total + 2 * n2
-            best = sv_best[(n1, n2)]
-            violation = model > hw
-            if best is not None and model > best[0]:
-                violation = True
-            if w_val is not None and model > w_val:
-                violation = True
-            rows.append(ScanRow(
-                p=p, m=1, n=n, a=a, b=b, k=k,
-                affine_total=total, model_total=model, hw=hw,
-                sv_best=best[0] if best else None,
-                sv_best_s=best[1] if best else None,
-                w_bound=w_val, applicable_flags=flags, violation=violation,
-            ))
-    return rows
+            violation = (model > hw or (sv is not None and model > sv)
+                         or (w_val is not None and model > w_val))
+            fields = (k, total, model, hw, sv, sv_s, w_val, flags, violation)
+            csv = ",".join("-" if v is None else str(v) for v in fields[:7])
+            shared[key] = _ScanTail(fields, f"{csv},{flags},{int(violation)}")
+        return shared[key]
+
+    orbits = orbit_counts(ctx, n)
+    tails = [[cell and tail(cell.affine_total, rc[c], rc[inv[r]]) for c, cell in enumerate(cells)]
+             for r, cells in zip(orbits.reps, orbits.rows)]
+    rows = []
+    for a in range(1, p):
+        i, s = orbits.coset[a]
+        row, inv_a = tails[i], inv[a]
+        rows.extend([(a, b, row[b * s % p]) for b in range(1, p) if b != inv_a])
+    return rows[::_pair_stride(p, sample)]
 
 
-def _scan_task_star(args):
-    return scan_task(*args)
+def _scan_task_rows(task) -> list[ScanRow]:
+    p, n, _ = task
+    return [ScanRow(p, 1, n, a, b, *tail.fields) for a, b, tail in scan_task(*task)]
+
+
+def _scan_task_lines(task) -> list[str]:
+    p, n, _ = task
+    return [f"{p},1,{n},{a},{b},{tail.csv}" for a, b, tail in scan_task(*task)]
+
+
+def worker_count(jobs: int, tasks: int) -> int:
+    """Worker processes for a scan: min(jobs, tasks, cpu count), at least 1."""
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+
+
+def _run_scan(fn, p_max: int, n_filter: int | None, sample: int | None, jobs: int):
+    """fn over the tasks (p, n, sample) for every prime p <= p_max and
+    admissible n, in ascending (p, n); serial unless worker_count > 1."""
+    tasks = [(p, n, sample) for p in primes_up_to(p_max) for n in admissible_degrees(p)
+             if n_filter is None or n == n_filter]
+    workers = worker_count(jobs, len(tasks))
+    if workers == 1:
+        yield from map(fn, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, tasks, chunksize=1)
 
 
 def scan_rows(p_max: int, n_filter: int | None = None,
               sample: int | None = None, jobs: int = 1):
     """Yield ScanRow for every prime p <= p_max and admissible n, sorted by
     (p, m, n, a, b)."""
-    tasks = []
-    for p in primes_up_to(p_max):
-        for n in admissible_degrees(p):
-            if n_filter is not None and n != n_filter:
-                continue
-            tasks.append((p, n, sample))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for rows in pool.map(_scan_task_star, tasks, chunksize=1):
-                yield from rows
-    else:
-        for task in tasks:
-            yield from scan_task(*task)
+    for rows in _run_scan(_scan_task_rows, p_max, n_filter, sample, jobs):
+        yield from rows
 
 
 def scan_csv_lines(p_max: int, n_filter: int | None = None,
@@ -167,15 +174,8 @@ def scan_csv_lines(p_max: int, n_filter: int | None = None,
             if any(n_filter in (None, n) for n in admissible_degrees(p)):
                 yield f"# stride p={p}: {_pair_stride(p, sample)}"
     yield ",".join(SCAN_COLUMNS)
-    for r in scan_rows(p_max, n_filter, sample, jobs):
-        yield ",".join((
-            str(r.p), str(r.m), str(r.n), str(r.a), str(r.b), str(r.k),
-            str(r.affine_total), str(r.model_total), str(r.hw),
-            "-" if r.sv_best is None else str(r.sv_best),
-            "-" if r.sv_best_s is None else str(r.sv_best_s),
-            "-" if r.w_bound is None else str(r.w_bound),
-            r.applicable_flags, "1" if r.violation else "0",
-        ))
+    for lines in _run_scan(_scan_task_lines, p_max, n_filter, sample, jobs):
+        yield from lines
 
 
 # ---------------------------------------------------------------------------
@@ -422,25 +422,18 @@ def prop41_sweep(p_max: int = 199) -> ChordSweep:
             k = (p - 1) // n
             if k < 3:
                 continue
-            poly = C.build_polygon(ctx, k)
-            chord_grid = C.chord_count_grid(poly)
-            np_grid = C.restricted_count_grid(p, n)
-            t = class_tables(ctx, n)
-            rc, powers = t.root_count, t.nonzero_powers
-            inv = t.inv
+            chord_grid = C.chord_count_grid(C.build_polygon(ctx, k))
+            orbits = orbit_counts(ctx, n)
             for a in range(1, p):
-                inv_a = inv[a]
-                diag_of_b = [0] * p
-                for u in powers:
-                    diag_of_b[-(a * u * u - 2 * u) % p] += 1
+                i, s = orbits.coset[a]
+                cells, chords = orbits.rows[i], chord_grid[a]
                 for b in range(1, p):
-                    if b == inv_a:
+                    cell = cells[b * s % p]
+                    if cell is None:  # a*b = 1
                         continue
                     checked += 1
-                    n_p = chord_grid[a][b]
-                    restricted = np_grid[a][b]
-                    lhs = 2 * n * n * n_p
-                    d = diag_of_b[b]
+                    lhs = 2 * n * n * chords[b]
+                    restricted, d = cell.restricted, cell.tangency
                     if lhs == restricted:
                         holds += 1
                     else:
@@ -450,7 +443,7 @@ def prop41_sweep(p_max: int = 199) -> ChordSweep:
                             diag_viol.append(rec)
                     if restricted != lhs + (n * n - n) * d:
                         decomp_bad.append((p, n, a, b))
-                    if lhs != restricted - (n * n - n) * d:
+                    if lhs != cell.refined:
                         refined_bad.append((p, n, a, b))
     return ChordSweep(points_checked=checked, holds=holds,
                       violations=violations, diagonal_violations=diag_viol,

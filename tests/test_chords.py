@@ -9,7 +9,6 @@ from gfcurves.chords import (
     chords_through,
     restricted_count,
     restricted_count_grid,
-    tangency_count,
     verify_prop41,
 )
 from gfcurves.curve import make_curve
@@ -19,6 +18,15 @@ from gfcurves.ffield import make_field
 
 def proper_divisors_with_k3(p):
     return [n for n in range(2, p - 1) if (p - 1) % n == 0 and (p - 1) // n >= 3]
+
+
+def tangency_count(p, n, a, b):
+    """D by a walk over mu_k, the k-th roots of unity: the t with
+    a*t^2 - 2t + b = 0, i.e. the hyperbola tangents at the polygon vertices
+    (t, 1/t) that pass through the swap point (b, a)."""
+    k = (p - 1) // n
+    return sum(1 for t in range(1, p)
+               if pow(t, k, p) == 1 and (a * t * t - 2 * t + b) % p == 0)
 
 
 # -- polygon construction ---------------------------------------------------------
@@ -213,10 +221,14 @@ def test_identity_fails_exactly_on_vertex_tangents():
 
 
 def test_tangency_count_is_symmetric():
+    # D of the report against the walk over mu_k, and the walk's symmetry
     for p, n in [(13, 3), (13, 2), (31, 5)]:
         for a in range(1, p):
             for b in range(1, p):
-                assert tangency_count(p, n, a, b) == tangency_count(p, n, b, a)
+                d = tangency_count(p, n, a, b)
+                assert d == tangency_count(p, n, b, a)
+                if a * b % p != 1:  # off XY = 1, so P is not a vertex
+                    assert verify_prop41(p, n, (a, b)).tangency == d
 
 
 def test_divisibility_holds_when_no_tangency():

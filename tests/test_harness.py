@@ -70,6 +70,19 @@ def test_scan_parallel_matches_serial():
     assert serial == parallel
 
 
+def test_worker_count_clamps_to_tasks_and_cpus(monkeypatch):
+    monkeypatch.setattr(H.os, "cpu_count", lambda: 4)
+    assert H.worker_count(1, 50) == 1
+    assert H.worker_count(2, 50) == 2
+    assert H.worker_count(10_000, 50) == 4   # never more than the cpus
+    assert H.worker_count(10_000, 3) == 3    # nor than the tasks
+    assert H.worker_count(0, 50) == 1        # 0 and below run serially
+    assert H.worker_count(-5, 50) == 1
+    assert H.worker_count(8, 0) == 1
+    monkeypatch.setattr(H.os, "cpu_count", lambda: None)  # unknown: serial
+    assert H.worker_count(8, 50) == 1
+
+
 def test_scan_no_violations_p31_full():
     assert not any(r.violation for r in H.scan_rows(31))
 
