@@ -21,9 +21,6 @@ from .curve import CurveParams
 from .errors import DomainError, EmptyFeasibleSet, InvalidS
 from .ffield import nth_root_count
 
-Rational = Fraction  # canonical reduced num/den with den > 0; exact compares
-
-
 @dataclass(frozen=True)
 class BoundReport:
     name: str
@@ -39,12 +36,9 @@ class BoundReport:
                 if v.denominator == 1:
                     inter[key] = int(v)
                 elif v.denominator <= 10**9:
-                    inter[key] = f"{v.numerator}/{v.denominator}"
+                    inter[key] = ratio(v)
                 else:  # interval endpoints: print 12 fixed decimals
-                    units = round(v * 10**12)
-                    sign = "-" if units < 0 else ""
-                    units = abs(units)
-                    inter[key] = f"{sign}{units // 10**12}.{units % 10**12:012d}"
+                    inter[key] = fixed(v, 12)
             else:
                 inter[key] = v
         return {
@@ -56,13 +50,21 @@ class BoundReport:
         }
 
 
+def fixed(x, digits: int) -> str:
+    """x rounded half-even to `digits` decimals, e.g. "-0.125000" for 6."""
+    units = round(Fraction(x) * 10**digits)
+    sign = "-" if units < 0 else ""
+    whole, frac = divmod(abs(units), 10**digits)
+    return f"{sign}{whole}.{frac:0{digits}d}"
+
+
+def ratio(x: Fraction) -> str:
+    """x as "num/den", or "num" when x is an integer."""
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
 # ---------------------------------------------------------------------------
 # exact integer / interval primitives
-
-
-def floor_sqrt(x: int) -> int:
-    """Exact integer square root (math.isqrt: exact floor, no floating point)."""
-    return math.isqrt(x)
 
 
 def floor_kth_root(x: int, k: int) -> int:
@@ -88,7 +90,7 @@ _SCALE = 10**_DIGITS
 
 def _interval_sqrt_int(x: int) -> tuple[Fraction, Fraction]:
     """[lo, hi] enclosing sqrt(x) with hi - lo = 10^-_DIGITS."""
-    lo = floor_sqrt(x * _SCALE * _SCALE)
+    lo = math.isqrt(x * _SCALE * _SCALE)
     return Fraction(lo, _SCALE), Fraction(lo + 1, _SCALE)
 
 
@@ -130,7 +132,7 @@ def hasse_weil(q: int, g: int) -> BoundReport:
     """q + 1 + floor(2*g*sqrt(q)), exact."""
     if g < 0:
         raise DomainError("genus must be nonnegative")
-    root = floor_sqrt(4 * g * g * q)  # floor(2g sqrt q) = floor(sqrt(4 g^2 q))
+    root = math.isqrt(4 * g * g * q)  # floor(2g sqrt q) = floor(sqrt(4 g^2 q))
     return BoundReport(
         name="hasse_weil",
         value=q + 1 + root,

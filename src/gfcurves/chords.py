@@ -19,10 +19,11 @@ that excludes all of x^n = y^n and does satisfy the 2*n^2 identity.  The
 refined count is summed directly over the n-th power classes, not derived
 from D, so the two checks are independent.
 
-The bulk engines count on the torus orbits of P: (x, y) -> (t*x, t*y) maps
-the curve (a, b) onto (t^n*a, b/t^n), and (x, y) -> (g*x, y/g), g in mu_k,
-maps the polygon onto itself, so every count depends only on the coset of a
-modulo mu_k = (F_p^*)^n and on a*b (`curve.orbit_counts`).
+`chord_count_grid` rasterizes every chord at once for the bulk sweep
+(`harness.prop41_sweep`), which reads the curve counts on the torus orbits of
+P: (x, y) -> (t*x, t*y) maps the curve (a, b) onto (t^n*a, b/t^n), so every
+count depends only on the coset of a modulo mu_k = (F_p^*)^n and on a*b
+(`curve.orbit_counts`).
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .curve import CurveParams, count_points_fast, curve_cell, make_curve, orbit_counts
+from .curve import CurveParams, count_points_fast, curve_cell, make_curve
 from .errors import DegeneratePolygon, IncompatibleOrder, VertexQuery
-from .ffield import FieldCtx, subgroup_generator
+from .ffield import FieldCtx, make_field, subgroup_generator
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,9 @@ class ChordSet:
 
 
 def build_polygon(ctx: FieldCtx, k: int) -> Polygon:
-    """The canonical affinely regular k-gon on XY = 1; nondegeneracy (no
-    three collinear vertices) is verified exhaustively."""
+    """The canonical affinely regular k-gon on XY = 1.  No three vertices are
+    collinear: a line ux + vy + w = 0 meets XY = 1 where u*x^2 + w*x + v = 0,
+    so in at most two points (the test suite checks this exhaustively)."""
     if ctx.m != 1:
         raise ValueError("polygons are inscribed over prime fields")
     if k < 3:
@@ -69,9 +71,6 @@ def build_polygon(ctx: FieldCtx, k: int) -> Polygon:
     for _ in range(k):
         verts.append((x, y))
         x, y = x * g % p, y * ginv % p
-    for (x1, y1), (x2, y2), (x3, y3) in combinations(verts, 3):
-        if ((x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)) % p == 0:
-            raise DegeneratePolygon(f"collinear vertices on the {k}-gon over F_{p}")
     return Polygon(ctx=ctx, k=k, gen=g, vertices=tuple(verts))
 
 
@@ -113,19 +112,6 @@ def restricted_count(curve: CurveParams) -> int:
     return count_points_fast(curve).off_axes_off_diag
 
 
-_CTX_CACHE: dict[int, FieldCtx] = {}
-
-
-def make_ctx_cached(p: int) -> FieldCtx:
-    ctx = _CTX_CACHE.get(p)
-    if ctx is None:
-        from .ffield import make_field
-
-        ctx = make_field(p)
-        _CTX_CACHE[p] = ctx
-    return ctx
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     p: int
@@ -146,7 +132,7 @@ def verify_prop41(p: int, n: int, point: tuple) -> IdentityReport:
     """Build the (p-1)/n-gon and the curve with (a, b) = P, and compare
     2*n^2*chords_through with the restricted count, reporting the exact
     tangency decomposition alongside."""
-    ctx = make_ctx_cached(p)
+    ctx = make_field(p)
     a, b = point[0] % p, point[1] % p
     k = (p - 1) // n
     poly = build_polygon(ctx, k)
@@ -195,18 +181,3 @@ def chord_count_grid(poly: Polygon) -> list[list[int]]:
                 cnt[x][(y1 + slope * (x - x1)) % p] += 1
     return cnt
 
-
-def restricted_count_grid(p: int, n: int) -> list[list[int]]:
-    """NP[a][b] = restricted count of the curve with parameters (a, b), for
-    all a, b in F_p*, read off the orbit counts: the curve (a, b) with
-    a = r*s, s in mu_k, has the counts of the curve (r, b*s)."""
-    orbits = orbit_counts(make_ctx_cached(p), n)
-    grid = [[0] * p for _ in range(p)]
-    for a in range(1, p):
-        i, s = orbits.coset[a]
-        cells, row = orbits.rows[i], grid[a]
-        for b in range(1, p):
-            cell = cells[b * s % p]
-            if cell is not None:
-                row[b] = cell.restricted
-    return grid

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import bounds as B
 from . import chords as C
@@ -87,12 +86,6 @@ def _make_curve(args):
         modulus = [int(t) for t in args.modulus.split(",")]
     ctx = make_field(args.p, args.m, modulus)
     return make_curve(ctx, args.n, ctx.parse_element(args.a), ctx.parse_element(args.b))
-
-
-def _jsonable(v):
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    return v
 
 
 def cmd_count(args) -> int:

@@ -9,9 +9,11 @@ Two counting routes are provided.  `count_points` is the plain exhaustive
 double loop over F_q x F_q.  `count_points_fast` collapses the loop over the
 n-th power classes: writing u = x^n, the equation becomes
 y^n = (u - b)/(a*u - 1), so each of the (q-1)/n nonzero classes contributes
-n * #roots.  Both are exact; the test suite pins them equal.  The bulk
-sweeps use `orbit_counts`, which runs the same class pass once per torus orbit
-of (a, b) and is pinned to `count_points_fast` in the tests.
+n * #roots.  Both are exact; the test suite pins them equal.  Every
+per-curve consumer (`count_points_fast`, the point enumeration behind
+`smoothness_scan`) reads the one class walk `_classes`.  The bulk sweeps use
+`orbit_counts`, which runs the same class pass once per torus orbit of (a, b)
+and is pinned to `count_points_fast` in the tests.
 """
 
 from __future__ import annotations
@@ -96,9 +98,8 @@ def equation_value(curve: CurveParams, x, y):
 
 class _ClassTables(NamedTuple):
     power: object        # x -> x^n               (list for m=1, dict else)
-    power_down: object   # x -> x^(n-1)           (list for m=1, None else)
-    root_count: object   # v -> #{x : x^n = v}
-    preimages: object    # v -> sorted list of x with x^n = v
+    root_count: object   # v -> #{x : x^n = v}    (every element is a key)
+    preimages: object    # v -> list of x with x^n = v, canonical order
     nonzero_powers: list  # distinct nonzero n-th powers, canonical order
     inv: object          # multiplicative inverse table (m=1 only)
 
@@ -112,28 +113,20 @@ def class_tables(ctx: FieldCtx, n: int) -> _ClassTables:
     if hit is not None:
         return hit
     if ctx.m == 1:
-        p = ctx.p
-        power = [pow(x, n, p) for x in range(p)]
-        power_down = [pow(x, n - 1, p) for x in range(p)]
-        root_count = [0] * p
-        preimages = [[] for _ in range(p)]
-        for x, v in enumerate(power):
-            root_count[v] += 1
-            preimages[v].append(x)
-        nonzero = sorted({v for v in power[1:]})
-        tables = _ClassTables(power, power_down, root_count, preimages, nonzero,
-                              inverse_table(p))
+        els = range(ctx.p)
+        power = [pow(x, n, ctx.p) for x in els]
+        root_count, preimages = [0] * ctx.p, [[] for _ in els]
     else:
-        power = {}
-        root_count = {}
-        preimages = {}
-        for x in ctx.elements():
-            v = ctx.pow(x, n)
-            power[x] = v
-            root_count[v] = root_count.get(v, 0) + 1
-            preimages.setdefault(v, []).append(x)
-        nonzero = sorted((v for v in root_count if v != ctx.zero), key=ctx.encode)
-        tables = _ClassTables(power, None, root_count, preimages, nonzero, None)
+        els = list(ctx.elements())
+        power = {x: ctx.pow(x, n) for x in els}
+        root_count, preimages = dict.fromkeys(els, 0), {x: [] for x in els}
+    for x in els:
+        v = power[x]
+        root_count[v] += 1
+        preimages[v].append(x)
+    nonzero = [v for v in els[1:] if root_count[v]]
+    tables = _ClassTables(power, root_count, preimages, nonzero,
+                          inverse_table(ctx.p) if ctx.m == 1 else None)
     _TABLES_CACHE[key] = tables
     return tables
 
@@ -210,6 +203,7 @@ def orbit_counts(ctx: FieldCtx, n: int) -> OrbitCounts:
 
 
 # ---------------------------------------------------------------------------
+# one curve: counts, special points, smoothness
 
 
 def count_points(curve: CurveParams) -> CountReport:
@@ -244,50 +238,34 @@ def count_points(curve: CurveParams) -> CountReport:
                         off_axes += 1
                         if x != y:
                             off_diag += 1
-    t = class_tables(ctx, n)
-    n1 = _root_count_of(ctx, t, curve.b)
-    n2 = _root_count_of(ctx, t, ctx.inv(curve.a))
+    rc = class_tables(ctx, n).root_count
+    n1, n2 = rc[curve.b], rc[ctx.inv(curve.a)]
     return CountReport(affine, off_axes, off_diag, n1, n2, 2 * n2, affine + 2 * n2)
 
 
-def _root_count_of(ctx: FieldCtx, tables: _ClassTables, v) -> int:
+def _classes(curve: CurveParams, t: _ClassTables) -> list:
+    """(u, c_u), c_u = (u - b)/(a*u - 1), over the nonzero n-th powers u with
+    a*u != 1: the points with x^n = u are those with y^n = c_u."""
+    ctx, a, b = curve.ctx, curve.a, curve.b
     if ctx.m == 1:
-        return tables.root_count[v]
-    return tables.root_count.get(v, 0)
+        p = ctx.p
+        return [(u, (u - b) * iv % p) for u, iv in _inverted_classes(p, t, a)]
+    return [(u, ctx.div(ctx.sub(u, b), d)) for u in t.nonzero_powers
+            if (d := ctx.sub(ctx.mul(a, u), ctx.one)) != ctx.zero]
 
 
 def count_points_fast(curve: CurveParams) -> CountReport:
-    """Single pass over the n-th power classes; exact, O(q/n) per curve."""
+    """Single pass over the n-th power classes; exact, O(q/n) per curve.  The
+    diagonal x = y meets the class u exactly when c_u = u, i.e. when
+    a*u^2 - 2u + b = 0."""
     ctx, n = curve.ctx, curve.n
     t = class_tables(ctx, n)
-    if ctx.m == 1:
-        p, a, b = ctx.p, curve.a, curve.b
-        rc, inv = t.root_count, t.inv
-        n1 = rc[b]
-        n2 = rc[inv[a]]
-        total = n1  # x = 0 row: y^n = b
-        diag = 0
-        for u in t.nonzero_powers:
-            d = (a * u - 1) % p
-            if d:
-                total += n * rc[(u - b) * inv[d] % p]
-            if (a * u * u - 2 * u + b) % p == 0:
-                diag += 1
-    else:
-        a, b = curve.a, curve.b
-        rc = t.root_count
-        n1 = rc.get(b, 0)
-        n2 = rc.get(ctx.inv(a), 0)
-        total = n1
-        diag = 0
-        two = ctx.add(ctx.one, ctx.one)
-        for u in t.nonzero_powers:
-            d = ctx.sub(ctx.mul(a, u), ctx.one)
-            if d != ctx.zero:
-                total += n * rc.get(ctx.mul(ctx.sub(u, b), ctx.inv(d)), 0)
-            w = ctx.add(ctx.sub(ctx.mul(a, ctx.mul(u, u)), ctx.mul(two, u)), b)
-            if w == ctx.zero:
-                diag += 1
+    rc = t.root_count
+    n1, n2 = rc[curve.b], rc[ctx.inv(curve.a)]
+    total, diag = n1, 0  # x = 0 row: y^n = b
+    for u, c in _classes(curve, t):
+        total += n * rc[c]
+        diag += c == u
     off_axes = total - 2 * n1
     off_diag = off_axes - n * diag
     return CountReport(total, off_axes, off_diag, n1, n2, 2 * n2, total + 2 * n2)
@@ -300,16 +278,10 @@ def special_points(curve: CurveParams) -> list[SpecialPoint]:
     t = class_tables(ctx, n)
     zero = ctx.zero
     out = []
-    if ctx.m == 1:
-        xi_list = t.preimages[curve.b]
-        c_list = t.preimages[t.inv[curve.a]]
-    else:
-        xi_list = t.preimages.get(curve.b, [])
-        c_list = t.preimages.get(ctx.inv(curve.a), [])
-    for xi in xi_list:
+    for xi in t.preimages[curve.b]:
         out.append(SpecialPoint("inflection", "affine", (xi, zero), "X", xi))
         out.append(SpecialPoint("inflection", "affine", (zero, xi), "Y", xi))
-    for c in c_list:
+    for c in t.preimages[ctx.inv(curve.a)]:
         out.append(SpecialPoint("infinite-branch", "P1", None, "Y", c))
         out.append(SpecialPoint("infinite-branch", "P2", None, "X", c))
     return out
@@ -330,14 +302,14 @@ def smoothness_scan(curve: CurveParams) -> SmoothnessReport:
     """
     ctx, n = curve.ctx, curve.n
     t = class_tables(ctx, n)
-    a, b = curve.a, curve.b
+    a = curve.a
     checked = 0
     if ctx.m == 1:
         p = ctx.p
-        pw, pd = t.power, t.power_down
+        pw, inv = t.power, t.inv  # x^(n-1) = x^n / x, and 0 at x = 0
         for x, y in _affine_points(curve, t):
-            gx = n * pd[x] * (a * pw[y] - 1) % p
-            gy = n * pd[y] * (a * pw[x] - 1) % p
+            gx = n * pw[x] * inv[x] * (a * pw[y] - 1) % p
+            gy = n * pw[y] * inv[y] * (a * pw[x] - 1) % p
             if gx == 0 and gy == 0:
                 raise SingularAffinePoint(f"singular affine point {(x, y)} on {curve}")
             checked += 1
@@ -355,28 +327,10 @@ def smoothness_scan(curve: CurveParams) -> SmoothnessReport:
 
 def _affine_points(curve: CurveParams, t: _ClassTables):
     """Enumerate all affine rational points via the class tables."""
-    ctx, n = curve.ctx, curve.n
-    a, b = curve.a, curve.b
-    if ctx.m == 1:
-        p = ctx.p
-        for y in t.preimages[b]:
-            yield 0, y
-        for u in t.nonzero_powers:
-            d = (a * u - 1) % p
-            if d == 0:
-                continue
-            c = (u - b) * t.inv[d] % p
-            for x in t.preimages[u]:
-                for y in t.preimages[c]:
-                    yield x, y
-    else:
-        for y in t.preimages.get(b, []):
-            yield ctx.zero, y
-        for u in t.nonzero_powers:
-            d = ctx.sub(ctx.mul(a, u), ctx.one)
-            if d == ctx.zero:
-                continue
-            c = ctx.mul(ctx.sub(u, b), ctx.inv(d))
-            for x in t.preimages[u]:
-                for y in t.preimages.get(c, []):
-                    yield x, y
+    pre = t.preimages
+    for y in pre[curve.b]:
+        yield curve.ctx.zero, y
+    for u, c in _classes(curve, t):
+        for x in pre[u]:
+            for y in pre[c]:
+                yield x, y

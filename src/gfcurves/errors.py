@@ -71,4 +71,4 @@ class VertexQuery(ValueError):
 
 
 class DegeneratePolygon(ValueError):
-    """Fewer than 3 vertices, or three collinear vertices."""
+    """Fewer than 3 vertices (no three points of XY = 1 are collinear)."""

@@ -536,7 +536,7 @@ def nth_root_extension(ctx: FieldCtx, c, n: int):
         roots = nth_roots(ctx, c, n)
         return ctx, roots[0]
     if ctx.m != 1:
-        raise NotImplementedError("splitting extensions only over prime base fields")
+        raise ValueError("splitting extensions only over prime base fields")
     h = _factor_binomial(ctx.p, n, c, d)[0]
     ctx2 = make_field(ctx.p, d, modulus=h)
     root = ctx2.element([0, 1])

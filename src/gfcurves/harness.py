@@ -27,6 +27,7 @@ from . import bounds as B
 from . import chords as C
 from . import localexp as LE
 from .curve import class_tables, make_curve, orbit_counts
+from .ffield import make_field
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -89,7 +90,7 @@ class _ScanTail(NamedTuple):
 def scan_task(p: int, n: int, sample: int | None) -> list[tuple[int, int, _ScanTail]]:
     """All rows for one (p, n), in (a, b) order, as (a, b, tail); the curve
     (a, b) with a = r*s, s in mu_k, reads the orbit counts of (r, b*s)."""
-    ctx = C.make_ctx_cached(p)
+    ctx = make_field(p)
     t = class_tables(ctx, n)
     rc, inv = t.root_count, t.inv
     k = (p - 1) // n
@@ -220,15 +221,8 @@ def figure1_tsv_lines(n_min: int, n_max: int):
     for cell in figure1_cells(n_min, n_max):
         yield "\t".join((
             str(cell.n), str(cell.p),
-            _fixed6(cell.k), _fixed6(cell.delta), _fixed6(cell.boundary_p),
+            B.fixed(cell.k, 6), B.fixed(cell.delta, 6), B.fixed(cell.boundary_p, 6),
         ))
-
-
-def _fixed6(x: Fraction) -> str:
-    units = round(Fraction(x) * 10**6)  # exact round-half-even
-    sign = "-" if units < 0 else ""
-    units = abs(units)
-    return f"{sign}{units // 10**6}.{units % 10**6:06d}"
 
 
 # ---------------------------------------------------------------------------
@@ -251,20 +245,9 @@ def vtable_csv_lines(k_min: int = 2, k_max: int = 100):
     yield "k,V,Vtilde,W,giulietti,np_bound,refinement"
     for (k, v, vt, w, gi, np_v, ref) in vtable_rows(k_min, k_max):
         yield ",".join((
-            str(k), _frac(v), _frac(vt), _fixed12(w), _frac(gi), str(np_v),
+            str(k), B.ratio(v), B.ratio(vt), B.fixed(w, 12), B.ratio(gi), str(np_v),
             "-" if ref is None else str(ref),
         ))
-
-
-def _frac(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _fixed12(x: Fraction) -> str:
-    units = round(Fraction(x) * 10**12)
-    sign = "-" if units < 0 else ""
-    units = abs(units)
-    return f"{sign}{units // 10**12}.{units % 10**12:012d}"
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +331,7 @@ def verify_orders(p_max: int = 100, n_values=(3, 4, 5, 6, 7),
                 continue
             curves = _class_representatives(p, n, per_class)
             for (a, b) in curves:
-                curve = make_curve(C.make_ctx_cached(p), n, a, b)
+                curve = make_curve(make_field(p), n, a, b)
                 if LE.inflection_contact_order(curve) != n:
                     mult_bad.append((p, n, a, b, "inflection-contact"))
                 if LE.branch_contact_order(curve) != n + 1:
@@ -380,7 +363,7 @@ def verify_orders(p_max: int = 100, n_values=(3, 4, 5, 6, 7),
 def _class_representatives(p: int, n: int, per_class: int) -> list[tuple[int, int]]:
     """First `per_class` pairs (a, b), canonical order, with n1 = n and with
     n1 = 0 (where such b exist)."""
-    ctx = C.make_ctx_cached(p)
+    ctx = make_field(p)
     t = class_tables(ctx, n)
     rc = t.root_count
     picks = []
@@ -417,7 +400,7 @@ def prop41_sweep(p_max: int = 199) -> ChordSweep:
     for p in primes_up_to(p_max):
         if p < 7:  # k = (p-1)/n >= 3 needs p >= 7
             continue
-        ctx = C.make_ctx_cached(p)
+        ctx = make_field(p)
         for n in admissible_degrees(p):
             k = (p - 1) // n
             if k < 3:

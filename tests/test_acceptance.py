@@ -24,7 +24,7 @@ from gfcurves import harness as H
 from gfcurves.bounds import giulietti_bound, np_bound_value, vtilde
 from gfcurves.curve import count_points, count_points_fast, make_curve, smoothness_scan
 from gfcurves.ffield import make_field, nth_root_count, nth_root_count_brute
-from gfcurves.chords import build_polygon, make_ctx_cached
+from gfcurves.chords import build_polygon
 
 
 def report(name: str, ok: bool, detail: str) -> bool:
@@ -124,7 +124,7 @@ def _vertex_tangent_counts(p, k):
     x + t^2 y = 2t of XY = 1 at the vertices (t, 1/t) of the k-gon through
     it, found by rasterizing each tangent across its p points."""
     counts = Counter()
-    for t, _ in build_polygon(make_ctx_cached(p), k).vertices:
+    for t, _ in build_polygon(make_field(p), k).vertices:
         t2 = t * t % p
         for y in range(1, p):
             x = (2 * t - t2 * y) % p
@@ -229,7 +229,7 @@ def test_curve_symmetries_smoothness_and_root_counts():
     the power-character fast path agrees with exhaustive enumeration."""
     swap_bad, smooth_checked = [], 0
     for p in H.primes_up_to(61):
-        ctx = make_ctx_cached(p)
+        ctx = make_field(p)
         for n in H.admissible_degrees(p):
             reports = {}
             for a in range(1, p):
@@ -249,7 +249,7 @@ def test_curve_symmetries_smoothness_and_root_counts():
 
     transpose_bad = []
     for (p, n) in [(13, 3), (13, 4), (11, 5), (31, 5)]:
-        ctx = make_ctx_cached(p)
+        ctx = make_field(p)
         for a in range(1, 5):
             for b in range(1, p):
                 if a * b % p == 1:

@@ -6,6 +6,7 @@ import pytest
 
 from gfcurves.bounds import (
     f_u,
+    fixed,
     floor_kth_root,
     giulietti_bound,
     hasse_weil,
@@ -15,6 +16,7 @@ from gfcurves.bounds import (
     minimal_domination_constant,
     np_bound,
     np_bound_value,
+    ratio,
     sv_bound,
     v_of_k,
     vtilde,
@@ -32,6 +34,24 @@ def w_decimal(k, prec=50):
     x = Decimal(2).sqrt() * Decimal(k)
     c1 = x ** (Decimal(1) / 3)
     return 3 * c1 * c1 - Decimal(103) / 19 * c1 + Decimal(13) / 3
+
+
+# -- output formatting ----------------------------------------------------------
+
+
+def test_fixed_rounds_half_even():
+    assert fixed(Fraction(1, 8), 2) == "0.12"
+    assert fixed(Fraction(3, 8), 2) == "0.38"
+    assert fixed(Fraction(-1, 8), 2) == "-0.12"
+    assert fixed(Fraction(-1, 1000), 2) == "0.00"
+    assert fixed(Fraction(-7, 2), 6) == "-3.500000"
+    assert fixed(5, 3) == "5.000"
+
+
+def test_ratio_formats_integers_bare():
+    assert ratio(Fraction(370, 3)) == "370/3"
+    assert ratio(Fraction(-4, 6)) == "-2/3"
+    assert ratio(Fraction(12, 4)) == "3"
 
 
 # -- integer roots ------------------------------------------------------------

@@ -8,7 +8,6 @@ from gfcurves.chords import (
     chord_set,
     chords_through,
     restricted_count,
-    restricted_count_grid,
     verify_prop41,
 )
 from gfcurves.curve import make_curve
@@ -56,6 +55,19 @@ def test_vertices_lie_on_hyperbola_and_are_nondegenerate():
         assert len(set(poly.vertices)) == k
         for x, y in poly.vertices:
             assert x * y % p == 1
+
+
+def test_no_three_vertices_collinear():
+    # build_polygon does not check this: a line meets XY = 1 in at most two
+    # points.  Brute force over every vertex triple of every admissible k-gon.
+    for p in [p for p in range(7, 102) if all(p % d for d in range(2, p))]:
+        ctx = make_field(p)
+        for k in range(3, p):
+            if (p - 1) % k:
+                continue
+            verts = build_polygon(ctx, k).vertices
+            for (x1, y1), (x2, y2), (x3, y3) in combinations(verts, 3):
+                assert ((x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)) % p, (p, k)
 
 
 def test_chord_set_size_and_incidence():
@@ -154,17 +166,6 @@ def test_restricted_count_examples():
     assert restricted_count(make_curve(f13, 3, 2, 3)) == 0
 
 
-def test_restricted_count_grid_matches_per_curve():
-    for p, n in [(13, 3), (13, 2), (31, 5)]:
-        grid = restricted_count_grid(p, n)
-        ctx = make_field(p)
-        for a in range(1, p):
-            for b in range(1, p):
-                if a * b % p == 1:
-                    continue
-                assert grid[a][b] == restricted_count(make_curve(ctx, n, a, b))
-
-
 # -- the identity and its exact correction ---------------------------------------------
 
 
@@ -235,10 +236,11 @@ def test_divisibility_holds_when_no_tangency():
     # 2n^2 | N_p is the corollary of the identity; exact when D = 0, and in
     # general 2n^2 divides N_p - (n^2 - n) * D
     for p, n in [(13, 3), (19, 3), (31, 5)]:
-        grid = restricted_count_grid(p, n)
+        ctx = make_field(p)
         for a in range(1, p):
             for b in range(1, p):
                 if a * b % p == 1:
                     continue
                 d = tangency_count(p, n, a, b)
-                assert (grid[a][b] - (n * n - n) * d) % (2 * n * n) == 0
+                restricted = restricted_count(make_curve(ctx, n, a, b))
+                assert (restricted - (n * n - n) * d) % (2 * n * n) == 0

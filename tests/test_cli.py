@@ -84,6 +84,17 @@ def test_orders_small_characteristic_rejected(capsys):
     assert "verified regime" in err
 
 
+def test_orders_over_extension_base_field_exits_2(capsys):
+    # b is not a cube in F_121: the splitting tower would be built over
+    # F_{11^2}, which is unsupported input, not a verification verdict
+    code, out, err = run(capsys, ["orders", "--p", "11", "--m", "2", "--n", "3",
+                                  "--a", "1,1", "--b", "2,1", "--s", "2"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # -- chords ------------------------------------------------------------------------
 
 

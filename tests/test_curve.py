@@ -4,6 +4,8 @@ import pytest
 
 from gfcurves.curve import (
     CountReport,
+    _affine_points,
+    class_tables,
     count_points,
     count_points_fast,
     equation_value,
@@ -194,6 +196,46 @@ def test_special_points_counts():
 def test_no_rational_inflections_when_b_not_power():
     curve = make_curve(make_field(13), 3, 2, 2)  # 2 is not a cube mod 13
     assert [s for s in special_points(curve) if s.kind == "inflection"] == []
+
+
+def test_no_rational_inflections_when_b_not_power_extension_field():
+    ctx = make_field(5, 2)
+    a, b = ctx.element([2, 1]), ctx.element([1, 1])  # 1 + T is not a cube in F_25
+    assert [x for x in ctx.elements() if ctx.pow(x, 3) == b] == []
+    curve = make_curve(ctx, 3, a, b)
+    pts = special_points(curve)
+    assert [s for s in pts if s.kind == "inflection"] == []
+    directions = [c for c in ctx.elements() if ctx.mul(a, ctx.pow(c, 3)) == ctx.one]
+    assert sorted(s.tangent_value for s in pts) == sorted(directions * 2)
+
+
+# -- the class walk ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p,m", [(7, 1), (13, 1), (3, 2), (5, 2), (3, 3)])
+def test_affine_points_equal_brute_force_solution_set(p, m):
+    # every (a, b) over the prime fields; over F_{p^m} every b against the
+    # first three a, so the exhaustive check stays cheap.  The oracle solves
+    # y^n * (a*x^n - 1) = x^n - b point by point, with no class tables.
+    ctx = make_field(p, m)
+    els = list(ctx.elements())
+    nonzero = els[1:]
+    for n in range(2, ctx.q):
+        if (ctx.q - 1) % n:
+            continue
+        t = class_tables(ctx, n)
+        xn = [(x, ctx.pow(x, n)) for x in els]
+        for a in nonzero if m == 1 else nonzero[:3]:
+            lead = [(x, ctx.sub(ctx.mul(a, v), ctx.one), v) for x, v in xn]
+            for b in nonzero:
+                if ctx.mul(a, b) == ctx.one:
+                    continue
+                rows = [(x, ax, ctx.sub(v, b)) for x, ax, v in lead]
+                brute = {(x, y) for x, ax, bx in rows for y, w in xn
+                         if ctx.mul(ax, w) == bx}
+                points = list(_affine_points(make_curve(ctx, n, a, b), t))
+                assert len(points) == len(set(points))
+                assert set(points) == brute
 
 
 # -- smoothness -------------------------------------------------------------------

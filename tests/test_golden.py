@@ -1,8 +1,11 @@
 """Golden outputs: the sha256 of stdout and the exit code of reduced-scale
 CLI invocations, pinned so that engine changes keep every output byte.
 
-The hashes were taken from the per-(a, b) engines that preceded the torus
-orbit pass; `verify prop41` exits 1 by design (the classical chord identity
+The scan, prop41, chords and first count hashes were taken from the per-(a, b)
+engines that preceded the torus orbit pass; the figure1, vtable, bounds,
+orders and extension-field count hashes from the per-module decimal
+formatters and the duplicated class loops that preceded the shared ones.
+`verify prop41` exits 1 by design (the classical chord identity
 fails on the vertex tangents) and `chords` at P = (1, 6) over F_7 is its first
 counterexample.
 """
@@ -30,6 +33,21 @@ GOLDEN = [
      "9eee6377131d53c278e8413a3c4f817502d400d768eec04f1feee9407db4bba2"),
     (["count", "--p", "13", "--n", "3", "--a", "6", "--b", "2"], 0,
      "e780f554078387abd6c2a5429ba5fc49277870644a05f7672ee2af0f082ae2dc"),
+    (["figure1", "--n-min", "3", "--n-max", "12"], 0,
+     "5d7634fae7ff139da18cf66dffdf07bb1afdb0b2174d7c8f1654d4c94102e857"),
+    (["vtable", "--k-min", "2", "--k-max", "100"], 0,
+     "def64916c913c0a447c8448dae142e664bce2a95d44fc36480d12319deb2ab53"),
+    (["bounds", "--p", "31", "--n", "5", "--a", "2", "--b", "3"], 0,
+     "713ce961a4f3716e894b1285da35af4bc35c4da992a436894d7e0b8dede0b48c"),
+    (["bounds", "--p", "5", "--m", "2", "--n", "3", "--a", "2", "--b", "1,3"], 0,
+     "1b3de8dbc1b23790ab41b8475c1323277c717cbb7daab7a3df3b05f234fe582c"),
+    (["count", "--p", "5", "--m", "2", "--n", "3", "--a", "2", "--b", "1,3"], 0,
+     "81fdc33b14ef3f8c59a5c947240a3e19502a7749f1aa4a2a96d6b8ca74158d97"),
+    (["--format", "csv", "count", "--p", "13", "--n", "3", "--a", "6", "--b", "2"], 0,
+     "31c493e552fb3182e8fdde2e44b5828527a094f9b68c28bc1111546b1e6cc7c8"),
+    (["orders", "--p", "31", "--n", "5", "--a", "2", "--b", "3", "--s", "2",
+      "--point", "infinite-branch"], 0,
+     "c0ffae97d569862eb9809480d3d6c19ba293f181122c3994e5534a7fc80bd22e"),
 ]
 
 
