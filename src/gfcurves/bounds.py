@@ -1,14 +1,18 @@
 """Upper bounds on the model point count, evaluated exactly.
 
-Everything polynomial or rational is computed in exact big-rational
-arithmetic (fractions.Fraction).  The one genuinely irrational bound, the
-cube-root expression
+Everything polynomial or rational is exact.  The one genuinely irrational
+bound, the cube-root expression
 
     W(k) = 3*(sqrt(2)*k)^(2/3) - (103/19)*(sqrt(2)*k)^(1/3) + 13/3,
 
-is evaluated as a rational interval [lo, hi] with hi - lo below 1e-25, and
-every reported integer floors the upper endpoint, so a bound is never
-under-reported.  Floors are applied once, at the outermost step.
+is enclosed in a rational interval [lo, hi] with hi - lo below 1e-25
+(outward rounding, as in R. E. Moore, Interval Analysis, 1966), and
+q + 1 + 2g*sqrt(q) likewise.  The enclosures are computed on plain integers
+over fixed denominators (`_w_num` over `_W_DEN`, `_hw_num` over `_SCALE`),
+and so is the minimisation of f_u; the public functions build their
+`fractions.Fraction` results once, from those numerators.  Every reported
+integer floors the upper endpoint, so a bound is never under-reported.
+Floors are applied once, at the outermost step.
 """
 
 from __future__ import annotations
@@ -50,9 +54,13 @@ class BoundReport:
         }
 
 
-def fixed(x, digits: int) -> str:
-    """x rounded half-even to `digits` decimals, e.g. "-0.125000" for 6."""
-    units = round(Fraction(x) * 10**digits)
+def fixed(x, digits: int, den: int = 1) -> str:
+    """x/den rounded half-even to `digits` decimals, e.g. "-0.125000" for 6;
+    x is an int or a Fraction, den a positive int."""
+    den *= x.denominator
+    units, rem = divmod(x.numerator * 10**digits, den)
+    if 2 * rem > den or (2 * rem == den and units & 1):
+        units += 1
     sign = "-" if units < 0 else ""
     whole, frac = divmod(abs(units), 10**digits)
     return f"{sign}{whole}.{frac:0{digits}d}"
@@ -73,7 +81,13 @@ def floor_kth_root(x: int, k: int) -> int:
         raise DomainError("floor_kth_root needs x >= 0, k >= 1")
     if x < 2 or k == 1:
         return x
-    r = 1 << ((x.bit_length() + k - 1) // k)  # upper seed
+    if x.bit_length() <= 1000:  # a float seed, good to about 50 bits
+        r = int(x ** (1.0 / k)) + 1
+    else:
+        r = 1 << ((x.bit_length() + k - 1) // k)
+    # one Newton step from any r > 0 lands at or above the root (convexity),
+    # and from there the steps decrease to it
+    r = ((k - 1) * r + x // r ** (k - 1)) // k
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
         if nr >= r:
@@ -84,21 +98,28 @@ def floor_kth_root(x: int, k: int) -> int:
     return r
 
 
-_DIGITS = 30
-_SCALE = 10**_DIGITS
+_SCALE = 10**30
+_W_DEN = 57 * _SCALE**2  # 3 * 19 * 10^60: clears the 103/19 and 13/3 of W
+_SQRT2 = math.isqrt(2 * _SCALE**2)  # sqrt(2) in [_SQRT2, _SQRT2 + 1] / _SCALE
 
 
-def _interval_sqrt_int(x: int) -> tuple[Fraction, Fraction]:
-    """[lo, hi] enclosing sqrt(x) with hi - lo = 10^-_DIGITS."""
-    lo = math.isqrt(x * _SCALE * _SCALE)
-    return Fraction(lo, _SCALE), Fraction(lo + 1, _SCALE)
+def _w_num(num: int, den: int) -> tuple[int, int]:
+    """Numerators over _W_DEN of the enclosure of W(num/den), num/den >= 0.
+
+    With c1lo = floor(cbrt(sqrt2lo * k)) and c1hi = floor(cbrt(sqrt2hi * k)) + 1
+    on the scale 10^30, W lies in
+    [3*c1lo^2 - (103/19)*c1hi + 13/3, 3*c1hi^2 - (103/19)*c1lo + 13/3]."""
+    c1lo = floor_kth_root(_SQRT2 * num * _SCALE**2 // den, 3)
+    c1hi = floor_kth_root((_SQRT2 + 1) * num * _SCALE**2 // den, 3) + 1
+    const = 247 * _SCALE**2
+    return (171 * c1lo * c1lo - 309 * c1hi * _SCALE + const,
+            171 * c1hi * c1hi - 309 * c1lo * _SCALE + const)
 
 
-def _interval_cbrt(r: Fraction) -> tuple[Fraction, Fraction]:
-    """[lo, hi] enclosing r^(1/3) for r >= 0."""
-    scaled = r * _SCALE**3
-    lo = floor_kth_root(scaled.numerator // scaled.denominator, 3)
-    return Fraction(lo, _SCALE), Fraction(lo + 1, _SCALE)
+def _hw_num(q: int, g: int) -> int:
+    """Numerator over _SCALE of the lower end of the enclosure of
+    q + 1 + 2*g*sqrt(q); the upper end is 2*g more."""
+    return (q + 1) * _SCALE + 2 * g * math.isqrt(q * _SCALE**2)
 
 
 def w_interval(k) -> tuple[Fraction, Fraction]:
@@ -106,22 +127,14 @@ def w_interval(k) -> tuple[Fraction, Fraction]:
     k = Fraction(k)
     if k < 0:
         raise DomainError("k must be nonnegative")
-    s2lo, s2hi = _interval_sqrt_int(2)
-    xlo, xhi = s2lo * k, s2hi * k
-    c1lo, _ = _interval_cbrt(xlo)
-    _, c1hi = _interval_cbrt(xhi)
-    c2lo, c2hi = c1lo * c1lo, c1hi * c1hi  # (.)^(2/3), monotone on [0, inf)
-    coef = Fraction(103, 19)
-    lam = Fraction(13, 3)
-    lo = 3 * c2lo - coef * c1hi + lam
-    hi = 3 * c2hi - coef * c1lo + lam
-    return lo, hi
+    lo, hi = _w_num(k.numerator, k.denominator)
+    return Fraction(lo, _W_DEN), Fraction(hi, _W_DEN)
 
 
 def hw_interval(q: int, g: int) -> tuple[Fraction, Fraction]:
     """Rational enclosure of q + 1 + 2*g*sqrt(q)."""
-    slo, shi = _interval_sqrt_int(q)
-    return q + 1 + 2 * g * slo, q + 1 + 2 * g * shi
+    lo = _hw_num(q, g)
+    return Fraction(lo, _SCALE), Fraction(lo + 2 * g, _SCALE)
 
 
 # ---------------------------------------------------------------------------
@@ -189,23 +202,43 @@ def sv_bound(curve: CurveParams, s: int) -> BoundReport:
 
 
 def f_u(t, u) -> Fraction:
-    """(3t^2 - 23t + 26)/6 + 4(u+3)/t, exact."""
-    t, u = Fraction(t), Fraction(u)
+    """(3t^2 - 23t + 26)/6 + 4(u+3)/t = ((3t^2 - 23t + 26)t + 24(u+3)) / (6t), exact."""
     if t < 6 or u < 2:
         raise DomainError("f_u needs t >= 6 and u >= 2")
-    return Fraction(3 * t * t - 23 * t + 26, 6) + 4 * (u + 3) / t
+    return Fraction((3 * t * t - 23 * t + 26) * t + 24 * (u + 3), 6 * t)
+
+
+def _f_num(t: int, u_num: int, u_den: int) -> int:
+    """f_u(t) for u = u_num/u_den, as a numerator over 6*t*u_den."""
+    return (3 * t * t - 23 * t + 26) * t * u_den + 24 * (u_num + 3 * u_den)
+
+
+def _min_f(u, t_hi: int) -> tuple[Fraction, int]:
+    """(min, argmin) of f_u over the integers t in [6, t_hi], ties toward the
+    smaller t; the numerators over 6*t*u_den are compared by cross-multiplying."""
+    u_num, u_den = u.numerator, u.denominator
+    best_n, best_t = _f_num(6, u_num, u_den), 6
+    for t in range(7, t_hi + 1):
+        num = _f_num(t, u_num, u_den)
+        if num * best_t < best_n * t:
+            best_n, best_t = num, t
+    return Fraction(best_n, 6 * best_t * u_den), best_t
+
+
+def _k12(t0: int) -> int:
+    """12 * k_{t0}."""
+    return t0 * (t0 + 1) * (3 * t0 - 10) - 36
 
 
 def k_threshold(t0: int) -> Fraction:
     """k_{t0} = t0(t0+1)(3t0-10)/12 - 3."""
     if t0 < 6:
         raise DomainError("t0 must be >= 6")
-    return Fraction(t0 * (t0 + 1) * (3 * t0 - 10), 12) - 3
+    return Fraction(_k12(t0), 12)
 
 
 def lemma34_check(u, t0: int) -> bool:
     """Return u <= k_{t0}, asserting it coincides with f_u(t0) <= f_u(t0+1)."""
-    u = Fraction(u)
     if u < 2 or t0 < 6:
         raise DomainError("need u >= 2 and t0 >= 6")
     left = u <= k_threshold(t0)
@@ -216,16 +249,17 @@ def lemma34_check(u, t0: int) -> bool:
 
 
 def vtilde(u) -> Fraction:
-    """min of f_u over all integers t >= 6, via the threshold ladder."""
-    u = Fraction(u)
+    """min of f_u over all integers t >= 6, via the threshold ladder; u is
+    compared with k_t as 12*u against 12*k_t."""
     if u < 2:
         raise DomainError("u must be >= 2")
-    if u <= k_threshold(6):
-        return f_u(6, u)
-    t0 = 6
-    while k_threshold(t0 + 1) <= u:
-        t0 += 1
-    return f_u(t0 + 1, u)
+    u_num, u_den = u.numerator, u.denominator
+    t = 6
+    if 12 * u_num > _k12(6) * u_den:  # u > k_6
+        while _k12(t + 1) * u_den <= 12 * u_num:
+            t += 1
+        t += 1
+    return Fraction(_f_num(t, u_num, u_den), 6 * t * u_den)
 
 
 def v_of_k(k: int, n: int) -> tuple[Fraction, int]:
@@ -235,15 +269,10 @@ def v_of_k(k: int, n: int) -> tuple[Fraction, int]:
     """
     if n < 3:
         raise DomainError("n must be >= 3")
-    t_hi = min(n + 3, math.floor(Fraction(k, 2) + 5))
+    t_hi = min(n + 3, k // 2 + 5)
     if k < 2 or t_hi < 6:
         raise EmptyFeasibleSet(f"no integer t in [6, {t_hi}]")
-    best_v, best_t = None, None
-    for t in range(6, t_hi + 1):
-        v = f_u(t, k)
-        if best_v is None or v < best_v:
-            best_v, best_t = v, t
-    return best_v, best_t
+    return _min_f(k, t_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +285,7 @@ def _w_applicability(p: int, n: int) -> list[str]:
         reasons.append("DegreeBelowThree")
     if (p - 1) % n or n == p - 1:
         reasons.append("NotProperDivisor")
-    if not reasons and p - 1 > n * k_threshold(n + 3):
+    if not reasons and 12 * (p - 1) > n * _k12(n + 3):
         reasons.append("ThresholdExceeded")
     return reasons
 
@@ -273,13 +302,13 @@ def w_bound(curve: CurveParams) -> BoundReport:
     if reasons:
         return BoundReport("w", None, False, tuple(reasons),
                            {"k": k, "threshold": threshold})
-    lo, hi = w_interval(k)
+    lo, hi = _w_num(p - 1, n)
     return BoundReport(
         name="w",
-        value=math.floor(n * n * hi),
+        value=n * n * hi // _W_DEN,
         applicable=True,
         intermediates={"k": k, "threshold": threshold,
-                       "raw_lo": lo, "raw_hi": hi},
+                       "raw_lo": Fraction(lo, _W_DEN), "raw_hi": Fraction(hi, _W_DEN)},
     )
 
 
@@ -287,8 +316,8 @@ def w_scalar_value(p: int, n: int) -> int | None:
     """floor(n^2 * W((p-1)/n)) when the cube-root bound applies, else None."""
     if _w_applicability(p, n):
         return None
-    _, hi = w_interval(Fraction(p - 1, n))
-    return math.floor(n * n * hi)
+    _, hi = _w_num(p - 1, n)
+    return n * n * hi // _W_DEN
 
 
 def giulietti_bound(k: int) -> Fraction:
@@ -300,10 +329,10 @@ def giulietti_bound(k: int) -> Fraction:
 
 def np_bound_value(k) -> int:
     """floor(W(k)/2): the chord-count bound as a function of k alone."""
-    if Fraction(k) < 2:
+    if k < 2:
         raise DomainError("k must be >= 2")
-    _, hi = w_interval(k)
-    return math.floor(hi / 2)
+    _, hi = _w_num(k.numerator, k.denominator)
+    return hi // (2 * _W_DEN)
 
 
 def np_bound(p: int, n: int) -> BoundReport:
@@ -315,14 +344,14 @@ def np_bound(p: int, n: int) -> BoundReport:
         k = Fraction(p - 1, n)
         return BoundReport("np", None, False, tuple(reasons), {"k": k})
     k = (p - 1) // n
-    lo, hi = w_interval(k)
-    value = math.floor(hi / 2)
+    lo, hi = _w_num(k, 1)
     refinement = math.floor(vtilde(k) / 2) if 25 < k < 44 else None
     return BoundReport(
         name="np",
-        value=value,
+        value=hi // (2 * _W_DEN),
         applicable=True,
-        intermediates={"k": k, "raw_lo": lo, "raw_hi": hi,
+        intermediates={"k": k, "raw_lo": Fraction(lo, _W_DEN),
+                       "raw_hi": Fraction(hi, _W_DEN),
                        "giulietti": giulietti_bound(k),
                        "refinement": refinement},
     )
@@ -348,9 +377,8 @@ def minimal_domination_constant(t0_max: int = 120) -> dict:
         need_hi = vtilde(u) - (base_lo - Fraction(13, 3))
         if need_hi > required_hi:
             required_lo, required_hi, witness = need_lo, need_hi, u
-    s2lo, s2hi = _interval_sqrt_int(2)
-    cand_lo = Fraction(103, 19) * s2lo - Fraction(10, 3)
-    cand_hi = Fraction(103, 19) * s2hi - Fraction(10, 3)
+    cand_lo = Fraction(103 * _SQRT2, 19 * _SCALE) - Fraction(10, 3)
+    cand_hi = Fraction(103 * (_SQRT2 + 1), 19 * _SCALE) - Fraction(10, 3)
     return {
         "required_lambda_lo": required_lo,
         "required_lambda_hi": required_hi,

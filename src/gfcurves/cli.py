@@ -188,7 +188,17 @@ def cmd_vtable(args) -> int:
     return 0
 
 
+# the smallest --p-max under which every check of the suite covers a case:
+# prop41 needs k = (p-1)/n >= 3, so p >= 7; the first order-sequence case is
+# p = 13, n = 3, s = 2 (it needs p > s(n+1) and n | p-1)
+_VERIFY_P_MIN = {"prop41": 7, "orders": 13, "all": 13}
+
+
 def cmd_verify(args) -> int:
+    p_min = _VERIFY_P_MIN.get(args.suite)
+    if None not in (p_min, args.p_max) and args.p_max < p_min:
+        print(f"verify {args.suite} requires --p-max >= {p_min}", file=sys.stderr)
+        return 2
     checks = H.verify_suite(args.suite, args.p_max)
     width = max(len(c.name) for c in checks)
     for c in checks:

@@ -188,41 +188,46 @@ class GridCell:
     n: int
     p: int
     k: Fraction
-    delta: Fraction      # interval midpoint; width far below the print scale
+    delta: Fraction      # the exact midpoint of delta's enclosure, width below 1e-25
     boundary_p: Fraction  # the red curve p = n * k_{n+3} + 1
+
+
+def _figure1_degrees(n_min: int, n_max: int):
+    """(n, boundary_p, the primes p with n < p-1 <= n*k_{n+3}) per degree n."""
+    if not 3 <= n_min <= n_max:
+        raise ValueError("need 3 <= n_min <= n_max")
+    caps = {n: n * B.k_threshold(n + 3) for n in range(n_min, n_max + 1)}
+    primes = primes_up_to(math.floor(max(caps.values())) + 1)
+    for n, cap in caps.items():
+        top = math.floor(cap)
+        yield n, cap + 1, [p for p in primes if n < p - 1 <= top]
+
+
+def _delta_num(p: int, n: int) -> int:
+    """delta = (hw_lo + hw_hi)/(4n^2) - (w_lo + w_hi)/4 as a numerator over
+    4n^2 * _W_DEN, from the integer numerators of both enclosures."""
+    g = (n - 1) ** 2
+    w_lo, w_hi = B._w_num(p - 1, n)
+    return (2 * B._hw_num(p, g) + 2 * g) * (B._W_DEN // B._SCALE) - n * n * (w_lo + w_hi)
 
 
 def figure1_cells(n_min: int, n_max: int):
     """Cells (n, p) with p prime and n < p-1 <= n*k_{n+3}; delta is the
     difference between the chord bounds derived from Hasse-Weil and from the
     half cube-root expression."""
-    if not 3 <= n_min <= n_max:
-        raise ValueError("need 3 <= n_min <= n_max")
-    caps = {n: n * B.k_threshold(n + 3) for n in range(n_min, n_max + 1)}
-    top = max(math.floor(v) + 1 for v in caps.values())
-    primes = primes_up_to(top)
-    for n in range(n_min, n_max + 1):
-        cap = caps[n]
-        g = (n - 1) ** 2
-        for p in primes:
-            if not n < p - 1 <= cap:
-                continue
-            k = Fraction(p - 1, n)
-            hw_lo, hw_hi = B.hw_interval(p, g)
-            w_lo, w_hi = B.w_interval(k)
-            lo = hw_lo / (2 * n * n) - w_hi / 2
-            hi = hw_hi / (2 * n * n) - w_lo / 2
-            yield GridCell(n=n, p=p, k=k, delta=(lo + hi) / 2,
-                           boundary_p=cap + 1)
+    for n, boundary_p, ps in _figure1_degrees(n_min, n_max):
+        for p in ps:
+            yield GridCell(n=n, p=p, k=Fraction(p - 1, n),
+                           delta=Fraction(_delta_num(p, n), 4 * n * n * B._W_DEN),
+                           boundary_p=boundary_p)
 
 
 def figure1_tsv_lines(n_min: int, n_max: int):
     yield "n\tp\tk\tdelta\tboundary_p"
-    for cell in figure1_cells(n_min, n_max):
-        yield "\t".join((
-            str(cell.n), str(cell.p),
-            B.fixed(cell.k, 6), B.fixed(cell.delta, 6), B.fixed(cell.boundary_p, 6),
-        ))
+    for n, boundary_p, ps in _figure1_degrees(n_min, n_max):
+        den, tail = 4 * n * n * B._W_DEN, B.fixed(boundary_p, 6)
+        for p in ps:
+            yield f"{n}\t{p}\t{B.fixed(p - 1, 6, n)}\t{B.fixed(_delta_num(p, n), 6, den)}\t{tail}"
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +237,12 @@ def figure1_tsv_lines(n_min: int, n_max: int):
 def vtable_rows(k_min: int = 2, k_max: int = 100):
     """(k, V, Vtilde, W midpoint, giulietti, np, refinement) per integer k."""
     for k in range(max(2, k_min), k_max + 1):
-        t_hi = math.floor(Fraction(k, 2) + 5)
-        v = min(B.f_u(t, k) for t in range(6, t_hi + 1))
+        v, _ = B._min_f(k, k // 2 + 5)
         vt = B.vtilde(k)
-        w_lo, w_hi = B.w_interval(k)
+        w_lo, w_hi = B._w_num(k, 1)
         ref = math.floor(vt / 2) if 25 < k < 44 else None
-        yield (k, v, vt, (w_lo + w_hi) / 2, B.giulietti_bound(k),
-               B.np_bound_value(k), ref)
+        yield (k, v, vt, Fraction(w_lo + w_hi, 2 * B._W_DEN), B.giulietti_bound(k),
+               w_hi // (2 * B._W_DEN), ref)
 
 
 def vtable_csv_lines(k_min: int = 2, k_max: int = 100):
@@ -308,11 +312,11 @@ def verify_lemmas(u_grid: int = 10_000, t0_max: int = 60,
            - Fraction(37, 6) * t0 + 1]
     out.append(Check("checkpoint-identity", not bad, f"t0 in [6,{t0_max}]: bad={bad}"))
 
-    margin = Fraction(1, 10**20)
     bad = 0
-    for u in range(2, brute_u + 1):
-        lo, hi = B.w_interval(u)
-        if hi - lo > margin or lo < B.vtilde(u):
+    for u in range(2, brute_u + 1):  # hi - lo <= 1e-20 and lo >= vtilde(u)
+        lo, hi = B._w_num(u, 1)
+        vt = B.vtilde(u)
+        if (hi - lo) * 10**20 > B._W_DEN or lo * vt.denominator < vt.numerator * B._W_DEN:
             bad += 1
     out.append(Check("w-dominates-vtilde",
                      bad == 0, f"u in [2,{brute_u}], margin 1e-20: {bad} failures"))

@@ -1,9 +1,11 @@
 import math
+import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
 
+from gfcurves import harness as H
 from gfcurves.bounds import (
     f_u,
     fixed,
@@ -22,6 +24,7 @@ from gfcurves.bounds import (
     vtilde,
     w_bound,
     w_interval,
+    w_scalar_value,
 )
 from gfcurves.curve import make_curve
 from gfcurves.errors import DomainError, EmptyFeasibleSet, InvalidS
@@ -36,6 +39,133 @@ def w_decimal(k, prec=50):
     return 3 * c1 * c1 - Decimal(103) / 19 * c1 + Decimal(13) / 3
 
 
+# -- the Fraction route: the interval and minimisation formulas as they were
+# written before the bound layer moved onto scaled integers, kept here as a
+# second route that the integer kernel must match exactly
+
+
+_SCALE = 10**30
+
+
+def _newton_cbrt(x):
+    """floor(x^(1/3)) by integer Newton iteration from a power-of-two seed."""
+    if x < 2:
+        return x
+    r = 1 << ((x.bit_length() + 2) // 3)
+    while True:
+        nr = (2 * r + x // (r * r)) // 3
+        if nr >= r:
+            break
+        r = nr
+    while r**3 > x:
+        r -= 1
+    return r
+
+
+def _sqrt_interval_fraction(x):
+    lo = math.isqrt(x * _SCALE * _SCALE)
+    return Fraction(lo, _SCALE), Fraction(lo + 1, _SCALE)
+
+
+def _cbrt_interval_fraction(r):
+    scaled = r * _SCALE**3
+    lo = _newton_cbrt(scaled.numerator // scaled.denominator)
+    return Fraction(lo, _SCALE), Fraction(lo + 1, _SCALE)
+
+
+def w_interval_fraction(k):
+    k = Fraction(k)
+    s2lo, s2hi = _sqrt_interval_fraction(2)
+    c1lo, _ = _cbrt_interval_fraction(s2lo * k)
+    _, c1hi = _cbrt_interval_fraction(s2hi * k)
+    coef, lam = Fraction(103, 19), Fraction(13, 3)
+    return (3 * c1lo * c1lo - coef * c1hi + lam,
+            3 * c1hi * c1hi - coef * c1lo + lam)
+
+
+def hw_interval_fraction(q, g):
+    slo, shi = _sqrt_interval_fraction(q)
+    return q + 1 + 2 * g * slo, q + 1 + 2 * g * shi
+
+
+def f_u_fraction(t, u):
+    t, u = Fraction(t), Fraction(u)
+    return Fraction(3 * t * t - 23 * t + 26, 6) + 4 * (u + 3) / t
+
+
+def k_threshold_fraction(t0):
+    return Fraction(t0 * (t0 + 1) * (3 * t0 - 10), 12) - 3
+
+
+def vtilde_fraction(u):
+    u = Fraction(u)
+    if u <= k_threshold_fraction(6):
+        return f_u_fraction(6, u)
+    t0 = 6
+    while k_threshold_fraction(t0 + 1) <= u:
+        t0 += 1
+    return f_u_fraction(t0 + 1, u)
+
+
+def fixed_fraction(x, digits):
+    units = round(Fraction(x) * 10**digits)
+    sign = "-" if units < 0 else ""
+    whole, frac = divmod(abs(units), 10**digits)
+    return f"{sign}{whole}.{frac:0{digits}d}"
+
+
+def _figure1_ks(n_max):
+    """Every (p, n) at which figure1 evaluates W((p-1)/n), n in [3, n_max]."""
+    top = max(n * k_threshold_fraction(n + 3) for n in range(3, n_max + 1))
+    primes = [p for p in range(2, math.floor(top) + 2)
+              if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    return [(p, n) for n in range(3, n_max + 1) for p in primes
+            if n < p - 1 <= n * k_threshold_fraction(n + 3)]
+
+
+def test_integer_kernel_equals_fraction_route_on_integer_k():
+    for k in list(range(2, 2001)) + [Fraction(7, 2), Fraction(100, 3), Fraction(145, 3)]:
+        lo, hi = w_interval_fraction(k)
+        assert w_interval(k) == (lo, hi)
+        assert np_bound_value(k) == math.floor(hi / 2)
+
+
+def test_integer_kernel_equals_fraction_route_on_figure1_grid():
+    cells = list(H.figure1_cells(3, 16))
+    assert [(c.p, c.n) for c in cells] == _figure1_ks(16)
+    for cell in cells:
+        p, n = cell.p, cell.n
+        g = (n - 1) ** 2
+        w_lo, w_hi = w_interval_fraction(Fraction(p - 1, n))
+        hw_lo, hw_hi = hw_interval_fraction(p, g)
+        assert w_interval(Fraction(p - 1, n)) == (w_lo, w_hi)
+        assert hw_interval(p, g) == (hw_lo, hw_hi)
+        lo = hw_lo / (2 * n * n) - w_hi / 2
+        hi = hw_hi / (2 * n * n) - w_lo / 2
+        assert cell.delta == (lo + hi) / 2
+        if (p - 1) % n == 0 and n < p - 1:
+            assert w_scalar_value(p, n) == math.floor(n * n * w_hi)
+
+
+def test_f_u_and_vtilde_equal_fraction_route():
+    us = list(range(2, 601)) + [k_threshold_fraction(t) for t in range(6, 40)] \
+        + [Fraction(7, 2), Fraction(145, 3) + Fraction(1, 10**9)]
+    for u in us:
+        for t in range(6, 30):
+            assert f_u(t, u) == f_u_fraction(t, u)
+        brute = min(f_u_fraction(t, u) for t in range(6, 60))
+        assert vtilde(u) == vtilde_fraction(u) == brute
+
+
+def test_v_of_k_equals_fraction_brute_force_min():
+    for n in range(3, 31):
+        for k in range(2, 201):
+            t_hi = min(n + 3, math.floor(Fraction(k, 2) + 5))
+            values = [f_u_fraction(t, k) for t in range(6, t_hi + 1)]
+            best = min(values)
+            assert v_of_k(k, n) == (best, 6 + values.index(best))
+
+
 # -- output formatting ----------------------------------------------------------
 
 
@@ -46,6 +176,29 @@ def test_fixed_rounds_half_even():
     assert fixed(Fraction(-1, 1000), 2) == "0.00"
     assert fixed(Fraction(-7, 2), 6) == "-3.500000"
     assert fixed(5, 3) == "5.000"
+
+
+def test_fixed_integer_numerator_and_denominator():
+    # half-even ties at both signs, on the sixth decimal
+    assert fixed(-5, 6, 2 * 10**6) == "-0.000002"
+    assert fixed(15, 6, 2 * 10**6) == "0.000008"
+    assert fixed(-15, 6, 2 * 10**6) == "-0.000008"
+    assert fixed(5, 6, 2 * 10**6) == "0.000002"
+    assert fixed(-1, 6, 2 * 10**6) == "0.000000"
+    # a denominator far above 10^60, on a tie and just off it
+    den = 4 * 57 * 10**60 * 30**2
+    assert fixed(den + den // (2 * 10**6), 6, den) == "1.000000"
+    assert fixed(den + den // (2 * 10**6) + 1, 6, den) == "1.000001"
+    assert fixed(-3 * den - den // (2 * 10**6), 6, den) == "-3.000000"
+    assert fixed(Fraction(1, 3), 6, 10**70) == "0.000000"
+    rnd = random.Random(11)
+    for _ in range(5000):
+        den = rnd.randrange(1, 10**rnd.randrange(1, 90))
+        num = rnd.randrange(-10**95, 10**95) // rnd.randrange(1, 10**rnd.randrange(1, 90))
+        digits = rnd.choice((0, 2, 6, 12))
+        want = fixed_fraction(Fraction(num, den), digits)
+        assert fixed(num, digits, den) == want
+        assert fixed(Fraction(num, den), digits) == want
 
 
 def test_ratio_formats_integers_bare():
@@ -68,6 +221,20 @@ def test_floor_kth_root_large():
     for x in (10**60 + 123456789, 7**91, 2**200 - 1):
         r = floor_kth_root(x, 3)
         assert r**3 <= x < (r + 1) ** 3
+
+
+def test_floor_kth_root_random_both_seeds():
+    # up to 1000 bits the Newton iteration starts from a float seed, above
+    # that from a power of two; perfect powers and their neighbours included
+    rnd = random.Random(7)
+    for _ in range(3000):
+        k = rnd.choice((2, 3, 5, 7))
+        x = rnd.getrandbits(rnd.randrange(1, 1400))
+        base = rnd.getrandbits(rnd.randrange(1, 300))
+        for y in (x, base**k - 1, base**k, base**k + 1):
+            if y >= 0:
+                r = floor_kth_root(y, k)
+                assert r**k <= y < (r + 1) ** k
 
 
 # -- hasse_weil ----------------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gfcurves.cli import main
 
 
@@ -203,6 +205,29 @@ def test_verify_prop41_reports_the_finding(capsys):
     assert "[FAIL] chord-identity-as-stated" in out
     assert "[PASS] chord-identity-tangency-decomposition" in out
     assert "[PASS] chord-identity-refined-exclusion" in out
+
+
+@pytest.mark.parametrize("suite,p_max,p_min", [
+    ("prop41", 3, 7), ("prop41", 6, 7), ("orders", 5, 13), ("orders", 12, 13),
+    ("all", 6, 13), ("all", 12, 13),
+])
+def test_verify_rejects_p_max_that_covers_nothing(capsys, suite, p_max, p_min):
+    # below p_min a check would print [PASS] after covering 0 points or cases
+    code, out, err = run(capsys, ["verify", suite, "--p-max", str(p_max)])
+    assert code == 2
+    assert out == ""
+    assert err == f"verify {suite} requires --p-max >= {p_min}\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite,p_min,exit_code,coverage", [
+    ("orders", 13, 0, "8 (p,n,s,curve) cases"),
+    ("prop41", 7, 1, "30 points, 9 violations"),
+])
+def test_verify_smallest_p_max_covers_a_case(capsys, suite, p_min, exit_code, coverage):
+    code, out, err = run(capsys, ["verify", suite, "--p-max", str(p_min)])
+    assert code == exit_code and err == ""
+    assert coverage in out
 
 
 # -- usage -------------------------------------------------------------------------

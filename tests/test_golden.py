@@ -4,8 +4,10 @@ CLI invocations, pinned so that engine changes keep every output byte.
 The scan, prop41, chords and first count hashes were taken from the per-(a, b)
 engines that preceded the torus orbit pass; the figure1, vtable, bounds,
 orders and extension-field count hashes from the per-module decimal
-formatters and the duplicated class loops that preceded the shared ones.
-`verify prop41` exits 1 by design (the classical chord identity
+formatters and the duplicated class loops that preceded the shared ones;
+the vtable 101..200, figure1 13..16, `bounds` at p = 73 and `verify lemmas`
+hashes from the `Fraction` interval arithmetic that preceded the
+scaled-integer bound kernel.  `verify prop41` exits 1 by design (the classical chord identity
 fails on the vertex tangents) and `chords` at P = (1, 6) over F_7 is its first
 counterexample.
 """
@@ -48,6 +50,14 @@ GOLDEN = [
     (["orders", "--p", "31", "--n", "5", "--a", "2", "--b", "3", "--s", "2",
       "--point", "infinite-branch"], 0,
      "c0ffae97d569862eb9809480d3d6c19ba293f181122c3994e5534a7fc80bd22e"),
+    (["vtable", "--k-min", "101", "--k-max", "200"], 0,
+     "9c9019c358b93e7c5caebeb2a174d95505b0bc9e68fa265a5bd0ed1b999aafda"),
+    (["figure1", "--n-min", "13", "--n-max", "16"], 0,
+     "251457b9cb2f3875dd116a9d11f2619af239edf81a6a970cb5a0eb2224a0a62a"),
+    (["bounds", "--p", "73", "--n", "3", "--a", "2", "--b", "3"], 0,
+     "fd6dc3e9474f779b9da91ec25a03c11109140ab1909137c434cfc8448136b8af"),
+    (["verify", "lemmas"], 0,
+     "f6001c6b888a70092985eef1e80c7ae4e4a943994158cd11e552a9c4e67f28b1"),
 ]
 
 
