@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .curve import CurveParams, count_points_fast, curve_cell, make_curve
+from .curve import CurveParams, check_table_size, count_points_fast, curve_cell, make_curve
 from .errors import DegeneratePolygon, IncompatibleOrder, VertexQuery
 from .ffield import FieldCtx, make_field, subgroup_generator
 
@@ -133,6 +133,7 @@ def verify_prop41(p: int, n: int, point: tuple) -> IdentityReport:
     2*n^2*chords_through with the restricted count, reporting the exact
     tangency decomposition alongside."""
     ctx = make_field(p)
+    check_table_size(ctx)
     a, b = point[0] % p, point[1] % p
     k = (p - 1) // n
     poly = build_polygon(ctx, k)

@@ -9,6 +9,7 @@ Exit codes: 0 success / all checks pass, 1 a verification failure was found,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,6 +23,7 @@ from .errors import VertexQuery
 from .ffield import make_field
 
 
+@functools.cache  # parsing keeps no state in the parser, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="gfcurves")
     top.add_argument("--format", choices=("csv", "json", "tsv"), default=None,

@@ -14,16 +14,24 @@ per-curve consumer (`count_points_fast`, the point enumeration behind
 `smoothness_scan`) reads the one class walk `_classes`.  The bulk sweeps use
 `orbit_counts`, which runs the same class pass once per torus orbit of (a, b)
 and is pinned to `count_points_fast` in the tests.
+
+The class tables of F_p are views of one index table per prime, built by a
+single walk over the powers of the smallest primitive root: each degree n
+reads its n-th powers, root counts, roots and inverses from it in O(k log k)
+beyond one O(p) list.  Over F_{p^m} the tables are built by enumerating the
+field.  No table is built for q above `MAX_TABLE_Q` (`FieldTooLarge`).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, asdict
 from typing import NamedTuple
 
-from .errors import DegenerateParams, DegreeTooSmall, IncompatibleOrder, SingularAffinePoint
-from .ffield import FieldCtx, inverse_table
+from .errors import (DegenerateParams, DegreeTooSmall, FieldTooLarge, IncompatibleOrder,
+                     SingularAffinePoint)
+from .ffield import FieldCtx, subgroup_generator
 
 
 @dataclass(frozen=True)
@@ -96,12 +104,39 @@ def equation_value(curve: CurveParams, x, y):
 # ---------------------------------------------------------------------------
 # n-th power class tables, cached per (field, n)
 
+MAX_TABLE_Q = 2**22  # the largest q whose O(q) tables are built
+
+
+def check_table_size(ctx: FieldCtx) -> None:
+    """Raise FieldTooLarge, before anything is allocated, when q is above
+    MAX_TABLE_Q: the class tables of F_q take O(q) memory."""
+    if ctx.q > MAX_TABLE_Q:
+        raise FieldTooLarge(f"q = {ctx.q} is above the class-table limit {MAX_TABLE_Q}")
+
+
+@functools.cache
+def _index(ctx: FieldCtx) -> tuple[list, list, list]:
+    """(exp, log, inv) of F_p from one walk over the powers of the smallest
+    primitive root g: exp[i] = g^i for i < p-1, exp[log[x]] = x for x != 0,
+    and inv[x] = 1/x = exp[-log[x]] with inv[0] = 0.  Cached per field."""
+    p = ctx.p
+    g = subgroup_generator(ctx, p - 1)
+    exp, log = [1] * (p - 1), [0] * p
+    x = 1
+    for i in range(1, p - 1):
+        x = x * g % p
+        exp[i] = x
+        log[x] = i
+    inv = [exp[-i] for i in log]
+    inv[0] = 0
+    return exp, log, inv
+
+
 class _ClassTables(NamedTuple):
-    power: object        # x -> x^n               (list for m=1, dict else)
-    root_count: object   # v -> #{x : x^n = v}    (every element is a key)
-    preimages: object    # v -> list of x with x^n = v, canonical order
+    root_count: object    # v -> #{x : x^n = v}   (every element is a key)
     nonzero_powers: list  # distinct nonzero n-th powers, canonical order
-    inv: object          # multiplicative inverse table (m=1 only)
+    roots: object         # v -> list of x with x^n = v, canonical order
+    inv: object           # multiplicative inverse table (m=1 only)
 
 
 _TABLES_CACHE: dict = {}
@@ -112,23 +147,42 @@ def class_tables(ctx: FieldCtx, n: int) -> _ClassTables:
     hit = _TABLES_CACHE.get(key)
     if hit is not None:
         return hit
+    check_table_size(ctx)
     if ctx.m == 1:
-        els = range(ctx.p)
-        power = [pow(x, n, ctx.p) for x in els]
-        root_count, preimages = [0] * ctx.p, [[] for _ in els]
+        tables = _prime_tables(ctx, n)
     else:
         els = list(ctx.elements())
-        power = {x: ctx.pow(x, n) for x in els}
         root_count, preimages = dict.fromkeys(els, 0), {x: [] for x in els}
-    for x in els:
-        v = power[x]
-        root_count[v] += 1
-        preimages[v].append(x)
-    nonzero = [v for v in els[1:] if root_count[v]]
-    tables = _ClassTables(power, root_count, preimages, nonzero,
-                          inverse_table(ctx.p) if ctx.m == 1 else None)
+        for x in els:
+            v = ctx.pow(x, n)
+            root_count[v] += 1
+            preimages[v].append(x)
+        nonzero = [v for v in els[1:] if root_count[v]]
+        tables = _ClassTables(root_count, nonzero, preimages.__getitem__, None)
     _TABLES_CACHE[key] = tables
     return tables
+
+
+def _prime_tables(ctx: FieldCtx, n: int) -> _ClassTables:
+    """The class tables of F_p read from its index: the nonzero n-th powers
+    are exp[0::n], and v != 0 has the n roots exp[log v / n + j*k], j < n,
+    when n | log v (none otherwise)."""
+    p = ctx.p
+    exp, log, inv = _index(ctx)
+    k = (p - 1) // n
+    nonzero = sorted(exp[::n])
+    root_count = [0] * p
+    root_count[0] = 1
+    for v in nonzero:
+        root_count[v] = n
+
+    def roots(v: int) -> list:
+        if v == 0:
+            return [0]
+        i, r = divmod(log[v], n)
+        return [] if r else sorted(exp[i::k])
+
+    return _ClassTables(root_count, nonzero, roots, inv)
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +332,10 @@ def special_points(curve: CurveParams) -> list[SpecialPoint]:
     t = class_tables(ctx, n)
     zero = ctx.zero
     out = []
-    for xi in t.preimages[curve.b]:
+    for xi in t.roots(curve.b):
         out.append(SpecialPoint("inflection", "affine", (xi, zero), "X", xi))
         out.append(SpecialPoint("inflection", "affine", (zero, xi), "Y", xi))
-    for c in t.preimages[ctx.inv(curve.a)]:
+    for c in t.roots(ctx.inv(curve.a)):
         out.append(SpecialPoint("infinite-branch", "P1", None, "Y", c))
         out.append(SpecialPoint("infinite-branch", "P2", None, "X", c))
     return out
@@ -306,10 +360,10 @@ def smoothness_scan(curve: CurveParams) -> SmoothnessReport:
     checked = 0
     if ctx.m == 1:
         p = ctx.p
-        pw, inv = t.power, t.inv  # x^(n-1) = x^n / x, and 0 at x = 0
         for x, y in _affine_points(curve, t):
-            gx = n * pw[x] * inv[x] * (a * pw[y] - 1) % p
-            gy = n * pw[y] * inv[y] * (a * pw[x] - 1) % p
+            xd, yd = pow(x, n - 1, p), pow(y, n - 1, p)  # x^(n-1), y^(n-1)
+            gx = n * xd * (a * yd * y - 1) % p
+            gy = n * yd * (a * xd * x - 1) % p
             if gx == 0 and gy == 0:
                 raise SingularAffinePoint(f"singular affine point {(x, y)} on {curve}")
             checked += 1
@@ -327,10 +381,11 @@ def smoothness_scan(curve: CurveParams) -> SmoothnessReport:
 
 def _affine_points(curve: CurveParams, t: _ClassTables):
     """Enumerate all affine rational points via the class tables."""
-    pre = t.preimages
-    for y in pre[curve.b]:
+    roots = t.roots
+    for y in roots(curve.b):
         yield curve.ctx.zero, y
     for u, c in _classes(curve, t):
-        for x in pre[u]:
-            for y in pre[c]:
+        ys = roots(c)
+        for x in roots(u):
+            for y in ys:
                 yield x, y

@@ -72,3 +72,7 @@ class VertexQuery(ValueError):
 
 class DegeneratePolygon(ValueError):
     """Fewer than 3 vertices (no three points of XY = 1 are collinear)."""
+
+
+class FieldTooLarge(ValueError):
+    """q is above the limit up to which O(q) class tables are built."""

@@ -63,16 +63,6 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def inverse_table(p: int) -> list[int]:
-    """inv[x] = x^-1 mod p for x in [1, p), inv[0] = 0, in O(p)."""
-    inv = [0] * p
-    if p > 1:
-        inv[1] = 1
-    for x in range(2, p):
-        inv[x] = (p - p // x) * inv[p % x] % p
-    return inv
-
-
 # ---------------------------------------------------------------------------
 # dense polynomial arithmetic over F_p (little-endian int lists, no trailing 0)
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -153,6 +152,8 @@ def _run_scan(fn, p_max: int, n_filter: int | None, sample: int | None, jobs: in
     if workers == 1:
         yield from map(fn, tasks)
         return
+    from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, tasks, chunksize=1)
 

@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from time import perf_counter
 
 import pytest
 
+from gfcurves import cli
 from gfcurves.cli import main
+from gfcurves.curve import MAX_TABLE_Q
+from gfcurves.ffield import is_prime
 
 
 def run(capsys, argv):
@@ -244,3 +252,50 @@ def test_missing_required_flag_exits_2(capsys):
 def test_seed_and_jobs_accepted(capsys):
     code, out, _ = run(capsys, ["--seed", "7", "--jobs", "1", "scan", "--p-max", "7"])
     assert code == 0
+
+
+def test_one_parser_serves_calls_in_a_row(capsys):
+    # each call in one process answers as a fresh `python -m gfcurves.cli`
+    count = ["count", "--p", "13", "--n", "3", "--a", "6", "--b", "2"]
+    calls = [count, ["bounds", "--p", "31", "--n", "5", "--a", "2", "--b", "3"],
+             ["count", "--p", "13"], ["--format", "csv"] + count, count]
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    codes = []
+    for argv in calls:
+        got = run(capsys, argv)
+        fresh = subprocess.run([sys.executable, "-m", "gfcurves.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(got[0])
+    assert codes == [0, 0, 2, 0, 0]
+    assert cli._build_parser() is cli._build_parser()
+
+
+# -- the class-table size guard ---------------------------------------------------
+
+FIRST_PRIME_ABOVE_LIMIT = 4194319
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--p", str(FIRST_PRIME_ABOVE_LIMIT), "--n", "2", "--a", "2", "--b", "3"],
+    ["chords", "--p", str(FIRST_PRIME_ABOVE_LIMIT), "--n", "2", "--px", "2", "--py", "3"],
+    ["count", "--p", "2", "--m", "23", "--n", "47", "--a", "1", "--b", "0,1"],
+], ids=["count", "chords", "count-extension"])
+def test_field_above_table_limit_exits_2_without_allocating(capsys, argv):
+    assert 1_000_003 < MAX_TABLE_Q < 2**23
+    assert is_prime(FIRST_PRIME_ABOVE_LIMIT)
+    assert not any(is_prime(x) for x in range(MAX_TABLE_Q + 1, FIRST_PRIME_ABOVE_LIMIT))
+    tracemalloc.start()
+    try:
+        start = perf_counter()
+        code = main(argv)
+        elapsed = perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"class-table limit {MAX_TABLE_Q}" in err and "Traceback" not in err
+    assert elapsed < 1.0
+    assert peak < 1 << 20  # one list over F_q would take 32 MiB or more

@@ -1,7 +1,9 @@
+import functools
 import json
 
 import pytest
 
+from gfcurves import curve as C
 from gfcurves.curve import (
     CountReport,
     _affine_points,
@@ -15,6 +17,8 @@ from gfcurves.curve import (
 )
 from gfcurves.errors import DegenerateParams, DegreeTooSmall, IncompatibleOrder
 from gfcurves.ffield import make_field
+from gfcurves.harness import admissible_degrees, primes_up_to
+from test_ffield import inverse_recurrence
 
 
 def brute_report(p, n, a, b):
@@ -236,6 +240,63 @@ def test_affine_points_equal_brute_force_solution_set(p, m):
                 points = list(_affine_points(make_curve(ctx, n, a, b), t))
                 assert len(points) == len(set(points))
                 assert set(points) == brute
+
+
+def _enumerated_tables(p, n):
+    """Oracle: the class tables of F_p built by enumerating the field, the
+    way they were built before the index table: the power list, then the
+    root counts and preimage lists in one pass, and the inverse recurrence."""
+    power = [pow(x, n, p) for x in range(p)]
+    root_count, preimages = [0] * p, [[] for _ in range(p)]
+    for x in range(p):
+        root_count[power[x]] += 1
+        preimages[power[x]].append(x)
+    nonzero = [v for v in range(1, p) if root_count[v]]
+    return root_count, nonzero, preimages, inverse_recurrence(p)
+
+
+def _assert_tables_equal_enumeration(p, n):
+    t = class_tables(make_field(p), n)
+    root_count, nonzero, preimages, inv = _enumerated_tables(p, n)
+    assert t.root_count == root_count
+    assert t.nonzero_powers == nonzero  # ascending, as the orbit pass reads it
+    assert t.inv == inv
+    assert [t.roots(v) for v in range(p)] == preimages
+
+
+def test_index_tables_equal_enumeration_to_400():
+    for p in primes_up_to(400):
+        for n in admissible_degrees(p):
+            _assert_tables_equal_enumeration(p, n)
+
+
+# the 16 primes of the benchmark's query pool, each at the smallest, the
+# middle and the largest divisor n <= 24 of p - 1
+POOL_PRIMES = (941, 2833, 4691, 6569, 8443, 10313, 12211, 14071, 15971, 17827,
+               19697, 21569, 23473, 25321, 27191, 29077)
+
+
+@pytest.mark.parametrize("p", POOL_PRIMES)
+def test_index_tables_equal_enumeration_on_pool_primes(p):
+    degrees = [n for n in admissible_degrees(p) if n <= 24]
+    for n in sorted({degrees[0], degrees[len(degrees) // 2], degrees[-1]}):
+        _assert_tables_equal_enumeration(p, n)
+
+
+def test_index_walk_runs_once_per_prime(monkeypatch):
+    walks, uncached = [], C._index.__wrapped__
+
+    def walk(ctx):
+        walks.append(ctx.p)
+        return uncached(ctx)
+
+    monkeypatch.setattr(C, "_index", functools.cache(walk))
+    monkeypatch.setattr(C, "_TABLES_CACHE", {})
+    ctx = make_field(2833)
+    for n in (2, 12, 24):
+        count_points_fast(make_curve(ctx, n, 2, 3))
+    assert walks == [2833]
+    assert sorted(n for _, n in C._TABLES_CACHE) == [2, 12, 24]
 
 
 # -- smoothness -------------------------------------------------------------------

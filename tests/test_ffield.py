@@ -1,6 +1,7 @@
 import pytest
 
 from gfcurves import ffield
+from gfcurves.curve import _index
 from gfcurves.errors import (
     CompositeCharacteristic,
     IncompatibleOrder,
@@ -17,6 +18,17 @@ from gfcurves.ffield import (
     nth_roots,
     subgroup_generator,
 )
+
+
+def inverse_recurrence(p):
+    """inv[x] = x^-1 mod p for x in [1, p), inv[0] = 0, in O(p), from
+    p = (p // x) * x + p % x."""
+    inv = [0] * p
+    if p > 1:
+        inv[1] = 1
+    for x in range(2, p):
+        inv[x] = (p - p // x) * inv[p % x] % p
+    return inv
 
 
 def brute_has_root(coeffs, p):
@@ -123,12 +135,14 @@ def test_inverse_fermat_vs_euclid_agree():
         ctx = make_field(p, m)
         for a in ctx.nonzero_elements():
             assert ctx.inv(a) == ctx.pow(a, ctx.q - 2)
-    # m = 1 uses Fermat; compare against the batch Euclid-style table
+    # m = 1 uses Fermat; compare against the batch Euclid-style recurrence
+    # and against the inverse list of the discrete-log index table
     for p in (13, 31):
         ctx = make_field(p)
-        table = ffield.inverse_table(p)
+        table, index_inv = inverse_recurrence(p), _index(ctx)[2]
+        assert index_inv[0] == 0
         for a in range(1, p):
-            assert ctx.inv(a) == table[a]
+            assert ctx.inv(a) == table[a] == index_inv[a]
 
 
 def test_element_encoding_roundtrip():

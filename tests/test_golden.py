@@ -7,7 +7,9 @@ orders and extension-field count hashes from the per-module decimal
 formatters and the duplicated class loops that preceded the shared ones;
 the vtable 101..200, figure1 13..16, `bounds` at p = 73 and `verify lemmas`
 hashes from the `Fraction` interval arithmetic that preceded the
-scaled-integer bound kernel.  `verify prop41` exits 1 by design (the classical chord identity
+scaled-integer bound kernel; the `count` at p = 29077 (n1 = n2 = n), `chords`
+over F_14071 and `orders --point inflection` hashes from the per-(field, n)
+enumerated class tables that preceded the index table.  `verify prop41` exits 1 by design (the classical chord identity
 fails on the vertex tangents) and `chords` at P = (1, 6) over F_7 is its first
 counterexample.
 """
@@ -58,6 +60,15 @@ GOLDEN = [
      "fd6dc3e9474f779b9da91ec25a03c11109140ab1909137c434cfc8448136b8af"),
     (["verify", "lemmas"], 0,
      "f6001c6b888a70092985eef1e80c7ae4e4a943994158cd11e552a9c4e67f28b1"),
+    (["count", "--p", "29077", "--n", "3", "--a", "15077", "--b", "8"], 0,
+     "6c3c3f49969df49f9310495e7f3772d4de388379c83baa326c2d6b28bda375c6"),
+    (["count", "--p", "29077", "--n", "12", "--a", "15385", "--b", "4096"], 0,
+     "cda8c95fa7e7b5802e2eaecc7ab00514aeb60e5c365c98101497d57fa37afdd3"),
+    (["chords", "--p", "14071", "--n", "670", "--px", "115", "--py", "11480"], 0,
+     "5c2ce93e470282c57f265b8279be23a5e3e27f0e3813d9dc8e04bfcdedfc24bd"),
+    (["orders", "--p", "31", "--n", "5", "--a", "2", "--b", "1", "--s", "3",
+      "--point", "inflection"], 0,
+     "aad415c9c985ac060fa907c7814298c56d927acf421e410df0752aa1a3321694"),
 ]
 
 
