@@ -19,11 +19,12 @@ that excludes all of x^n = y^n and does satisfy the 2*n^2 identity.  The
 refined count is summed directly over the n-th power classes, not derived
 from D, so the two checks are independent.
 
-`chord_count_grid` rasterizes every chord at once for the bulk sweep
-(`harness.prop41_sweep`), which reads the curve counts on the torus orbits of
-P: (x, y) -> (t*x, t*y) maps the curve (a, b) onto (t^n*a, b/t^n), so every
-count depends only on the coset of a modulo mu_k = (F_p^*)^n and on a*b
-(`curve.orbit_counts`).
+The chord through the vertices (t1, 1/t1) and (t2, 1/t2) is the line
+x + t1*t2*y = t1 + t2, so `chords_through` counts n_P in O(k), from the
+second meet of each line PV with XY = 1.  (x, y) -> (g*x, y/g), g in mu_k,
+maps the polygon onto itself, so the bulk sweep (`harness.prop41_sweep`)
+reads n_P from `chord_columns` on the n columns x = r_i through the coset
+representatives of mu_k: O(C(k,2)*n) instead of O(C(k,2)*p).
 """
 
 from __future__ import annotations
@@ -93,16 +94,20 @@ def chord_set(poly: Polygon) -> ChordSet:
 
 
 def chords_through(poly: Polygon, point: tuple) -> int:
-    """Exhaustive incidence count of a non-vertex point against all chords."""
+    """The chords through a non-vertex P = (a, b), each found from both ends:
+    the line through P and the vertex t meets XY = 1 again at
+    t' = (t - a)/(t*b - 1), and nowhere else when t*b = 1."""
     if point in poly.vertices:
         raise VertexQuery(f"{point} is a vertex")
     p = poly.p
-    x, y = point[0] % p, point[1] % p
-    count = 0
-    for (x1, y1), (x2, y2) in combinations(poly.vertices, 2):
-        if ((x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)) % p == 0:
-            count += 1
-    return count
+    a, b = point[0] % p, point[1] % p
+    mu = {t for t, _ in poly.vertices}
+    ends = 0
+    for t in mu:
+        if d := (t * b - 1) % p:
+            t2 = (t - a) * pow(d, p - 2, p) % p
+            ends += t2 != t and t2 in mu
+    return ends // 2
 
 
 def restricted_count(curve: CurveParams) -> int:
@@ -161,24 +166,20 @@ def verify_prop41(p: int, n: int, point: tuple) -> IdentityReport:
 
 
 # ---------------------------------------------------------------------------
-# bulk sweep machinery: every non-vertex P of A^2(F_p) at once
+# bulk sweep machinery: the chord counts on the torus orbits of P
 
 
-def chord_count_grid(poly: Polygon) -> list[list[int]]:
-    """cnt[x][y] = number of chords through (x, y), by rasterizing each of
-    the C(k,2) chords across its p points.  Vertices count their k-1
-    incident chords; nondegeneracy rules out anything more."""
+def chord_columns(poly: Polygon, xs: list) -> list[list[int]]:
+    """cols[i][y] = number of chords through (xs[i], y): the chord through
+    (t1, 1/t1) and (t2, 1/t2) meets the column x at y = (t1 + t2 - x)*y1*y2
+    (y1*y2 = 1/(t1*t2)).  A vertex on a column counts its k-1 incident
+    chords; nondegeneracy rules out anything more."""
     p = poly.p
-    cnt = [[0] * p for _ in range(p)]
-    for (x1, y1), (x2, y2) in combinations(poly.vertices, 2):
-        dx = (x2 - x1) % p
-        if dx == 0:
-            col = cnt[x1]
-            for y in range(p):
-                col[y] += 1
-        else:
-            slope = (y2 - y1) * pow(dx, p - 2, p) % p
-            for x in range(p):
-                cnt[x][(y1 + slope * (x - x1)) % p] += 1
-    return cnt
-
+    chords = [(x1 + x2, y1 * y2 % p) for (x1, y1), (x2, y2) in combinations(poly.vertices, 2)]
+    cols = []
+    for x in xs:
+        col = [0] * p
+        for s, q in chords:
+            col[(s - x) * q % p] += 1
+        cols.append(col)
+    return cols

@@ -156,11 +156,9 @@ def cmd_scan(args) -> int:
         print("--sample must be 'all' or a positive integer", file=sys.stderr)
         return 2
     violations = 0
-    out = sys.stdout
-    for line in H.scan_csv_lines(args.p_max, args.n_filter, sample, args.jobs):
-        out.write(line + "\n")
-        if not line.startswith("#") and line.endswith(",1"):
-            violations += 1
+    for text, count in H.scan_csv_blocks(args.p_max, args.n_filter, sample, args.jobs):
+        sys.stdout.write(text)
+        violations += count
     return 1 if violations else 0
 
 

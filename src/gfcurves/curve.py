@@ -12,8 +12,8 @@ y^n = (u - b)/(a*u - 1), so each of the (q-1)/n nonzero classes contributes
 n * #roots.  Both are exact; the test suite pins them equal.  Every
 per-curve consumer (`count_points_fast`, the point enumeration behind
 `smoothness_scan`) reads the one class walk `_classes`.  The bulk sweeps use
-`orbit_counts`, which runs the same class pass once per torus orbit of (a, b)
-and is pinned to `count_points_fast` in the tests.
+`orbit_counts`, which counts one curve per torus orbit of (a, b) from pair
+histograms over mu_k and is pinned to `count_points_fast` in the tests.
 
 The class tables of F_p are views of one index table per prime, built by a
 single walk over the powers of the smallest primitive root: each degree n
@@ -200,10 +200,20 @@ class CurveCell(NamedTuple):
     refined: int      # off the axes with x^n != y^n, summed directly
 
 
+class OrbitRow(NamedTuple):
+    """CurveCell of the curves (r, c) as int columns indexed by c (c = 0 and
+    c = 1/r are no curve's)."""
+
+    affine_total: list
+    restricted: list
+    tangency: list
+    refined: list
+
+
 class OrbitCounts(NamedTuple):
     reps: list   # r_i, the least element of the i-th coset of mu_k
     coset: list  # a -> (i, s) with a = r_i * s, s in mu_k (index 0 unused)
-    rows: list   # rows[i][c]: CurveCell of the curve (r_i, c); None if r_i*c = 1
+    rows: list   # rows[i]: OrbitRow of the curves (r_i, c)
 
 
 def _inverted_classes(p: int, t: _ClassTables, a: int) -> list:
@@ -212,12 +222,15 @@ def _inverted_classes(p: int, t: _ClassTables, a: int) -> list:
     return [(u, inv[d]) for u in t.nonzero_powers if (d := (a * u - 1) % p)]
 
 
-def _cell(p: int, n: int, rc: list, classes: list, b: int) -> CurveCell:
-    """The counts of the curve (a, b), a*b != 1, from its inverted classes:
-    each u contributes n * rc[c_u] points with x^n = u, c_u = (u - b)/(a*u - 1),
-    and c_u = u exactly when a*u^2 - 2u + b = 0."""
+def curve_cell(ctx: FieldCtx, n: int, a: int, b: int) -> CurveCell:
+    """The orbit counts of one curve (a, b), a*b != 1, over F_p, by one pass
+    over its classes: each u contributes n * rc[c_u] points with x^n = u,
+    c_u = (u - b)/(a*u - 1), and c_u = u exactly when a*u^2 - 2u + b = 0."""
+    p = ctx.p
+    t = class_tables(ctx, n)
+    rc = t.root_count
     total = diag = refined = 0
-    for u, iv in classes:
+    for u, iv in _inverted_classes(p, t, a):
         c = (u - b) * iv % p
         m = rc[c]
         total += m
@@ -230,29 +243,39 @@ def _cell(p: int, n: int, rc: list, classes: list, b: int) -> CurveCell:
     return CurveCell(affine, affine - 2 * n1 - n * diag, diag, n * refined)
 
 
-def curve_cell(ctx: FieldCtx, n: int, a: int, b: int) -> CurveCell:
-    """The orbit counts of one curve over F_p, by one pass over its classes."""
-    t = class_tables(ctx, n)
-    return _cell(ctx.p, n, t.root_count, _inverted_classes(ctx.p, t, a), b)
-
-
 def orbit_counts(ctx: FieldCtx, n: int) -> OrbitCounts:
-    """CurveCell for one representative r of each coset of mu_k in F_p^* and
-    every c in F_p^*: n*(p-1) curves at O(k) each, instead of (p-1)^2."""
+    """OrbitRow for one representative r of each coset of mu_k in F_p^*, in
+    O(n*k^2) from pair histograms (generalized cyclotomic numbers of order n).
+
+    On the curve (r, c), x^n = u in mu_k with w = r*u - 1 != 0 gives
+    y^n = (u - c)/w.  That is v in mu_k iff c = u - v*w (n^2 points, binned
+    in hist), 0 iff c = u (n points if c is in mu_k: n1 = rc[c] in all), and
+    u iff c = 2u - r*u^2 (binned in D).  With the n1 points on x = 0:
+    affine = n^2*hist + 2*n1, restricted = n^2*hist - n*D and
+    refined = n^2*(hist - D)."""
     p = ctx.p
     t = class_tables(ctx, n)
-    rc = t.root_count
+    rc, mu = t.root_count, t.nonzero_powers
+    nn = n * n
     coset = [None] * p
     reps, rows = [], []
     for r in range(1, p):
         if coset[r] is not None:
             continue
-        for s in t.nonzero_powers:
+        for s in mu:
             coset[r * s % p] = (len(reps), s)
-        classes, inv_r = _inverted_classes(p, t, r), t.inv[r]
+        hist, diag = [0] * p, [0] * p
+        for u in mu:
+            w = (r * u - 1) % p
+            if w:
+                for v in mu:
+                    hist[(u - v * w) % p] += 1
+                diag[(2 * u - r * u * u) % p] += 1
         reps.append(r)
-        rows.append([None if c in (0, inv_r) else _cell(p, n, rc, classes, c)
-                     for c in range(p)])
+        rows.append(OrbitRow([nn * h + 2 * m for h, m in zip(hist, rc)],
+                             [nn * h - n * d for h, d in zip(hist, diag)],
+                             diag,
+                             [nn * (h - d) for h, d in zip(hist, diag)]))
     return OrbitCounts(reps, coset, rows)
 
 

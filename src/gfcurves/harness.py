@@ -5,10 +5,12 @@ every parameter pair (a, b) with a*b outside {0, 1} (or a deterministic
 stride-subsample), counts points on the nonsingular model and compares
 against every applicable upper bound.  Counting is one orbit pass per (p, n):
 the counts depend only on the coset of a modulo mu_k = (F_p^*)^n and on
-a*b, so `curve.orbit_counts` counts n*(p-1) curves and every (a, b) reads its
-orbit's row.  The columns after b depend only on (affine_total, n1, n2); each
-distinct key gets one shared record with its CSV tail formatted once.  The
-chord sweep behind `verify prop41` reads the same orbit pass.
+a*b, so `curve.orbit_counts` gives the int columns of n representatives and
+every (a, b) reads its orbit's column entry.  The columns after b depend only
+on (affine_total, n1, n2); each distinct key gets one shared record with its
+CSV tail formatted once, and each (p, n) is written as one text block.  The
+chord sweep behind `verify prop41` decides each orbit cell once, from the
+same rows and the chord columns of `chords.chord_columns`.
 
 All output is generated in sorted key order with fixed formatting; identical
 invocations are byte-identical.
@@ -118,8 +120,9 @@ def scan_task(p: int, n: int, sample: int | None) -> list[tuple[int, int, _ScanT
         return shared[key]
 
     orbits = orbit_counts(ctx, n)
-    tails = [[cell and tail(cell.affine_total, rc[c], rc[inv[r]]) for c, cell in enumerate(cells)]
-             for r, cells in zip(orbits.reps, orbits.rows)]
+    tails = [[c and c != inv[r] and tail(total, rc[c], rc[inv[r]])
+              for c, total in enumerate(row.affine_total)]
+             for r, row in zip(orbits.reps, orbits.rows)]
     rows = []
     for a in range(1, p):
         i, s = orbits.coset[a]
@@ -133,9 +136,13 @@ def _scan_task_rows(task) -> list[ScanRow]:
     return [ScanRow(p, 1, n, a, b, *tail.fields) for a, b, tail in scan_task(*task)]
 
 
-def _scan_task_lines(task) -> list[str]:
+def _scan_task_block(task) -> tuple[str, int]:
+    """The CSV lines of one (p, n) as one text block, and its violation count."""
     p, n, _ = task
-    return [f"{p},1,{n},{a},{b},{tail.csv}" for a, b, tail in scan_task(*task)]
+    rows = scan_task(*task)
+    head, num = f"{p},1,{n},", [str(x) for x in range(p)]  # each int formatted once
+    text = "".join([f"{head}{num[a]},{num[b]},{tail.csv}\n" for a, b, tail in rows])
+    return text, len([1 for _, _, tail in rows if tail.fields[-1]])
 
 
 def worker_count(jobs: int, tasks: int) -> int:
@@ -166,18 +173,18 @@ def scan_rows(p_max: int, n_filter: int | None = None,
         yield from rows
 
 
-def scan_csv_lines(p_max: int, n_filter: int | None = None,
-                   sample: int | None = None, jobs: int = 1):
-    """The scan as CSV text lines (no newlines), comments first."""
-    yield f"# scan p_max={p_max} n_filter={n_filter if n_filter is not None else 'all'} " \
-          f"sample={'all' if sample is None else sample}"
+def scan_csv_blocks(p_max: int, n_filter: int | None = None,
+                    sample: int | None = None, jobs: int = 1):
+    """The scan as CSV text, one block of newline-terminated lines per (p, n)
+    after one block of comments and header, each with its violation count."""
+    head = [f"# scan p_max={p_max} n_filter={n_filter if n_filter is not None else 'all'} "
+            f"sample={'all' if sample is None else sample}"]
     if sample is not None:
-        for p in primes_up_to(p_max):
-            if any(n_filter in (None, n) for n in admissible_degrees(p)):
-                yield f"# stride p={p}: {_pair_stride(p, sample)}"
-    yield ",".join(SCAN_COLUMNS)
-    for lines in _run_scan(_scan_task_lines, p_max, n_filter, sample, jobs):
-        yield from lines
+        head += [f"# stride p={p}: {_pair_stride(p, sample)}" for p in primes_up_to(p_max)
+                 if any(n_filter in (None, n) for n in admissible_degrees(p))]
+    head.append(",".join(SCAN_COLUMNS))
+    yield "".join(line + "\n" for line in head), 0
+    yield from _run_scan(_scan_task_block, p_max, n_filter, sample, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +406,9 @@ class ChordSweep:
 
 def prop41_sweep(p_max: int = 199) -> ChordSweep:
     """Every prime p <= p_max, every proper divisor n >= 2 of p-1 with
-    k >= 3, every P = (a, b) with ab not in {0, 1}."""
+    k >= 3, every P = (a, b) with ab not in {0, 1}.  Each orbit cell (r_i, c)
+    is decided once for its k points (r_i*s, c/s), s in mu_k; only failing
+    cells are expanded into records, in (a, b) order."""
     checked = holds = 0
     violations, diag_viol, decomp_bad, refined_bad = [], [], [], []
     for p in primes_up_to(p_max):
@@ -410,28 +419,35 @@ def prop41_sweep(p_max: int = 199) -> ChordSweep:
             k = (p - 1) // n
             if k < 3:
                 continue
-            chord_grid = C.chord_count_grid(C.build_polygon(ctx, k))
             orbits = orbit_counts(ctx, n)
+            inv = class_tables(ctx, n).inv
+            cols = C.chord_columns(C.build_polygon(ctx, k), orbits.reps)
+            nn2 = 2 * n * n
+            failing = []  # per r_i: c -> (lhs, restricted, d, refined) of failing cells
+            for r, row, col in zip(orbits.reps, orbits.rows, cols):
+                # a cell passes all three checks iff lhs = restricted = refined, D = 0
+                cells = {c: (lhs, rs, d, rf)
+                         for c, lhs, rs, d, rf in zip(range(p), [nn2 * x for x in col],
+                                                      row.restricted, row.tangency, row.refined)
+                         if not (lhs == rs == rf and d == 0) and c and c != inv[r]}
+                failing.append(cells)
+                checked += k * (p - 2)  # every c but 0 and 1/r
+                holds += k * (p - 2 - sum(lhs != rs for lhs, rs, _, _ in cells.values()))
             for a in range(1, p):
                 i, s = orbits.coset[a]
-                cells, chords = orbits.rows[i], chord_grid[a]
-                for b in range(1, p):
-                    cell = cells[b * s % p]
-                    if cell is None:  # a*b = 1
-                        continue
-                    checked += 1
-                    lhs = 2 * n * n * chords[b]
-                    restricted, d = cell.restricted, cell.tangency
-                    if lhs == restricted:
-                        holds += 1
-                    else:
+                if not (cells := failing[i]):
+                    continue
+                inv_s = inv[s]
+                for b in sorted([c * inv_s % p for c in cells]):
+                    lhs, restricted, d, ref = cells[b * s % p]
+                    if lhs != restricted:
                         rec = (p, n, a, b, lhs, restricted, d)
                         violations.append(rec)
                         if a == b:
                             diag_viol.append(rec)
                     if restricted != lhs + (n * n - n) * d:
                         decomp_bad.append((p, n, a, b))
-                    if lhs != cell.refined:
+                    if lhs != ref:
                         refined_bad.append((p, n, a, b))
     return ChordSweep(points_checked=checked, holds=holds,
                       violations=violations, diagonal_violations=diag_viol,

@@ -4,7 +4,7 @@ import pytest
 
 from gfcurves.chords import (
     build_polygon,
-    chord_count_grid,
+    chord_columns,
     chord_set,
     chords_through,
     restricted_count,
@@ -13,10 +13,44 @@ from gfcurves.chords import (
 from gfcurves.curve import make_curve
 from gfcurves.errors import DegeneratePolygon, IncompatibleOrder, VertexQuery
 from gfcurves.ffield import make_field
+from gfcurves.harness import primes_up_to
 
 
 def proper_divisors_with_k3(p):
     return [n for n in range(2, p - 1) if (p - 1) % n == 0 and (p - 1) // n >= 3]
+
+
+def chords_through_pairs(poly, point):
+    """Oracle: the chords through P by testing P against all C(k, 2) vertex
+    pairs."""
+    p = poly.p
+    x, y = point[0] % p, point[1] % p
+    return sum(1 for (x1, y1), (x2, y2) in combinations(poly.vertices, 2)
+               if ((x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)) % p == 0)
+
+
+def chord_count_grid(poly):
+    """Oracle: cnt[x][y] = number of chords through (x, y), by rasterizing
+    each of the C(k,2) chords across its p points.  Vertices count their k-1
+    incident chords; nondegeneracy rules out anything more."""
+    p = poly.p
+    cnt = [[0] * p for _ in range(p)]
+    for (x1, y1), (x2, y2) in combinations(poly.vertices, 2):
+        dx = (x2 - x1) % p
+        if dx == 0:
+            col = cnt[x1]
+            for y in range(p):
+                col[y] += 1
+        else:
+            slope = (y2 - y1) * pow(dx, p - 2, p) % p
+            for x in range(p):
+                cnt[x][(y1 + slope * (x - x1)) % p] += 1
+    return cnt
+
+
+def admissible_polygons(p_max):
+    """(p, k) with n = (p-1)/k >= 2 and k >= 3, for every prime p <= p_max."""
+    return [(p, (p - 1) // n) for p in primes_up_to(p_max) for n in proper_divisors_with_k3(p)]
 
 
 def tangency_count(p, n, a, b):
@@ -128,7 +162,7 @@ def test_chords_through_on_hyperbola_bounded():
 
 
 def test_chord_count_grid_matches_pointwise_and_conserves():
-    for p, k in [(13, 4), (13, 6), (31, 6)]:
+    for p, k in [(13, 4), (13, 6), (31, 6), *admissible_polygons(31)]:
         poly = build_polygon(make_field(p), k)
         grid = chord_count_grid(poly)
         vset = set(poly.vertices)
@@ -138,11 +172,30 @@ def test_chord_count_grid_matches_pointwise_and_conserves():
                 if (x, y) in vset:
                     assert grid[x][y] == k - 1  # endpoint chords only
                 else:
-                    assert grid[x][y] == chords_through(poly, (x, y))
+                    assert grid[x][y] == chords_through_pairs(poly, (x, y))
                     total_nonvertex += grid[x][y]
         # each chord has p points: 2 vertices and p - 2 others
         chords = k * (k - 1) // 2
         assert total_nonvertex == chords * (p - 2)
+
+
+def test_chord_columns_and_chords_through_equal_raster_to_61():
+    """Every column of the raster from `chord_columns`, and the O(k) count
+    `chords_through` at every non-vertex point, of every polygon with
+    n >= 2, k >= 3 and p <= 61."""
+    points = 0
+    for p, k in admissible_polygons(61):
+        poly = build_polygon(make_field(p), k)
+        grid = chord_count_grid(poly)
+        assert chord_columns(poly, list(range(p))) == grid
+        assert chord_columns(poly, [p - 1, 2]) == [grid[p - 1], grid[2]]
+        vset = set(poly.vertices)
+        for x in range(p):
+            for y in range(p):
+                if (x, y) not in vset:
+                    assert chords_through(poly, (x, y)) == grid[x][y], (p, k, x, y)
+                    points += 1
+    assert points == 83_189
 
 
 # -- restricted counts ----------------------------------------------------------------

@@ -129,6 +129,22 @@ def test_chords_vertex_rejected(capsys):
     assert json.loads(out)["error"] == "VertexQuery"
 
 
+def test_chords_on_a_large_polygon_answers_in_linear_time(capsys):
+    # k = 50,001 vertices: a count over the C(k, 2) = 1.25e9 vertex pairs
+    # would not finish, the O(k) count answers in well under a second
+    start = perf_counter()
+    code, out, err = run(capsys, ["chords", "--p", "100003", "--n", "2", "--px", "2", "--py", "3"])
+    elapsed = perf_counter() - start
+    data = json.loads(out)
+    assert (data["n_P"], data["N_p"], data["lhs_2n2_nP"], data["tangency"]) == (12446, 99572,
+                                                                               99568, 2)
+    assert data["N_p"] == data["lhs_2n2_nP"] + (2 * 2 - 2) * data["tangency"]
+    assert data["verdict"] == "FAIL" and data["refined_verdict"] == "PASS"
+    assert code == (0 if data["verdict"] == "PASS" else 1)
+    assert err == "" and "Traceback" not in out
+    assert elapsed < 5.0
+
+
 # -- scan --------------------------------------------------------------------------
 
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfcurves import ffield
 from gfcurves.curve import _index
@@ -127,6 +129,39 @@ def test_field_axioms_exhaustive(p, m):
                 left = ctx.mul(a, ctx.add(b, c))
                 right = ctx.add(ctx.mul(a, b), ctx.mul(a, c))
                 assert left == right
+
+
+@st.composite
+def extension_elements(draw):
+    """A random F_{p^m}, q < 2*10^6, with three random elements of it and an
+    exponent."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 31, 101, 1009]))
+    m = draw(st.integers(1, max(m for m in range(1, 21) if p**m < 2 * 10**6)))
+    ctx = make_field(p, m)
+    a, b, c = (ctx.from_encoding(draw(st.integers(0, ctx.q - 1))) for _ in range(3))
+    return ctx, a, b, c, draw(st.integers(0, 40))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(extension_elements())
+def test_field_axioms_random_extension_fields(case):
+    ctx, a, b, c, e = case
+    add, mul = ctx.add, ctx.mul
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert mul(add(a, b), c) == add(mul(a, c), mul(b, c))
+    assert mul(a, b) == mul(b, a) and add(a, ctx.neg(a)) == ctx.zero
+    power = ctx.one
+    for _ in range(e):
+        power = mul(power, a)
+    assert ctx.pow(a, e) == power
+    assert ctx.pow(a, ctx.q) == a  # Lagrange, and Frobenius over F_p
+    if a != ctx.zero:
+        assert mul(a, ctx.inv(a)) == ctx.one
+        assert ctx.inv(ctx.inv(a)) == a
+        assert ctx.pow(a, -e) == ctx.inv(power)
+        assert ctx.div(mul(b, a), a) == b
 
 
 def test_inverse_fermat_vs_euclid_agree():

@@ -5,8 +5,11 @@ import pytest
 
 from gfcurves import harness as H
 from gfcurves.bounds import hasse_weil, sv_bound, w_bound
-from gfcurves.curve import count_points_fast, make_curve
+from gfcurves.chords import build_polygon
+from gfcurves.cli import main
+from gfcurves.curve import count_points_fast, curve_cell, make_curve
 from gfcurves.ffield import make_field
+from test_chords import chord_count_grid
 
 
 def test_primes_up_to():
@@ -55,18 +58,54 @@ def test_scan_sampling_is_deterministic_subset():
     assert sampled == again
 
 
+def scan_csv_lines(p_max, **kwargs):
+    return "".join(text for text, _ in H.scan_csv_blocks(p_max, **kwargs)).splitlines()
+
+
 def test_scan_csv_deterministic_and_clean():
-    lines1 = list(H.scan_csv_lines(13))
-    lines2 = list(H.scan_csv_lines(13))
+    lines1 = scan_csv_lines(13)
+    lines2 = scan_csv_lines(13)
     assert lines1 == lines2
     assert lines1[0].startswith("# scan")
     assert lines1[1] == ",".join(H.SCAN_COLUMNS)
     assert all(line.endswith(",0") for line in lines1[2:])
 
 
+def test_scan_csv_blocks_are_the_rows_as_csv():
+    """One block of comments and header, then one block of newline-terminated
+    lines per (p, n): the ScanRow fields in CSV."""
+    blocks = list(H.scan_csv_blocks(19, sample=40))
+    strides = [f"# stride p={p}: {H._pair_stride(p, 40)}" for p in (5, 7, 11, 13, 17, 19)]
+    head = ["# scan p_max=19 n_filter=all sample=40", *strides, ",".join(H.SCAN_COLUMNS)]
+    assert blocks[0] == ("".join(line + "\n" for line in head), 0)
+    assert len(blocks) == 1 + sum(len(H.admissible_degrees(p)) for p in H.primes_up_to(19))
+    assert all(text.endswith("\n") for text, _ in blocks)
+    lines = [line for text, _ in blocks[1:] for line in text.splitlines()]
+    assert lines == [",".join("-" if v is None else str(int(v) if isinstance(v, bool) else v)
+                              for v in (r.p, r.m, r.n, r.a, r.b, r.k, r.affine_total,
+                                        r.model_total, r.hw, r.sv_best, r.sv_best_s,
+                                        r.w_bound, r.applicable_flags, r.violation))
+                     for r in H.scan_rows(19, sample=40)]
+
+
+def test_scan_csv_blocks_count_their_violation_lines(monkeypatch, capsys):
+    """Each block carries the number of its lines whose violation column is
+    1, and `scan` exits 1 on their sum; the Hasse-Weil bound is lowered to
+    genus 0 (q + 1) so that some rows violate it."""
+    hasse_weil = H.B.hasse_weil
+    monkeypatch.setattr(H.B, "hasse_weil", lambda q, g: hasse_weil(q, 0))
+    blocks = list(H.scan_csv_blocks(19))
+    counts = [count for _, count in blocks[1:]]
+    assert counts == [sum(line.endswith(",1") for line in text.splitlines())
+                      for text, _ in blocks[1:]]
+    assert 0 < sum(counts) < sum(text.count("\n") for text, _ in blocks[1:])
+    assert main(["scan", "--p-max", "19"]) == 1
+    assert capsys.readouterr().out == "".join(text for text, _ in blocks)
+
+
 def test_scan_parallel_matches_serial():
-    serial = list(H.scan_csv_lines(31, jobs=1))
-    parallel = list(H.scan_csv_lines(31, jobs=2))
+    serial = list(H.scan_csv_blocks(31, jobs=1))
+    parallel = list(H.scan_csv_blocks(31, jobs=2))
     assert serial == parallel
 
 
@@ -158,6 +197,46 @@ def test_prop41_sweep_small():
     assert by_name["chord-identity-as-stated"] is False
     assert by_name["chord-identity-tangency-decomposition"] is True
     assert by_name["chord-identity-refined-exclusion"] is True
+
+
+def prop41_sweep_per_point(p_max):
+    """Reference for `prop41_sweep`: every point (a, b) decided on its own,
+    from the chord raster and the per-curve class pass."""
+    checked = holds = 0
+    violations, diag_viol, decomp_bad, refined_bad = [], [], [], []
+    for p in H.primes_up_to(p_max):
+        ctx = make_field(p)
+        for n in H.admissible_degrees(p):
+            k = (p - 1) // n
+            if k < 3:
+                continue
+            grid = chord_count_grid(build_polygon(ctx, k))
+            for a in range(1, p):
+                for b in range(1, p):
+                    if a * b % p == 1:
+                        continue
+                    checked += 1
+                    cell = curve_cell(ctx, n, a, b)
+                    lhs = 2 * n * n * grid[a][b]
+                    restricted, d = cell.restricted, cell.tangency
+                    if lhs == restricted:
+                        holds += 1
+                    else:
+                        rec = (p, n, a, b, lhs, restricted, d)
+                        violations.append(rec)
+                        if a == b:
+                            diag_viol.append(rec)
+                    if restricted != lhs + (n * n - n) * d:
+                        decomp_bad.append((p, n, a, b))
+                    if lhs != cell.refined:
+                        refined_bad.append((p, n, a, b))
+    return H.ChordSweep(checked, holds, violations, diag_viol, decomp_bad, refined_bad)
+
+
+def test_prop41_sweep_equals_per_point_reference_to_61():
+    sweep = H.prop41_sweep(61)
+    assert sweep == prop41_sweep_per_point(61)
+    assert sweep.points_checked == 78_156 and len(sweep.violations) == 15_891
 
 
 def test_verify_suite_dispatch():

@@ -1,9 +1,10 @@
 """The torus-orbit pass against the independent per-curve routes.
 
 `orbit_counts` counts one curve (r, c) per coset representative r of
-mu_k = (F_p^*)^n and per c, and every (a, b) reads the row of (r, b*s) with
-a = r*s.  These tests pin its rows to `count_points_fast` at every (a, b)
-for p <= 61, and check the invariance it rests on with the brute double
+mu_k = (F_p^*)^n and per c, from pair histograms, and every (a, b) reads the
+columns of its row at c = b*s with a = r*s.  These tests pin the columns to
+`count_points_fast` and to the per-curve class pass `curve_cell` at every
+(a, b) for p <= 61, and check the invariance it rests on with the brute double
 loop `count_points` and the chord count `chords_through`.
 """
 
@@ -11,7 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gfcurves.chords import build_polygon, chords_through
-from gfcurves.curve import count_points, count_points_fast, curve_cell, make_curve, orbit_counts
+from gfcurves.curve import (CurveCell, count_points, count_points_fast, curve_cell, make_curve,
+                            orbit_counts)
 from gfcurves.ffield import make_field
 from gfcurves.harness import admissible_degrees, primes_up_to
 
@@ -23,14 +25,15 @@ def test_orbit_rows_equal_per_curve_counts_to_61():
         for n in admissible_degrees(p):
             orbits = orbit_counts(ctx, n)
             mu_k = {pow(x, n, p) for x in range(1, p)}
+            assert all(len(col) == p for row in orbits.rows for col in row)
             for a in range(1, p):
                 i, s = orbits.coset[a]
                 assert s in mu_k
+                row = orbits.rows[i]
                 for b in range(1, p):
-                    cell = orbits.rows[i][b * s % p]
                     if a * b % p == 1:
-                        assert cell is None
                         continue
+                    cell = CurveCell(*(col[b * s % p] for col in row))
                     rep = count_points_fast(make_curve(ctx, n, a, b))
                     d, rem = divmod(rep.off_axes - rep.off_axes_off_diag, n)
                     assert rem == 0
