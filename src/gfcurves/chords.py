@@ -138,7 +138,7 @@ def verify_prop41(p: int, n: int, point: tuple) -> IdentityReport:
     2*n^2*chords_through with the restricted count, reporting the exact
     tangency decomposition alongside."""
     ctx = make_field(p)
-    check_table_size(ctx)
+    check_table_size(ctx.q)
     a, b = point[0] % p, point[1] % p
     k = (p - 1) // n
     poly = build_polygon(ctx, k)

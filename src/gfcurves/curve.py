@@ -107,11 +107,11 @@ def equation_value(curve: CurveParams, x, y):
 MAX_TABLE_Q = 2**22  # the largest q whose O(q) tables are built
 
 
-def check_table_size(ctx: FieldCtx) -> None:
+def check_table_size(q: int) -> None:
     """Raise FieldTooLarge, before anything is allocated, when q is above
     MAX_TABLE_Q: the class tables of F_q take O(q) memory."""
-    if ctx.q > MAX_TABLE_Q:
-        raise FieldTooLarge(f"q = {ctx.q} is above the class-table limit {MAX_TABLE_Q}")
+    if q > MAX_TABLE_Q:
+        raise FieldTooLarge(f"q = {q} is above the class-table limit {MAX_TABLE_Q}")
 
 
 @functools.cache
@@ -147,7 +147,7 @@ def class_tables(ctx: FieldCtx, n: int) -> _ClassTables:
     hit = _TABLES_CACHE.get(key)
     if hit is not None:
         return hit
-    check_table_size(ctx)
+    check_table_size(ctx.q)
     if ctx.m == 1:
         tables = _prime_tables(ctx, n)
     else:

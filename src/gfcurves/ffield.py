@@ -72,18 +72,21 @@ def _ptrim(f: list[int]) -> list[int]:
     return f
 
 
+def _pdivmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by a monic g."""
+    rem, dg = f[:], len(g) - 1
+    quo = [0] * max(len(f) - dg, 0)
+    for off in range(len(quo) - 1, -1, -1):
+        c = quo[off] = rem.pop()
+        if c:
+            for i in range(dg):
+                rem[off + i] = (rem[off + i] - c * g[i]) % p
+    return quo, _ptrim(rem)
+
+
 def _pmod(f: list[int], g: list[int], p: int) -> list[int]:
     """Remainder of f by g (g monic)."""
-    f = f[:]
-    dg = len(g) - 1
-    while len(f) - 1 >= dg and f:
-        c = f[-1]
-        if c:
-            off = len(f) - 1 - dg
-            for i in range(dg):
-                f[off + i] = (f[off + i] - c * g[i]) % p
-        f.pop()
-    return _ptrim(f)
+    return _pdivmod(f, g, p)[1]
 
 
 def _pmul(f: list[int], g: list[int], p: int) -> list[int]:
@@ -157,6 +160,15 @@ def _poly_encoding(lower: tuple[int, ...], p: int) -> int:
     return sum(c * p**i for i, c in enumerate(lower))
 
 
+def _digits(e: int, p: int, m: int) -> list[int]:
+    """The m lowest base-p digits of e, least significant first."""
+    out = []
+    for _ in range(m):
+        e, r = divmod(e, p)
+        out.append(r)
+    return out
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -209,18 +221,10 @@ class FieldCtx:
     def from_encoding(self, e: int):
         if not 0 <= e < self.q:
             raise ValueError("encoding out of range")
-        if self.m == 1:
-            return e
-        out = []
-        for _ in range(self.m):
-            out.append(e % self.p)
-            e //= self.p
-        return tuple(out)
+        return e if self.m == 1 else tuple(_digits(e, self.p, self.m))
 
     def encode(self, a) -> int:
-        if self.m == 1:
-            return a
-        return sum(c * self.p**i for i, c in enumerate(a))
+        return a if self.m == 1 else _poly_encoding(a, self.p)
 
     def elements(self):
         """All q elements in canonical (encoding) order."""
@@ -284,20 +288,9 @@ class FieldCtx:
         s0, s1 = [], [1]
         while r1:
             lead_inv = pow(r1[-1], p - 2, p)
-            r1m = [c * lead_inv % p for c in r1]
-            # quotient of r0 by monic r1m
-            quo = [0] * (len(r0) - len(r1m) + 1) if len(r0) >= len(r1m) else []
-            rem = r0[:]
-            while rem and len(rem) >= len(r1m):
-                c = rem[-1]
-                off = len(rem) - len(r1m)
-                quo[off] = c
-                if c:
-                    for i in range(len(r1m)):
-                        rem[off + i] = (rem[off + i] - c * r1m[i]) % p
-                rem.pop()
+            quo, rem = _pdivmod(r0, [c * lead_inv % p for c in r1], p)
             quo = [c * lead_inv % p for c in quo]
-            r0, r1 = r1, _ptrim(rem)
+            r0, r1 = r1, rem
             s0, s1 = s1, _ptrim([(x - y) % p
                                  for x, y in _zip_pad(s0, _pmul(quo, s1, p))])
         # r0 = gcd (a unit since the modulus is irreducible)
@@ -377,12 +370,7 @@ def make_field(p: int, m: int = 1, modulus=None) -> FieldCtx:
             raise ReducibleModulus(f"{mod} factors over F_{p}")
         return FieldCtx(p, m, tuple(mod[: m + 1]))
     for enc in range(p**m):
-        lower = []
-        e = enc
-        for _ in range(m):
-            lower.append(e % p)
-            e //= p
-        cand = lower + [1]
+        cand = _digits(enc, p, m) + [1]
         if poly_is_irreducible(cand, p):
             return FieldCtx(p, m, tuple(cand))
     raise AssertionError("no irreducible polynomial found")  # unreachable
@@ -392,25 +380,27 @@ def make_field(p: int, m: int = 1, modulus=None) -> FieldCtx:
 # multiplicative-group queries
 
 
+def _check_root_query(ctx: FieldCtx, c, n: int) -> None:
+    """Reject c = 0 and an n that does not divide q-1."""
+    if ctx.is_zero(c):
+        raise ZeroInput("c must be nonzero")
+    if n < 1 or (ctx.q - 1) % n:
+        raise IncompatibleOrder(f"{n} does not divide q-1 = {ctx.q - 1}")
+
+
 def nth_root_count(ctx: FieldCtx, c, n: int) -> int:
     """#{x in F_q : x^n = c} for c != 0 and n | q-1.
 
     Equals n when c^((q-1)/n) = 1 and 0 otherwise; the exhaustive companion
     :func:`nth_root_count_brute` exists so the criterion itself is testable.
     """
-    if ctx.is_zero(c):
-        raise ZeroInput("c must be nonzero")
-    if n < 1 or (ctx.q - 1) % n:
-        raise IncompatibleOrder(f"{n} does not divide q-1 = {ctx.q - 1}")
+    _check_root_query(ctx, c, n)
     return n if ctx.pow(c, (ctx.q - 1) // n) == ctx.one else 0
 
 
 def nth_root_count_brute(ctx: FieldCtx, c, n: int) -> int:
     """Exhaustive-loop slow path of :func:`nth_root_count`."""
-    if ctx.is_zero(c):
-        raise ZeroInput("c must be nonzero")
-    if n < 1 or (ctx.q - 1) % n:
-        raise IncompatibleOrder(f"{n} does not divide q-1 = {ctx.q - 1}")
+    _check_root_query(ctx, c, n)
     return sum(1 for x in ctx.elements() if ctx.pow(x, n) == c)
 
 
@@ -443,10 +433,7 @@ def subgroup_generator(ctx: FieldCtx, k: int):
 def min_splitting_degree(ctx: FieldCtx, c, n: int) -> int:
     """Smallest d with c an n-th power in F_{q^d} (equivalently: where
     T^n - c has a root).  Always a divisor of n here since n | q-1."""
-    if ctx.is_zero(c):
-        raise ZeroInput("c must be nonzero")
-    if n < 1 or (ctx.q - 1) % n:
-        raise IncompatibleOrder(f"{n} does not divide q-1 = {ctx.q - 1}")
+    _check_root_query(ctx, c, n)
     for d in range(1, n + 1):
         if ctx.pow(c, (ctx.q**d - 1) // n) == ctx.one:
             return d
@@ -466,12 +453,7 @@ def _factor_binomial(p: int, n: int, c0: int, d: int) -> list[list[int]]:
     exponent = (p**d - 1) // 2
     enc = p  # skip constants: they cannot separate factors
     while work:
-        enc_digits = []
-        e = enc
-        while e:
-            enc_digits.append(e % p)
-            e //= p
-        u = _ptrim(enc_digits)
+        u = _ptrim(_digits(enc, p, n + 1))
         enc += 1
         if len(u) - 1 >= n:
             raise AssertionError("equal-degree split failed to terminate")
@@ -498,17 +480,8 @@ def _factor_binomial(p: int, n: int, c0: int, d: int) -> list[list[int]]:
 
 def _pquo_exact(f, g, p):
     """Exact quotient f / g for monic g dividing f."""
-    rem = f[:]
-    quo = [0] * (len(f) - len(g) + 1)
-    while rem and len(rem) >= len(g):
-        c = rem[-1]
-        off = len(rem) - len(g)
-        quo[off] = c
-        if c:
-            for i in range(len(g)):
-                rem[off + i] = (rem[off + i] - c * g[i]) % p
-        rem.pop()
-    if _ptrim(rem):
+    quo, rem = _pdivmod(f, g, p)
+    if rem:
         raise AssertionError("not an exact division")
     return quo
 
@@ -517,17 +490,20 @@ def nth_root_extension(ctx: FieldCtx, c, n: int):
     """(ctx2, root) with root^n = c, over the smallest extension of ctx.
 
     For d = 1 the context is returned unchanged with the smallest rational
-    root.  Otherwise (prime base field only) the returned context is
-    F_p[T]/(h) for the canonically smallest irreducible factor h of T^n - c,
-    and the root is the class of T.
+    root: over F_p it is read off the linear factors T - r of T^n - c, over
+    an extension base field the field is enumerated.  Otherwise (prime base
+    field only) the returned context is F_p[T]/(h) for the canonically
+    smallest irreducible factor h of T^n - c, and the root is the class of T.
     """
     d = min_splitting_degree(ctx, c, n)
-    if d == 1:
-        roots = nth_roots(ctx, c, n)
-        return ctx, roots[0]
     if ctx.m != 1:
+        if d == 1:
+            return ctx, nth_roots(ctx, c, n)[0]
         raise ValueError("splitting extensions only over prime base fields")
-    h = _factor_binomial(ctx.p, n, c, d)[0]
+    factors = _factor_binomial(ctx.p, n, c, d)
+    if d == 1:
+        return ctx, min(-h[0] % ctx.p for h in factors)
+    h = factors[0]
     ctx2 = make_field(ctx.p, d, modulus=h)
     root = ctx2.element([0, 1])
     if ctx2.pow(root, n) != ctx2.element(c):

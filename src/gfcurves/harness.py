@@ -27,11 +27,14 @@ from typing import NamedTuple
 from . import bounds as B
 from . import chords as C
 from . import localexp as LE
-from .curve import class_tables, make_curve, orbit_counts
+from .curve import check_table_size, class_tables, make_curve, orbit_counts
 from .ffield import make_field
 
 
 def primes_up_to(limit: int) -> list[int]:
+    """The primes p <= limit.  A limit above curve.MAX_TABLE_Q raises
+    FieldTooLarge before the sieve is allocated: no command covers such a p."""
+    check_table_size(limit)
     if limit < 2:
         return []
     sieve = bytearray([1]) * (limit + 1)
@@ -177,10 +180,11 @@ def scan_csv_blocks(p_max: int, n_filter: int | None = None,
                     sample: int | None = None, jobs: int = 1):
     """The scan as CSV text, one block of newline-terminated lines per (p, n)
     after one block of comments and header, each with its violation count."""
+    primes = primes_up_to(p_max)
     head = [f"# scan p_max={p_max} n_filter={n_filter if n_filter is not None else 'all'} "
             f"sample={'all' if sample is None else sample}"]
     if sample is not None:
-        head += [f"# stride p={p}: {_pair_stride(p, sample)}" for p in primes_up_to(p_max)
+        head += [f"# stride p={p}: {_pair_stride(p, sample)}" for p in primes
                  if any(n_filter in (None, n) for n in admissible_degrees(p))]
     head.append(",".join(SCAN_COLUMNS))
     yield "".join(line + "\n" for line in head), 0
@@ -201,14 +205,18 @@ class GridCell:
 
 
 def _figure1_degrees(n_min: int, n_max: int):
-    """(n, boundary_p, the primes p with n < p-1 <= n*k_{n+3}) per degree n."""
+    """(n, boundary_p, the primes p with n < p-1 <= n*k_{n+3}) per degree n.
+    The sieve runs at the call, up to the cap of n_max: n*k_{n+3} grows with n."""
     if not 3 <= n_min <= n_max:
         raise ValueError("need 3 <= n_min <= n_max")
-    caps = {n: n * B.k_threshold(n + 3) for n in range(n_min, n_max + 1)}
-    primes = primes_up_to(math.floor(max(caps.values())) + 1)
-    for n, cap in caps.items():
-        top = math.floor(cap)
-        yield n, cap + 1, [p for p in primes if n < p - 1 <= top]
+    primes = primes_up_to(math.floor(n_max * B.k_threshold(n_max + 3)) + 1)
+
+    def degrees():
+        for n in range(n_min, n_max + 1):
+            cap = n * B.k_threshold(n + 3)
+            top = math.floor(cap)
+            yield n, cap + 1, [p for p in primes if n < p - 1 <= top]
+    return degrees()
 
 
 def _delta_num(p: int, n: int) -> int:
@@ -231,8 +239,9 @@ def figure1_cells(n_min: int, n_max: int):
 
 
 def figure1_tsv_lines(n_min: int, n_max: int):
+    degrees = _figure1_degrees(n_min, n_max)  # refuses an oversized sieve before the header
     yield "n\tp\tk\tdelta\tboundary_p"
-    for n, boundary_p, ps in _figure1_degrees(n_min, n_max):
+    for n, boundary_p, ps in degrees:
         den, tail = 4 * n * n * B._W_DEN, B.fixed(boundary_p, 6)
         for p in ps:
             yield f"{n}\t{p}\t{B.fixed(p - 1, 6, n)}\t{B.fixed(_delta_num(p, n), 6, den)}\t{tail}"

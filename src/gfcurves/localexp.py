@@ -123,18 +123,9 @@ class TruncatedSeries:
         self.coeffs = list(coeffs)
 
     @classmethod
-    def from_dense(cls, ctx, coeffs):
-        return cls(ctx, 0, coeffs)
-
-    @classmethod
     def constant(cls, ctx, c, prec: int):
         return cls(ctx, 0, [ctx.element(c) if isinstance(c, int) else c]
                    + [ctx.zero] * (prec - 1))
-
-    @classmethod
-    def monomial(cls, ctx, exponent: int, prec_terms: int):
-        """t^exponent known to prec_terms further terms."""
-        return cls(ctx, exponent, [ctx.one] + [ctx.zero] * (prec_terms - 1))
 
     @property
     def prec(self) -> int:
@@ -186,13 +177,9 @@ class TruncatedSeries:
         return TruncatedSeries(ctx, off, out)
 
     def pow(self, e: int) -> "TruncatedSeries":
-        if e == 0:
-            return TruncatedSeries.constant(self.ctx, self.ctx.one,
-                                            self.prec - self.offset)
-        out = self
-        for _ in range(e - 1):
-            out = out * self
-        return out
+        """self^e for e >= 0, by squaring; as many known terms as self."""
+        return TruncatedSeries(self.ctx, e * self.offset,
+                               _pow_trunc(self.ctx, self.coeffs, e, len(self.coeffs)))
 
     def inverse(self) -> "TruncatedSeries":
         if self.is_zero():
@@ -213,92 +200,81 @@ class TruncatedSeries:
 # branch expansions
 
 
-def expand_at_inflection(curve: CurveParams, xi, axis: str = "X",
-                         L: int | None = None) -> TruncatedSeries:
+def _coefficients(curve: CurveParams, kind: str, L: int) -> tuple[list, list]:
+    """(A, B), dense to L terms, with U^n * A = B on the branch of `kind`:
+    x^n (a t^n - 1) = t^n - b at an inflection, y^n (a - t^n) = 1 - b t^n
+    over P1."""
+    ctx, n, one = curve.ctx, curve.n, curve.ctx.one
+    if kind == "inflection":
+        a0, an, b0, bn = ctx.neg(one), curve.a, ctx.neg(curve.b), one
+    else:
+        a0, an, b0, bn = curve.a, ctx.neg(one), one, ctx.neg(curve.b)
+    A, B = [a0] + [ctx.zero] * (L - 1), [b0] + [ctx.zero] * (L - 1)
+    A[n], B[n] = an, bn
+    return A, B
+
+
+_NOT_A_ROOT = {"inflection": (NotAnInflection, "xi^n != b"),
+               "infinite-branch": (NotATangentDirection, "c^n != a^(-1)")}
+
+
+def _expand(curve: CurveParams, kind: str, root, L: int | None) -> TruncatedSeries:
+    """The series U = root + O(t^n) with U^n * A = B, to L terms; the root
+    must solve root^n * A(0) = B(0)."""
+    ctx, n = curve.ctx, curve.n
+    if L is None:
+        L = n + 2
+    if L < n + 2:
+        raise PrecisionTooLow(f"L = {L} < n + 2 = {n + 2}")
+    A, B = _coefficients(curve, kind, L)
+    if ctx.mul(ctx.pow(root, n), A[0]) != B[0]:
+        error, message = _NOT_A_ROOT[kind]
+        raise error(message)
+    return TruncatedSeries(ctx, 0, _solve_unit_power(ctx, A, B, n, root, L))
+
+
+def _residual(curve: CurveParams, kind: str, series: TruncatedSeries) -> TruncatedSeries:
+    """U^n * A - B for U = series; zero to precision for a valid expansion."""
+    A, B = _coefficients(curve, kind, series.prec)
+    ctx = curve.ctx
+    return series.pow(curve.n) * TruncatedSeries(ctx, 0, A) - TruncatedSeries(ctx, 0, B)
+
+
+def expand_at_inflection(curve: CurveParams, xi, L: int | None = None) -> TruncatedSeries:
     """x(t) = xi + O(t^n) with g(x(t), t) = 0, local parameter t the other
     coordinate.  The same series serves (xi, 0) and (0, xi) by symmetry."""
-    ctx, n = curve.ctx, curve.n
-    if L is None:
-        L = n + 2
-    if L < n + 2:
-        raise PrecisionTooLow(f"L = {L} < n + 2 = {n + 2}")
-    if ctx.pow(xi, n) != curve.b:
-        raise NotAnInflection("xi^n != b")
-    if axis not in ("X", "Y"):
-        raise ValueError("axis must be 'X' or 'Y'")
-    zero, one = ctx.zero, ctx.one
-    A = [ctx.neg(one)] + [zero] * (L - 1)    # a t^n - 1
-    B = [ctx.neg(curve.b)] + [zero] * (L - 1)  # t^n - b
-    A[n] = curve.a
-    B[n] = one
-    U = _solve_unit_power(ctx, A, B, n, xi, L)
-    return TruncatedSeries.from_dense(ctx, U)
+    return _expand(curve, "inflection", xi, L)
 
 
-def expand_branch_at_infinity(curve: CurveParams, c, center: str = "P1",
-                              L: int | None = None) -> TruncatedSeries:
+def expand_branch_at_infinity(curve: CurveParams, c, L: int | None = None) -> TruncatedSeries:
     """y(t) = c + O(t^n) with y^n (a - t^n) = 1 - b t^n, t = 1/x; the
     dehomogenized equation at P1 divided by x^n (P2 swaps the roles)."""
-    ctx, n = curve.ctx, curve.n
-    if L is None:
-        L = n + 2
-    if L < n + 2:
-        raise PrecisionTooLow(f"L = {L} < n + 2 = {n + 2}")
-    if ctx.pow(c, n) != ctx.inv(curve.a):
-        raise NotATangentDirection("c^n != a^(-1)")
-    if center not in ("P1", "P2"):
-        raise ValueError("center must be 'P1' or 'P2'")
-    zero, one = ctx.zero, ctx.one
-    A = [curve.a] + [zero] * (L - 1)        # a - t^n
-    B = [one] + [zero] * (L - 1)            # 1 - b t^n
-    A[n] = ctx.neg(one)
-    B[n] = ctx.neg(curve.b)
-    U = _solve_unit_power(ctx, A, B, n, c, L)
-    return TruncatedSeries.from_dense(ctx, U)
+    return _expand(curve, "infinite-branch", c, L)
 
 
 def inflection_residual(curve: CurveParams, series: TruncatedSeries) -> TruncatedSeries:
     """g(x(t), t) as a series; zero to precision for a valid expansion."""
-    ctx, n = curve.ctx, curve.n
-    L = series.prec
-    t_n = TruncatedSeries(ctx, n, [ctx.one] + [ctx.zero] * (L - 1))
-    xn = series.pow(n)
-    a_t = TruncatedSeries.constant(ctx, curve.a, L)
-    b_t = TruncatedSeries.constant(ctx, curve.b, L)
-    return xn * (a_t * t_n - TruncatedSeries.constant(ctx, ctx.one, L)) \
-        - (t_n - b_t)
+    return _residual(curve, "inflection", series)
 
 
 def branch_residual(curve: CurveParams, series: TruncatedSeries) -> TruncatedSeries:
     """a y^n - 1 - t^n (y^n - b) as a series."""
-    ctx, n = curve.ctx, curve.n
-    L = series.prec
-    t_n = TruncatedSeries(ctx, n, [ctx.one] + [ctx.zero] * (L - 1))
-    yn = series.pow(n)
-    a_t = TruncatedSeries.constant(ctx, curve.a, L)
-    b_t = TruncatedSeries.constant(ctx, curve.b, L)
-    one_t = TruncatedSeries.constant(ctx, ctx.one, L)
-    return a_t * yn - one_t - t_n * (yn - b_t)
+    return _residual(curve, "infinite-branch", series)
 
 
 # ---------------------------------------------------------------------------
 # splitting-field plumbing
 
 
-def _lift_curve(curve: CurveParams, ctx2: FieldCtx) -> CurveParams:
-    return make_curve(ctx2, curve.n, ctx2.element(curve.a), ctx2.element(curve.b))
-
-
-def _inflection_site(curve: CurveParams):
-    """(curve', xi) over the smallest field containing a root of T^n = b."""
-    ctx2, xi = nth_root_extension(curve.ctx, curve.b, curve.n)
-    return (curve, xi) if ctx2 is curve.ctx else (_lift_curve(curve, ctx2), xi)
-
-
-def _branch_site(curve: CurveParams):
-    """(curve', c) over the smallest field containing a root of T^n = 1/a."""
-    ctx2, c = nth_root_extension(curve.ctx, curve.ctx.inv(curve.a), curve.n)
-    return (curve, c) if ctx2 is curve.ctx else (_lift_curve(curve, ctx2), c)
+def _site(curve: CurveParams, kind: str):
+    """(curve', root) over the smallest field containing a root of T^n = b
+    at an inflection, of T^n = 1/a on the branches over P1."""
+    ctx, n = curve.ctx, curve.n
+    c = curve.b if kind == "inflection" else ctx.inv(curve.a)
+    ctx2, root = nth_root_extension(ctx, c, n)
+    if ctx2 is not ctx:
+        curve = make_curve(ctx2, n, ctx2.element(curve.a), ctx2.element(curve.b))
+    return curve, root
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +284,7 @@ def _branch_site(curve: CurveParams):
 def inflection_contact_order(curve: CurveParams, xi=None) -> int:
     """v(x(t) - xi): the intersection multiplicity of the tangent X = xi."""
     if xi is None:
-        curve, xi = _inflection_site(curve)
+        curve, xi = _site(curve, "inflection")
     s = expand_at_inflection(curve, xi)
     shifted = s - TruncatedSeries.constant(curve.ctx, xi, s.prec)
     v = shifted.valuation()
@@ -321,7 +297,7 @@ def branch_contact_order(curve: CurveParams, c=None) -> int:
     """v((y(t) - c) * t): multiplicity of the tangent Y = c on its branch,
     measured projectively (the extra t is the 1/x normalization)."""
     if c is None:
-        curve, c = _branch_site(curve)
+        curve, c = _site(curve, "infinite-branch")
     s = expand_branch_at_infinity(curve, c)
     shifted = (s - TruncatedSeries.constant(curve.ctx, c, s.prec)).shift(1)
     v = shifted.valuation()
@@ -338,7 +314,7 @@ def tangent_line_branch_intersections(curve: CurveParams, c=None) -> list[int]:
     directions differ by the rational n-th roots of unity."""
     base_zeta = subgroup_generator(curve.ctx, curve.n)
     if c is None:
-        work, c = _branch_site(curve)
+        work, c = _site(curve, "infinite-branch")
     else:
         work = curve
     ctx = work.ctx
@@ -440,14 +416,10 @@ def order_sequence(curve: CurveParams, point, s: int) -> OrderSequence:
             f"p = {curve.p} <= s(n+1) = {s * (n + 1)}: outside the verified regime")
 
     if isinstance(point, SpecialPoint):
-        kind = point.kind
-        work, site = curve, point.tangent_value
-    elif point == "inflection":
-        kind = "inflection"
-        work, site = _inflection_site(curve)
-    elif point == "infinite-branch":
-        kind = "infinite-branch"
-        work, site = _branch_site(curve)
+        kind, work, site = point.kind, curve, point.tangent_value
+    elif point in ("inflection", "infinite-branch"):
+        kind = point
+        work, site = _site(curve, kind)
     else:
         raise ValueError(f"not a special-point handle: {point!r}")
 
@@ -463,26 +435,16 @@ def order_sequence(curve: CurveParams, point, s: int) -> OrderSequence:
 
 def _order_pivots(work: CurveParams, kind: str, site, s: int, L: int, need: int):
     ctx = work.ctx
-    if kind == "inflection":
-        x_series = expand_at_inflection(work, site, L=L)
-        powers = [TruncatedSeries.constant(ctx, ctx.one, L)]
-        for _ in range(s - 1):
-            powers.append(powers[-1] * x_series)
-        rows_series = []
-        for i in range(s):           # x-exponent
-            for j in range(s):       # y-exponent; y = t at (xi, 0)
-                if i + j <= s:
-                    rows_series.append(powers[i].shift(j))
-    else:
-        y_series = expand_branch_at_infinity(work, site, L=L)
-        powers = [TruncatedSeries.constant(ctx, ctx.one, L)]
-        for _ in range(s - 1):
-            powers.append(powers[-1] * y_series)
-        rows_series = []
-        for i in range(s):           # x-exponent; x = 1/t at P1
-            for j in range(s):
-                if i + j <= s:
-                    rows_series.append(powers[j].shift(-i))
+    series = _expand(work, kind, site, L)
+    powers = [TruncatedSeries.constant(ctx, ctx.one, L)]
+    for _ in range(s - 1):
+        powers.append(powers[-1] * series)
+    # the monomials x^i y^j, i, j < s, i + j <= s: x = x(t), y = t at (xi, 0)
+    # gives powers[i].shift(j); x = 1/t, y = y(t) at P1 gives powers[j].shift(-i),
+    # and the index set is symmetric, so that is powers[i].shift(-j) over it
+    sign = 1 if kind == "inflection" else -1
+    rows_series = [powers[i].shift(sign * j)
+                   for i in range(s) for j in range(s) if i + j <= s]
     e_q = -min(r.offset for r in rows_series)
     shifted = [r.shift(e_q) for r in rows_series]
     if min(r.prec for r in shifted) < L:

@@ -8,6 +8,7 @@ from time import perf_counter
 import pytest
 
 from gfcurves import cli
+from gfcurves.bounds import k_threshold
 from gfcurves.cli import main
 from gfcurves.curve import MAX_TABLE_Q
 from gfcurves.ffield import is_prime
@@ -315,3 +316,48 @@ def test_field_above_table_limit_exits_2_without_allocating(capsys, argv):
     assert f"class-table limit {MAX_TABLE_Q}" in err and "Traceback" not in err
     assert elapsed < 1.0
     assert peak < 1 << 20  # one list over F_q would take 32 MiB or more
+
+
+# -- the sieve guard ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--p-max", str(10**19)],
+    ["scan", "--p-max", str(MAX_TABLE_Q + 1)],
+    ["verify", "prop41", "--p-max", str(10**19)],
+    ["verify", "prop41", "--p-max", str(MAX_TABLE_Q + 1)],
+    ["figure1", "--n-min", "3", "--n-max", str(10**19)],
+    ["figure1", "--n-min", "3", "--n-max", "63"],
+], ids=["scan-1e19", "scan-first-refused", "prop41-1e19", "prop41-first-refused",
+        "figure1-1e19", "figure1-first-refused"])
+def test_sieve_above_table_limit_exits_2_without_allocating(capsys, argv):
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"class-table limit {MAX_TABLE_Q}" in err and "Traceback" not in err
+    assert peak < 1 << 20
+
+
+def test_figure1_first_refused_degree_is_63():
+    # the cap n*k_{n+3} of n = 62 is the last one under the sieve limit
+    assert 62 * k_threshold(65) + 1 <= MAX_TABLE_Q < 63 * k_threshold(66) == 4364325
+
+
+# -- orders ---------------------------------------------------------------------------
+
+
+def test_orders_with_a_rational_root_in_a_huge_prime_field(capsys):
+    # the root of T^3 - 8 comes from its linear factors, not from a scan of F_p
+    start = perf_counter()
+    code, out, err = run(capsys, ["orders", "--p", "1000000009", "--n", "3",
+                                  "--a", "2", "--b", "8", "--s", "2"])
+    elapsed = perf_counter() - start
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "verdict: MATCH"
+    assert elapsed < 5.0

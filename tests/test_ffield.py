@@ -311,6 +311,35 @@ def test_nth_root_extension_all_roots_by_unity_shift(p, n):
         assert len(roots) == n  # all n roots, pairwise distinct
 
 
+def test_rational_root_from_linear_factors_is_smallest_root():
+    # d = 1 over F_p: the root comes from the linear factors of T^n - c, and
+    # must be the smallest root that enumerating the field finds
+    cases = 0
+    for p in [p for p in range(2, 100) if ffield.is_prime(p)]:
+        base = make_field(p)
+        for n in range(2, p - 1):
+            if (p - 1) % n:
+                continue
+            for c in range(1, p):
+                if min_splitting_degree(base, c, n) != 1:
+                    continue
+                assert nth_root_extension(base, c, n) == (base, nth_roots(base, c, n)[0])
+                cases += 1
+    assert cases == 1158
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from([2, 3, 5, 7, 13, 101]), st.lists(st.integers(0, 10**6), max_size=12),
+       st.lists(st.integers(0, 10**6), max_size=6))
+def test_pdivmod_is_euclidean_division(p, f, g):
+    f = [c % p for c in f]
+    g = [c % p for c in g] + [1]
+    quo, rem = ffield._pdivmod(f, g, p)
+    assert len(rem) < len(g) and (not rem or rem[-1])
+    recomposed = [(x + y) % p for x, y in ffield._zip_pad(ffield._pmul(quo, g, p), rem)]
+    assert ffield._ptrim(recomposed) == ffield._ptrim(f[:])
+
+
 def test_splitting_degree_divides_n():
     for p, n in [(13, 3), (13, 6), (31, 5), (31, 6), (29, 4), (43, 7)]:
         base = make_field(p)

@@ -9,14 +9,21 @@ the vtable 101..200, figure1 13..16, `bounds` at p = 73 and `verify lemmas`
 hashes from the `Fraction` interval arithmetic that preceded the
 scaled-integer bound kernel; the `count` at p = 29077 (n1 = n2 = n), `chords`
 over F_14071 and `orders --point inflection` hashes from the per-(field, n)
-enumerated class tables that preceded the index table.  `verify prop41` exits 1 by design (the classical chord identity
-fails on the vertex tangents) and `chords` at P = (1, 6) over F_7 is its first
+enumerated class tables that preceded the index table; the `orders` hashes
+at p = 29077 (a rational root for a = 11, b = 8 and a cubic splitting field
+at P1 for a = 2, b = 3) and the demo hashes from the field scan that found
+rational roots and the per-kind expansions that preceded the shared lift.
+`verify prop41` exits 1 by design (the classical chord identity fails on the
+vertex tangents) and `chords` at P = (1, 6) over F_7 is its first
 counterexample.
 """
 
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -69,7 +76,24 @@ GOLDEN = [
     (["orders", "--p", "31", "--n", "5", "--a", "2", "--b", "1", "--s", "3",
       "--point", "inflection"], 0,
      "aad415c9c985ac060fa907c7814298c56d927acf421e410df0752aa1a3321694"),
+    (["orders", "--p", "29077", "--n", "3", "--a", "11", "--b", "8", "--s", "2",
+      "--point", "inflection"], 0,
+     "b2c87a8e8df89f1aae3a452739c6c9056c5115fb52aea8edc915046ae97bdb0e"),
+    (["orders", "--p", "29077", "--n", "3", "--a", "11", "--b", "8", "--s", "2",
+      "--point", "infinite-branch"], 0,
+     "b2c87a8e8df89f1aae3a452739c6c9056c5115fb52aea8edc915046ae97bdb0e"),
+    (["orders", "--p", "29077", "--n", "3", "--a", "2", "--b", "3", "--s", "2",
+      "--point", "infinite-branch"], 0,
+     "b2c87a8e8df89f1aae3a452739c6c9056c5115fb52aea8edc915046ae97bdb0e"),
 ]
+
+DEMOS = {
+    "01_counting_points.py": "fac0e5ca9a706f163bbe7d3ef86e5f36e4bba5115b86a1179d8f03e67a9819b2",
+    "02_bounds_tour.py": "1e854c5a33b70aa73a8e79d642d2d2c96395b470b3fa82fdffc2c206ff43f0cd",
+    "03_order_sequences.py": "dcbbe766421ad125755f5e13ca189c58ec6658ca20daf0da24bbdfe48c6fe99a",
+    "04_polygon_chords.py": "6e7bd5e2f815a300ff27b6d16a984bf0f6d82483c94ceff097715eac778a8bab",
+    "05_sweeps_and_grids.py": "d7738cbf1a601529eb5589ad65632b247a715977d915070faef8716adb6da3f2",
+}
 
 
 @pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
@@ -79,3 +103,13 @@ def test_golden_output(argv, code, digest):
         got = main(argv)
     assert got == code
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_demo_output(name):
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run([sys.executable, os.path.join(root, "demos", name)],
+                          capture_output=True, env=env, timeout=60)
+    assert done.returncode == 0 and done.stderr == b""
+    assert hashlib.sha256(done.stdout).hexdigest() == DEMOS[name]

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gfcurves.curve import make_curve, special_points
+from gfcurves import localexp
+from gfcurves.curve import SpecialPoint, make_curve, special_points
 from gfcurves.errors import (
     InvalidS,
     NotAnInflection,
@@ -8,7 +11,7 @@ from gfcurves.errors import (
     PrecisionTooLow,
     SmallCharacteristic,
 )
-from gfcurves.ffield import make_field, nth_roots
+from gfcurves.ffield import is_prime, make_field, nth_roots
 from gfcurves.localexp import (
     TruncatedSeries,
     branch_contact_order,
@@ -102,6 +105,38 @@ def test_branch_expansion_residual_and_contact(p, n, a, b):
         assert diff.valuation() == n
         assert diff.shift(1).valuation() == n + 1
     assert branch_contact_order(curve) == n + 1
+
+
+@st.composite
+def canonical_sites(draw):
+    """(curve, kind, L): p prime with a degree 3 <= n <= 8 dividing p - 1,
+    a*b outside {0, 1}, and a precision L >= n + 2."""
+    p = draw(st.sampled_from([p for p in range(7, 400) if is_prime(p)
+                              and any((p - 1) % n == 0 for n in range(3, 9))]))
+    n = draw(st.sampled_from([n for n in range(3, 9) if (p - 1) % n == 0 and n <= p - 2]))
+    a = draw(st.integers(1, p - 1))
+    b = draw(st.integers(1, p - 1).filter(lambda b: a * b % p != 1))
+    kind = draw(st.sampled_from(["inflection", "infinite-branch"]))
+    return make_curve(make_field(p), n, a, b), kind, draw(st.integers(n + 2, 3 * n))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(canonical_sites())
+def test_newton_lift_residual_vanishes_at_canonical_site(case):
+    # the canonical site may be a splitting extension F_{p^d}, d | n
+    curve, kind, L = case
+    work, root = localexp._site(curve, kind)
+    assert work.ctx.pow(root, curve.n) == (work.b if kind == "inflection"
+                                           else work.ctx.inv(work.a))
+    if kind == "inflection":
+        series = expand_at_inflection(work, root, L=L)
+        residual, contact = inflection_residual(work, series), 0
+    else:
+        series = expand_branch_at_infinity(work, root, L=L)
+        residual, contact = branch_residual(work, series), 1
+    assert series.prec == L and residual.is_zero() and residual.prec == L
+    gap = series - TruncatedSeries.constant(work.ctx, root, L)
+    assert gap.shift(contact).valuation() == curve.n + contact
 
 
 @pytest.mark.parametrize("p,n,a,b", CASES)
@@ -204,3 +239,8 @@ def test_order_sequence_guards():
     small = make_curve(make_field(7), 3, 2, 3)
     with pytest.raises(SmallCharacteristic):
         order_sequence(small, "inflection", 2)  # 7 <= 2*4
+    # a handle whose tangent value is no root is refused by the shared lift
+    with pytest.raises(NotAnInflection):
+        order_sequence(curve, SpecialPoint("inflection", "affine", (1, 0), "X", 1), 2)
+    with pytest.raises(NotATangentDirection):
+        order_sequence(curve, SpecialPoint("infinite-branch", "P1", None, "Y", 1), 2)
