@@ -160,17 +160,19 @@ def hasse_weil(q: int, g: int) -> BoundReport:
 
 def sv_raw(q: int, n: int, s: int, n1: int, n2: int) -> dict:
     """The degree-s bound and its ingredients as exact rationals, from the
-    field size, curve degree and the two root counts alone."""
+    field size, curve degree and the two root counts alone; gamma and raw
+    are built once, from the integers 3*gamma and 3N*raw."""
     N = (s + 2) * (s + 1) // 2 - 3
     delta = 2 * n * (s - 1)
     alpha = 1 + (s - 1) * n - N
     beta = (s - 1) * (n + 1) - N
-    gamma = Fraction(2 * (n + 1) - s * (4 * n + 3) - N * (N - 1)) \
-        + Fraction((s * (2 * n + 3) - 3) * (N + 3), 3)
-    raw = (N - 1) * (n * n - 2 * n) + Fraction(delta * (q + N), N) \
-        - 2 * Fraction(n1 * alpha + n2 * beta + n * gamma, N)
+    gamma3 = 3 * (2 * (n + 1) - s * (4 * n + 3) - N * (N - 1)) \
+        + (s * (2 * n + 3) - 3) * (N + 3)
+    raw3n = 3 * N * (N - 1) * (n * n - 2 * n) + 3 * delta * (q + N) \
+        - 2 * (3 * n1 * alpha + 3 * n2 * beta + n * gamma3)
     return {"s": s, "N": N, "delta": delta, "alpha": alpha, "beta": beta,
-            "gamma": gamma, "n1": n1, "n2": n2, "raw": raw}
+            "gamma": Fraction(gamma3, 3), "n1": n1, "n2": n2,
+            "raw": Fraction(raw3n, 3 * N)}
 
 
 def sv_bound(curve: CurveParams, s: int) -> BoundReport:

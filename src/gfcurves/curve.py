@@ -201,13 +201,11 @@ class CurveCell(NamedTuple):
 
 
 class OrbitRow(NamedTuple):
-    """CurveCell of the curves (r, c) as int columns indexed by c (c = 0 and
-    c = 1/r are no curve's)."""
+    """The two columns, indexed by c, from which `orbit_counts` derives the
+    CurveCell of every curve (r, c) (c = 0 and c = 1/r are no curve's)."""
 
-    affine_total: list
-    restricted: list
-    tangency: list
-    refined: list
+    hist: list  # hist[c] = #{(u, v) in mu_k^2 : w = r*u - 1 != 0, u - v*w = c}
+    D: list     # D[c] = #{u in mu_k : 2u - r*u^2 = c}, the tangency
 
 
 class OrbitCounts(NamedTuple):
@@ -250,13 +248,13 @@ def orbit_counts(ctx: FieldCtx, n: int) -> OrbitCounts:
     On the curve (r, c), x^n = u in mu_k with w = r*u - 1 != 0 gives
     y^n = (u - c)/w.  That is v in mu_k iff c = u - v*w (n^2 points, binned
     in hist), 0 iff c = u (n points if c is in mu_k: n1 = rc[c] in all), and
-    u iff c = 2u - r*u^2 (binned in D).  With the n1 points on x = 0:
-    affine = n^2*hist + 2*n1, restricted = n^2*hist - n*D and
-    refined = n^2*(hist - D)."""
+    u iff c = 2u - r*u^2 (binned in D).  With the n1 points on x = 0, the
+    CurveCell of (r, c) is affine = n^2*hist + 2*n1, restricted =
+    n^2*hist - n*D, tangency = D and refined = n^2*(hist - D); the rows keep
+    hist and D, and each consumer reads the formula it needs."""
     p = ctx.p
     t = class_tables(ctx, n)
-    rc, mu = t.root_count, t.nonzero_powers
-    nn = n * n
+    mu = t.nonzero_powers
     coset = [None] * p
     reps, rows = [], []
     for r in range(1, p):
@@ -272,10 +270,7 @@ def orbit_counts(ctx: FieldCtx, n: int) -> OrbitCounts:
                     hist[(u - v * w) % p] += 1
                 diag[(2 * u - r * u * u) % p] += 1
         reps.append(r)
-        rows.append(OrbitRow([nn * h + 2 * m for h, m in zip(hist, rc)],
-                             [nn * h - n * d for h, d in zip(hist, diag)],
-                             diag,
-                             [nn * (h - d) for h, d in zip(hist, diag)]))
+        rows.append(OrbitRow(hist, diag))
     return OrbitCounts(reps, coset, rows)
 
 

@@ -10,7 +10,7 @@ every (a, b) reads its orbit's column entry.  The columns after b depend only
 on (affine_total, n1, n2); each distinct key gets one shared record with its
 CSV tail formatted once, and each (p, n) is written as one text block.  The
 chord sweep behind `verify prop41` decides each orbit cell once, from the
-same rows and the chord columns of `chords.chord_columns`.
+same rows and `chords.chord_columns`, and keeps only the failing cells.
 
 All output is generated in sorted key order with fixed formatting; identical
 invocations are byte-identical.
@@ -18,10 +18,12 @@ invocations are byte-identical.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from typing import NamedTuple
 
 from . import bounds as B
@@ -91,9 +93,11 @@ class _ScanTail(NamedTuple):
     csv: str
 
 
-def scan_task(p: int, n: int, sample: int | None) -> list[tuple[int, int, _ScanTail]]:
-    """All rows for one (p, n), in (a, b) order, as (a, b, tail); the curve
-    (a, b) with a = r*s, s in mu_k, reads the orbit counts of (r, b*s)."""
+def scan_task(p: int, n: int, sample: int | None):
+    """The rows of one (p, n) and whether any violates a bound.  Per a, in
+    order: (a, s, the tails of its orbit row by c, the b kept by the sample
+    stride); the curve (a, b) with a = r*s, s in mu_k, reads the row of r at
+    c = b*s, with affine_total = n^2*hist + 2*n1."""
     ctx = make_field(p)
     t = class_tables(ctx, n)
     rc, inv = t.root_count, t.inv
@@ -123,29 +127,41 @@ def scan_task(p: int, n: int, sample: int | None) -> list[tuple[int, int, _ScanT
         return shared[key]
 
     orbits = orbit_counts(ctx, n)
-    tails = [[c and c != inv[r] and tail(total, rc[c], rc[inv[r]])
-              for c, total in enumerate(row.affine_total)]
-             for r, row in zip(orbits.reps, orbits.rows)]
-    rows = []
-    for a in range(1, p):
-        i, s = orbits.coset[a]
-        row, inv_a = tails[i], inv[a]
-        rows.extend([(a, b, row[b * s % p]) for b in range(1, p) if b != inv_a])
-    return rows[::_pair_stride(p, sample)]
+    nn, tails = n * n, []
+    for r, row in zip(orbits.reps, orbits.rows):
+        skip = inv[r]
+        keys = list(zip(row.hist, rc))  # (hist, n1) at each c
+        keys[0] = keys[skip] = None     # c = 0 and c = 1/r are no curve's
+        memo = {key: key and tail(nn * key[0] + 2 * key[1], key[1], rc[skip])
+                for key in set(keys)}
+        tails.append(list(map(memo.__getitem__, keys)))
+    stride = _pair_stride(p, sample)
+
+    def rows():
+        for a in range(1, p):
+            i, s = orbits.coset[a]
+            inv_a, first = inv[a], (a - 1) * (p - 2)  # p - 2 rows per a, b != 1/a
+            bs = chain(range(1, inv_a), range(inv_a + 1, p))
+            yield a, s, tails[i], islice(bs, -first % stride, None, stride)
+    return rows(), any(tl.fields[-1] for tl in shared.values())
 
 
 def _scan_task_rows(task) -> list[ScanRow]:
     p, n, _ = task
-    return [ScanRow(p, 1, n, a, b, *tail.fields) for a, b, tail in scan_task(*task)]
+    return [ScanRow(p, 1, n, a, b, *row[b * s % p].fields)
+            for a, s, row, bs in scan_task(*task)[0] for b in bs]
 
 
 def _scan_task_block(task) -> tuple[str, int]:
-    """The CSV lines of one (p, n) as one text block, and its violation count."""
+    """The CSV lines of one (p, n) as one text block, and its violation count:
+    the violation column is last, so a violating line is one ending in ",1"."""
     p, n, _ = task
-    rows = scan_task(*task)
-    head, num = f"{p},1,{n},", [str(x) for x in range(p)]  # each int formatted once
-    text = "".join([f"{head}{num[a]},{num[b]},{tail.csv}\n" for a, b, tail in rows])
-    return text, len([1 for _, _, tail in rows if tail.fields[-1]])
+    rows, violating = scan_task(*task)
+    num = [f"{x}," for x in range(p)]  # each int formatted once
+    head = [f"{p},1,{n},{x}," for x in range(p)]
+    text = "".join([f"{head[a]}{num[b]}{row[b * s % p].csv}\n"
+                    for a, s, row, bs in rows for b in bs])
+    return text, text.count(",1\n") if violating else 0
 
 
 def worker_count(jobs: int, tasks: int) -> int:
@@ -383,43 +399,81 @@ def verify_orders(p_max: int = 100, n_values=(3, 4, 5, 6, 7),
 
 def _class_representatives(p: int, n: int, per_class: int) -> list[tuple[int, int]]:
     """First `per_class` pairs (a, b), canonical order, with n1 = n and with
-    n1 = 0 (where such b exist)."""
-    ctx = make_field(p)
-    t = class_tables(ctx, n)
-    rc = t.root_count
+    n1 = 0 (where such b exist): the least b of each class, with the least
+    a, a*b != 1."""
+    rc = class_tables(make_field(p), n).root_count
     picks = []
     for target in (n, 0):
-        found = 0
-        for b in range(1, p):
-            if rc[b] != target:
-                continue
-            for a in range(1, p):
-                if a * b % p != 1:
-                    picks.append((a, b))
-                    found += 1
-                    break
-            if found >= per_class:
-                break
+        bs = [b for b in range(1, p) if rc[b] == target][:per_class]
+        picks += [(2 if b == 1 else 1, b) for b in bs]
     return picks
 
 
-@dataclass
+def _expand(blocks):
+    """(p, n, a, b, lhs, restricted, D) at every point of the cells in
+    blocks, in (p, n, a, b) order."""
+    for p, n, coset, inv, cells in blocks:
+        if not any(cells):
+            continue
+        for a in range(1, p):
+            i, s = coset[a]  # a = r_i * s: the cell (r_i, c) holds (a, c/s)
+            if row := cells[i]:
+                inv_s = inv[s]
+                for b in sorted([c * inv_s % p for c in row]):
+                    yield (p, n, a, b, *row[b * s % p])
+
+
+@dataclass(frozen=True)
 class ChordSweep:
+    """The counts of the prop41 sweep and the cells that fail each check, per
+    (p, n): (p, n, coset, inv, cells) with cells[i] = {c: (lhs, restricted, D)}
+    on orbit row i.  The record lists are expanded from the cells when read."""
+
     points_checked: int
     holds: int
-    violations: list          # (p, n, a, b, lhs, restricted, tangency)
-    diagonal_violations: list
-    decomposition_failures: list
-    refined_failures: list
+    violating: tuple           # lhs != restricted
+    off_decomposition: tuple   # restricted != lhs + (n^2 - n)*D
+
+    @property
+    def violation_count(self) -> int:
+        return self.points_checked - self.holds
+
+    @property
+    def first_violation(self):
+        return next(_expand(self.violating), None)
+
+    @functools.cached_property
+    def violations(self) -> list:  # (p, n, a, b, lhs, restricted, tangency)
+        return list(_expand(self.violating))
+
+    @functools.cached_property
+    def diagonal_violations(self) -> list:
+        return [rec for rec in self.violations if rec[2] == rec[3]]
+
+    @functools.cached_property
+    def decomposition_failures(self) -> list:  # (p, n, a, b)
+        return [rec[:4] for rec in _expand(self.off_decomposition)]
+
+    @property
+    def refined_failures(self) -> list:  # the same condition on orbit rows (prop41_sweep)
+        return self.decomposition_failures
 
 
 def prop41_sweep(p_max: int = 199) -> ChordSweep:
     """Every prime p <= p_max, every proper divisor n >= 2 of p-1 with
     k >= 3, every P = (a, b) with ab not in {0, 1}.  Each orbit cell (r_i, c)
-    is decided once for its k points (r_i*s, c/s), s in mu_k; only failing
-    cells are expanded into records, in (a, b) order."""
+    is decided once for its k points (r_i*s, c/s), s in mu_k, from the orbit
+    row and the chord column n_P = col[c]: lhs = 2n^2*col, restricted =
+    n^2*hist - n*D and refined = n^2*(hist - D), so a cell passes all three
+    checks iff D = 0 and hist = 2*col.  Only failing cells are kept.
+
+    On these rows the decomposition restricted = lhs + (n^2 - n)*D and the
+    refined identity lhs = refined are one condition, hist = 2*col + D, so
+    `decomposition_failures` and `refined_failures` agree by construction;
+    the independent refined route is the per-curve `curve.curve_cell`, pinned
+    to the orbit rows and to this sweep for p <= 61 in the tests."""
     checked = holds = 0
-    violations, diag_viol, decomp_bad, refined_bad = [], [], [], []
+    violating, off_decomposition = [], []
     for p in primes_up_to(p_max):
         if p < 7:  # k = (p-1)/n >= 3 needs p >= 7
             continue
@@ -431,45 +485,27 @@ def prop41_sweep(p_max: int = 199) -> ChordSweep:
             orbits = orbit_counts(ctx, n)
             inv = class_tables(ctx, n).inv
             cols = C.chord_columns(C.build_polygon(ctx, k), orbits.reps)
-            nn2 = 2 * n * n
-            failing = []  # per r_i: c -> (lhs, restricted, d, refined) of failing cells
-            for r, row, col in zip(orbits.reps, orbits.rows, cols):
-                # a cell passes all three checks iff lhs = restricted = refined, D = 0
-                cells = {c: (lhs, rs, d, rf)
-                         for c, lhs, rs, d, rf in zip(range(p), [nn2 * x for x in col],
-                                                      row.restricted, row.tangency, row.refined)
-                         if not (lhs == rs == rf and d == 0) and c and c != inv[r]}
-                failing.append(cells)
-                checked += k * (p - 2)  # every c but 0 and 1/r
-                holds += k * (p - 2 - sum(lhs != rs for lhs, rs, _, _ in cells.values()))
-            for a in range(1, p):
-                i, s = orbits.coset[a]
-                if not (cells := failing[i]):
-                    continue
-                inv_s = inv[s]
-                for b in sorted([c * inv_s % p for c in cells]):
-                    lhs, restricted, d, ref = cells[b * s % p]
-                    if lhs != restricted:
-                        rec = (p, n, a, b, lhs, restricted, d)
-                        violations.append(rec)
-                        if a == b:
-                            diag_viol.append(rec)
-                    if restricted != lhs + (n * n - n) * d:
-                        decomp_bad.append((p, n, a, b))
-                    if lhs != ref:
-                        refined_bad.append((p, n, a, b))
-    return ChordSweep(points_checked=checked, holds=holds,
-                      violations=violations, diagonal_violations=diag_viol,
-                      decomposition_failures=decomp_bad,
-                      refined_failures=refined_bad)
+            nn, bad, off = n * n, [], []
+            for r, (hist, tang), col in zip(orbits.reps, orbits.rows, cols):
+                skip = inv[r]  # c = 0 and c = 1/r are no curve's
+                cells = {c: (2 * nn * x, nn * h - n * d, d)
+                         for c, h, d, x in zip(range(p), hist, tang, col)
+                         if (d or h != 2 * x) and c and c != skip}
+                bad.append({c: v for c, v in cells.items() if v[0] != v[1]})
+                off.append({c: v for c, v in cells.items() if v[1] != v[0] + (nn - n) * v[2]})
+                holds += k * (p - 2 - len(bad[-1]))
+            checked += len(bad) * k * (p - 2)
+            violating.append((p, n, orbits.coset, inv, bad))
+            off_decomposition.append((p, n, orbits.coset, inv, off))
+    return ChordSweep(checked, holds, tuple(violating), tuple(off_decomposition))
 
 
 def verify_prop41_suite(p_max: int = 199) -> list[Check]:
     sweep = prop41_sweep(p_max)
-    first = sweep.violations[0] if sweep.violations else None
+    first = sweep.first_violation
     return [
-        Check("chord-identity-as-stated", not sweep.violations,
-              f"{sweep.points_checked} points, {len(sweep.violations)} violations"
+        Check("chord-identity-as-stated", first is None,
+              f"{sweep.points_checked} points, {sweep.violation_count} violations"
               + (f"; first (p,n,a,b,lhs,rhs,D)={first}" if first else "")),
         Check("chord-identity-tangency-decomposition",
               not sweep.decomposition_failures,

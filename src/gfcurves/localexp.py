@@ -16,6 +16,7 @@ extension; ranks are insensitive to base change, so the orders are the same.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .curve import CurveParams, SpecialPoint, make_curve
@@ -266,6 +267,7 @@ def branch_residual(curve: CurveParams, series: TruncatedSeries) -> TruncatedSer
 # splitting-field plumbing
 
 
+@functools.lru_cache(maxsize=8)  # a curve's checks ask for its two sites again and again
 def _site(curve: CurveParams, kind: str):
     """(curve', root) over the smallest field containing a root of T^n = b
     at an inflection, of T^n = 1/a on the branches over P1."""

@@ -20,6 +20,7 @@ from gfcurves.bounds import (
     np_bound_value,
     ratio,
     sv_bound,
+    sv_raw,
     v_of_k,
     vtilde,
     w_bound,
@@ -295,6 +296,38 @@ def test_sv_bound_value_reproducible_from_intermediates():
         raw = (i["N"] - 1) * (n * n - 2 * n) + Fraction(i["delta"] * (p + i["N"]), i["N"]) \
             - 2 * Fraction(i["n1"] * i["alpha"] + i["n2"] * i["beta"] + n * i["gamma"], i["N"])
         assert raw == i["raw"] and math.floor(raw) == rep.value
+
+
+def sv_raw_fractions(q, n, s, n1, n2):
+    """The degree-s bound in `Fraction` arithmetic term by term (reference
+    for the integer numerators of `sv_raw`)."""
+    N = (s + 2) * (s + 1) // 2 - 3
+    delta = 2 * n * (s - 1)
+    alpha = 1 + (s - 1) * n - N
+    beta = (s - 1) * (n + 1) - N
+    gamma = Fraction(2 * (n + 1) - s * (4 * n + 3) - N * (N - 1)) \
+        + Fraction((s * (2 * n + 3) - 3) * (N + 3), 3)
+    raw = (N - 1) * (n * n - 2 * n) + Fraction(delta * (q + N), N) \
+        - 2 * Fraction(n1 * alpha + n2 * beta + n * gamma, N)
+    return {"s": s, "N": N, "delta": delta, "alpha": alpha, "beta": beta,
+            "gamma": gamma, "n1": n1, "n2": n2, "raw": raw}
+
+
+def test_sv_raw_equals_fraction_formula_on_grid():
+    cases = 0
+    for q in (5, 7, 25, 31, 97, 121, 131, 199, 1009, 29077, 3**9):
+        for n in range(2, 16):
+            for s in range(2, max(3, n)):
+                for n1 in sorted({0, 1, 2, n}):
+                    for n2 in sorted({0, 3, n}):
+                        got = sv_raw(q, n, s, n1, n2)
+                        want = sv_raw_fractions(q, n, s, n1, n2)
+                        assert list(got) == list(want)
+                        for key in want:
+                            assert got[key] == want[key], (q, n, s, n1, n2, key)
+                            assert type(got[key]) is type(want[key])
+                        cases += 1
+    assert cases == 12_067
 
 
 # -- f_u / k_threshold / lemma ladder ------------------------------------------

@@ -12,7 +12,10 @@ over F_14071 and `orders --point inflection` hashes from the per-(field, n)
 enumerated class tables that preceded the index table; the `orders` hashes
 at p = 29077 (a rational root for a = 11, b = 8 and a cubic splitting field
 at P1 for a = 2, b = 3) and the demo hashes from the field scan that found
-rational roots and the per-kind expansions that preceded the shared lift.
+rational roots and the per-kind expansions that preceded the shared lift;
+the full-scale `scan --p-max 131` and `verify prop41` (p <= 199) hashes from
+the orbit rows that still carried the derived columns and the sweeps that
+built one record per row and per violating point.
 `verify prop41` exits 1 by design (the classical chord identity fails on the
 vertex tangents) and `chords` at P = (1, 6) over F_7 is its first
 counterexample.
@@ -85,6 +88,10 @@ GOLDEN = [
     (["orders", "--p", "29077", "--n", "3", "--a", "2", "--b", "3", "--s", "2",
       "--point", "infinite-branch"], 0,
      "b2c87a8e8df89f1aae3a452739c6c9056c5115fb52aea8edc915046ae97bdb0e"),
+    (["scan", "--p-max", "131"], 0,
+     "5d59423d0ce9d036335fc00727249d4e6098a16510d0ed0c6cad3ae45fb73214"),
+    (["verify", "prop41"], 1,
+     "b5b33c8c203e4b7b4dbc348787a4e6be25e8938ec3a5fcf9fcd549484da5d1f3"),
 ]
 
 DEMOS = {

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from gfcurves import harness as H
 from gfcurves.bounds import hasse_weil, sv_bound, w_bound
 from gfcurves.chords import build_polygon
 from gfcurves.cli import main
-from gfcurves.curve import count_points_fast, curve_cell, make_curve
+from gfcurves.curve import OrbitRow, count_points_fast, curve_cell, make_curve
 from gfcurves.ffield import make_field
 from test_chords import chord_count_grid
 
@@ -90,17 +91,33 @@ def test_scan_csv_blocks_are_the_rows_as_csv():
 
 def test_scan_csv_blocks_count_their_violation_lines(monkeypatch, capsys):
     """Each block carries the number of its lines whose violation column is
-    1, and `scan` exits 1 on their sum; the Hasse-Weil bound is lowered to
-    genus 0 (q + 1) so that some rows violate it."""
+    1, and `scan` exits 1 on their sum, in a full and in a sampled scan; the
+    Hasse-Weil bound is lowered to genus 0 (q + 1) so that some rows violate
+    it."""
     hasse_weil = H.B.hasse_weil
     monkeypatch.setattr(H.B, "hasse_weil", lambda q, g: hasse_weil(q, 0))
-    blocks = list(H.scan_csv_blocks(19))
-    counts = [count for _, count in blocks[1:]]
-    assert counts == [sum(line.endswith(",1") for line in text.splitlines())
-                      for text, _ in blocks[1:]]
-    assert 0 < sum(counts) < sum(text.count("\n") for text, _ in blocks[1:])
-    assert main(["scan", "--p-max", "19"]) == 1
-    assert capsys.readouterr().out == "".join(text for text, _ in blocks)
+    for sample, argv in ((None, []), (40, ["--sample", "40"])):
+        blocks = list(H.scan_csv_blocks(19, sample=sample))
+        if sample is not None:
+            assert max(H._pair_stride(p, sample) for p in H.primes_up_to(19)) > 1
+        counts = [count for _, count in blocks[1:]]
+        assert counts == [sum(line.endswith(",1") for line in text.splitlines())
+                          for text, _ in blocks[1:]]
+        assert 0 < sum(counts) < sum(text.count("\n") for text, _ in blocks[1:])
+        assert main(["scan", "--p-max", "19", *argv]) == 1
+        assert capsys.readouterr().out == "".join(text for text, _ in blocks)
+
+
+def test_sampled_scan_is_every_stride_th_row_of_each_task():
+    """`--sample` keeps the rows of each (p, n), in (a, b) order, whose index
+    is a multiple of the stride: the slice [::stride] of the full task."""
+    for sample in (7, 50, 333):
+        for p in H.primes_up_to(31):
+            stride = H._pair_stride(p, sample)
+            for n in H.admissible_degrees(p):
+                full = H._scan_task_rows((p, n, None))
+                assert len(full) == (p - 1) * (p - 2)
+                assert H._scan_task_rows((p, n, sample)) == full[::stride]
 
 
 def test_scan_parallel_matches_serial():
@@ -201,7 +218,8 @@ def test_prop41_sweep_small():
 
 def prop41_sweep_per_point(p_max):
     """Reference for `prop41_sweep`: every point (a, b) decided on its own,
-    from the chord raster and the per-curve class pass."""
+    from the chord raster and the per-curve class pass; the ChordSweep
+    fields by name."""
     checked = holds = 0
     violations, diag_viol, decomp_bad, refined_bad = [], [], [], []
     for p in H.primes_up_to(p_max):
@@ -230,13 +248,77 @@ def prop41_sweep_per_point(p_max):
                         decomp_bad.append((p, n, a, b))
                     if lhs != cell.refined:
                         refined_bad.append((p, n, a, b))
-    return H.ChordSweep(checked, holds, violations, diag_viol, decomp_bad, refined_bad)
+    return {"points_checked": checked, "holds": holds, "violations": violations,
+            "diagonal_violations": diag_viol, "decomposition_failures": decomp_bad,
+            "refined_failures": refined_bad}
 
 
 def test_prop41_sweep_equals_per_point_reference_to_61():
     sweep = H.prop41_sweep(61)
-    assert sweep == prop41_sweep_per_point(61)
+    ref = prop41_sweep_per_point(61)
+    for name, value in ref.items():
+        assert getattr(sweep, name) == value, name
+    assert sweep.violation_count == len(ref["violations"])
+    assert sweep.first_violation == ref["violations"][0]
     assert sweep.points_checked == 78_156 and len(sweep.violations) == 15_891
+    # the records are expanded on demand, from the failing cells alone
+    fresh = H.prop41_sweep(61)
+    assert fresh.first_violation == ref["violations"][0]
+    assert "violations" not in vars(fresh)
+
+
+def test_prop41_sweep_decides_cells_by_the_documented_formulas(monkeypatch):
+    """On random columns hist, D and col, which no curve has, every point
+    (a, b) gets the verdicts of the formulas at its orbit cell c = b*s,
+    a = r_i*s: lhs = 2n^2*col, restricted = n^2*hist - n*D and refined =
+    n^2*(hist - D).  Here cells with D != 0 and hist = 2*col occur, and the
+    decomposition fails."""
+    rng = random.Random(9)
+    drawn = []  # [p, n, orbits, chord columns] as the sweep saw them, in its order
+    real_orbits = H.orbit_counts
+
+    def orbit_counts(ctx, n):
+        orbits = real_orbits(ctx, n)
+        rows = [OrbitRow([rng.randrange(4) for _ in range(ctx.p)],
+                         [rng.randrange(3) for _ in range(ctx.p)]) for _ in orbits.rows]
+        drawn.append([ctx.p, n, orbits._replace(rows=rows), None])
+        return drawn[-1][2]
+
+    def chord_columns(poly, xs):  # called right after orbit_counts, for the same (p, n)
+        drawn[-1][3] = [[rng.randrange(3) for _ in range(poly.p)] for _ in xs]
+        return drawn[-1][3]
+
+    monkeypatch.setattr(H, "orbit_counts", orbit_counts)
+    monkeypatch.setattr(H.C, "chord_columns", chord_columns)
+    sweep = H.prop41_sweep(23)
+    checked = holds = tangent_only = 0
+    violations, decomp_bad, refined_bad = [], [], []
+    for p, n, orbits, cols in drawn:
+        for a in range(1, p):
+            i, s = orbits.coset[a]
+            for b in range(1, p):
+                if a * b % p == 1:
+                    continue
+                c = b * s % p
+                h, d, x = orbits.rows[i].hist[c], orbits.rows[i].D[c], cols[i][c]
+                lhs, restricted = 2 * n * n * x, n * n * h - n * d
+                checked += 1
+                tangent_only += d != 0 and h == 2 * x
+                if lhs == restricted:
+                    holds += 1
+                else:
+                    violations.append((p, n, a, b, lhs, restricted, d))
+                if restricted != lhs + (n * n - n) * d:
+                    decomp_bad.append((p, n, a, b))
+                if lhs != n * n * (h - d):
+                    refined_bad.append((p, n, a, b))
+    assert (sweep.points_checked, sweep.holds) == (checked, holds)
+    assert sweep.violations == violations and sweep.violation_count == len(violations)
+    assert sweep.first_violation == violations[0]
+    assert sweep.diagonal_violations == [v for v in violations if v[2] == v[3]]
+    assert sweep.decomposition_failures == decomp_bad
+    assert sweep.refined_failures == refined_bad
+    assert tangent_only and decomp_bad
 
 
 def test_verify_suite_dispatch():

@@ -2,18 +2,19 @@
 
 `orbit_counts` counts one curve (r, c) per coset representative r of
 mu_k = (F_p^*)^n and per c, from pair histograms, and every (a, b) reads the
-columns of its row at c = b*s with a = r*s.  These tests pin the columns to
-`count_points_fast` and to the per-curve class pass `curve_cell` at every
-(a, b) for p <= 61, and check the invariance it rests on with the brute double
-loop `count_points` and the chord count `chords_through`.
+columns hist and D of its row at c = b*s with a = r*s.  These tests pin the
+counts the documented formulas give from those columns to `count_points_fast`
+and to the per-curve class pass `curve_cell` at every (a, b) for p <= 61, and
+check the invariance it rests on with the brute double loop `count_points`
+and the chord count `chords_through`.
 """
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gfcurves.chords import build_polygon, chords_through
-from gfcurves.curve import (CurveCell, count_points, count_points_fast, curve_cell, make_curve,
-                            orbit_counts)
+from gfcurves.curve import (CurveCell, class_tables, count_points, count_points_fast, curve_cell,
+                            make_curve, orbit_counts)
 from gfcurves.ffield import make_field
 from gfcurves.harness import admissible_degrees, primes_up_to
 
@@ -24,8 +25,9 @@ def test_orbit_rows_equal_per_curve_counts_to_61():
         ctx = make_field(p)
         for n in admissible_degrees(p):
             orbits = orbit_counts(ctx, n)
+            rc = class_tables(ctx, n).root_count
             mu_k = {pow(x, n, p) for x in range(1, p)}
-            assert all(len(col) == p for row in orbits.rows for col in row)
+            assert all(len(row.hist) == len(row.D) == p for row in orbits.rows)
             for a in range(1, p):
                 i, s = orbits.coset[a]
                 assert s in mu_k
@@ -33,7 +35,10 @@ def test_orbit_rows_equal_per_curve_counts_to_61():
                 for b in range(1, p):
                     if a * b % p == 1:
                         continue
-                    cell = CurveCell(*(col[b * s % p] for col in row))
+                    c = b * s % p
+                    h, tang = row.hist[c], row.D[c]
+                    cell = CurveCell(n * n * h + 2 * rc[c], n * n * h - n * tang, tang,
+                                     n * n * (h - tang))
                     rep = count_points_fast(make_curve(ctx, n, a, b))
                     d, rem = divmod(rep.off_axes - rep.off_axes_off_diag, n)
                     assert rem == 0
