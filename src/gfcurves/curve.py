@@ -9,17 +9,19 @@ Two counting routes are provided.  `count_points` is the plain exhaustive
 double loop over F_q x F_q.  `count_points_fast` collapses the loop over the
 n-th power classes: writing u = x^n, the equation becomes
 y^n = (u - b)/(a*u - 1), so each of the (q-1)/n nonzero classes contributes
-n * #roots.  Both are exact; the test suite pins them equal.  Every
-per-curve consumer (`count_points_fast`, the point enumeration behind
-`smoothness_scan`) reads the one class walk `_classes`.  The bulk sweeps use
-`orbit_counts`, which counts one curve per torus orbit of (a, b) from pair
-histograms over mu_k and is pinned to `count_points_fast` in the tests.
+n * #roots.  Both are exact; the test suite pins them equal.  The per-curve
+counts (`count_points_fast`, `curve_cell`) and the point enumeration behind
+`smoothness_scan` read the one class walk `_class_logs`.  The bulk sweeps
+use `orbit_counts`, which counts one curve per torus orbit of (a, b) from
+pair histograms over mu_k and is pinned to `count_points_fast` in the tests.
 
-The class tables of F_p are views of one index table per prime, built by a
-single walk over the powers of the smallest primitive root: each degree n
-reads its n-th powers, root counts, roots and inverses from it in O(k log k)
-beyond one O(p) list.  Over F_{p^m} the tables are built by enumerating the
-field.  No table is built for q above `MAX_TABLE_Q` (`FieldTooLarge`).
+Every field F_q has one index table, from a single walk over the powers of
+its smallest primitive element g: exp and log on encodings, and the Zech
+logarithm zech[i] = log(g^i + 1).  The class walk reads log(a*u - 1) and
+log(u - b) off zech, and c_u is an n-th power exactly when n | log c_u, so
+it needs no inversion and no per-(q, n) table.  The class tables of one
+degree n (root counts, n-th powers, roots, inverses) are O(q) views of the
+same index.  No table is built for q above `MAX_TABLE_Q` (`FieldTooLarge`).
 """
 
 from __future__ import annotations
@@ -116,77 +118,81 @@ def check_table_size(q: int) -> None:
 
 @functools.cache
 def _index(ctx: FieldCtx) -> tuple[list, list, list]:
-    """(exp, log, inv) of F_p from one walk over the powers of the smallest
-    primitive root g: exp[i] = g^i for i < p-1, exp[log[x]] = x for x != 0,
-    and inv[x] = 1/x = exp[-log[x]] with inv[0] = 0.  Cached per field."""
-    p = ctx.p
-    g = subgroup_generator(ctx, p - 1)
-    exp, log = [1] * (p - 1), [0] * p
-    x = 1
-    for i in range(1, p - 1):
-        x = x * g % p
-        exp[i] = x
-        log[x] = i
-    inv = [exp[-i] for i in log]
-    inv[0] = 0
-    return exp, log, inv
+    """(exp, log, zech) of F_q from one walk over the powers of its smallest
+    primitive element g: exp[i] = enc(g^i) for i < q-1, log[enc(g^i)] = i
+    (log[0] = -1) and the Zech logarithm zech[i] = log[enc(g^i + 1)] (-1 where
+    g^i = -1), stored for i < 2(q-1) so that every window of one period is a
+    slice.  Cached per field."""
+    check_table_size(ctx.q)
+    q, p = ctx.q, ctx.p
+    g = subgroup_generator(ctx, q - 1)
+    exp, log = [0] * (q - 1), [-1] * q
+    x = ctx.one
+    if ctx.m == 1:
+        for i in range(q - 1):
+            exp[i] = x
+            log[x] = i
+            x = x * g % p
+    else:
+        for i in range(q - 1):
+            e = exp[i] = ctx.encode(x)
+            log[e] = i
+            x = ctx.mul(x, g)
+    # enc(x + 1) is e + 1, or e + 1 - p when the constant digit of e is p - 1
+    succ = log[1:] + log[:1]
+    succ[p - 1::p] = log[::p]
+    return exp, log, list(map(succ.__getitem__, exp)) * 2
 
 
 class _ClassTables(NamedTuple):
-    root_count: object    # v -> #{x : x^n = v}   (every element is a key)
-    nonzero_powers: list  # distinct nonzero n-th powers, canonical order
+    root_count: list      # enc v -> #{x : x^n = v}
+    nonzero_powers: list  # encodings of the distinct nonzero n-th powers, ascending
     roots: object         # v -> list of x with x^n = v, canonical order
-    inv: object           # multiplicative inverse table (m=1 only)
+    inv: list             # enc x -> enc(1/x), enc 0 -> 0
 
 
 _TABLES_CACHE: dict = {}
 
 
 def class_tables(ctx: FieldCtx, n: int) -> _ClassTables:
+    """The class tables of degree n read from the index of F_q: v != 0 is an
+    n-th power (one of exp[0::n]) when n | log v, with the n roots
+    exp[log v / n + j*k], j < n, and 1/v = exp[-log v].  Cached per (field, n)."""
     key = (ctx, n)
     hit = _TABLES_CACHE.get(key)
     if hit is not None:
         return hit
-    check_table_size(ctx.q)
-    if ctx.m == 1:
-        tables = _prime_tables(ctx, n)
-    else:
-        els = list(ctx.elements())
-        root_count, preimages = dict.fromkeys(els, 0), {x: [] for x in els}
-        for x in els:
-            v = ctx.pow(x, n)
-            root_count[v] += 1
-            preimages[v].append(x)
-        nonzero = [v for v in els[1:] if root_count[v]]
-        tables = _ClassTables(root_count, nonzero, preimages.__getitem__, None)
-    _TABLES_CACHE[key] = tables
+    exp, log, _ = _index(ctx)
+    k = (ctx.q - 1) // n
+    root_count = [0 if i % n else n for i in log]
+    inv = [exp[-i] for i in log]
+    root_count[0], inv[0] = 1, 0
+
+    def roots(v) -> list:
+        e = ctx.encode(v)
+        if e == 0:
+            return [ctx.zero]
+        i, r = divmod(log[e], n)
+        return [] if r else [ctx.from_encoding(x) for x in sorted(exp[i::k])]
+
+    tables = _TABLES_CACHE[key] = _ClassTables(root_count, sorted(exp[::n]), roots, inv)
     return tables
 
 
-def _prime_tables(ctx: FieldCtx, n: int) -> _ClassTables:
-    """The class tables of F_p read from its index: the nonzero n-th powers
-    are exp[0::n], and v != 0 has the n roots exp[log v / n + j*k], j < n,
-    when n | log v (none otherwise)."""
-    p = ctx.p
-    exp, log, inv = _index(ctx)
-    k = (p - 1) // n
-    nonzero = sorted(exp[::n])
-    root_count = [0] * p
-    root_count[0] = 1
-    for v in nonzero:
-        root_count[v] = n
-
-    def roots(v: int) -> list:
-        if v == 0:
-            return [0]
-        i, r = divmod(log[v], n)
-        return [] if r else sorted(exp[i::k])
-
-    return _ClassTables(root_count, nonzero, roots, inv)
+def _class_logs(ctx: FieldCtx, n: int, a: int, b: int):
+    """(lu, w, v) over the nonzero n-th powers u = g^lu, for the encodings a
+    and b.  With h = log(-1), log(a*u - 1) = h + w for w = zech[log a + lu - h]
+    (w = -1: a*u = 1) and log(u - b) = log(-b) + v for v = zech[lu - log(-b)]
+    (v = -1: u = b), so c_u = (u - b)/(a*u - 1) has log c_u = log b + v - w."""
+    _, log, zech = _index(ctx)
+    order = ctx.q - 1
+    h = order // 2 if ctx.p > 2 else 0
+    sa, sb = (log[a] - h) % order, (-log[b] - h) % order
+    return zip(range(0, order, n), zech[sa:sa + order:n], zech[sb:sb + order:n])
 
 
 # ---------------------------------------------------------------------------
-# counts on the torus orbits of (a, b), prime fields only
+# counts on the torus orbits of (a, b)
 #
 # (x, y) -> (t*x, t*y) maps the curve (a, b) onto the curve (t^n*a, b/t^n) and
 # keeps the axes, X = Y and the vertex tangents in place, so every count below
@@ -214,29 +220,25 @@ class OrbitCounts(NamedTuple):
     rows: list   # rows[i]: OrbitRow of the curves (r_i, c)
 
 
-def _inverted_classes(p: int, t: _ClassTables, a: int) -> list:
-    """(u, 1/(a*u - 1)) over the nonzero n-th powers u with a*u != 1."""
-    inv = t.inv
-    return [(u, inv[d]) for u in t.nonzero_powers if (d := (a * u - 1) % p)]
-
-
 def curve_cell(ctx: FieldCtx, n: int, a: int, b: int) -> CurveCell:
-    """The orbit counts of one curve (a, b), a*b != 1, over F_p, by one pass
-    over its classes: each u contributes n * rc[c_u] points with x^n = u,
-    c_u = (u - b)/(a*u - 1), and c_u = u exactly when a*u^2 - 2u + b = 0."""
-    p = ctx.p
-    t = class_tables(ctx, n)
-    rc = t.root_count
+    """The orbit counts of one curve (a, b), a*b != 1, given by encodings, by
+    one pass over its classes: each u contributes n * rc[c_u] points with
+    x^n = u, c_u = (u - b)/(a*u - 1), where rc[0] = 1 and rc[c] = n when
+    n | log c (0 otherwise); c_u = u exactly when a*u^2 - 2u + b = 0."""
+    log, order = _index(ctx)[1], ctx.q - 1
     total = diag = refined = 0
-    for u, iv in _inverted_classes(p, t, a):
-        c = (u - b) * iv % p
-        m = rc[c]
-        total += m
-        if c == u:
-            diag += 1
-        elif c:
-            refined += m
-    n1 = rc[b]
+    for lu, w, v in _class_logs(ctx, n, a, b):
+        if w < 0:
+            continue
+        if v < 0:
+            total += 1
+        elif (lc := log[b] + v - w) % n == 0:
+            total += n
+            if (lc - lu) % order == 0:
+                diag += 1
+            else:
+                refined += n
+    n1 = n if log[b] % n == 0 else 0  # the x = 0 row has y^n = b
     affine = n1 + n * total
     return CurveCell(affine, affine - 2 * n1 - n * diag, diag, n * refined)
 
@@ -311,36 +313,21 @@ def count_points(curve: CurveParams) -> CountReport:
                         if x != y:
                             off_diag += 1
     rc = class_tables(ctx, n).root_count
-    n1, n2 = rc[curve.b], rc[ctx.inv(curve.a)]
+    n1, n2 = rc[ctx.encode(curve.b)], rc[ctx.encode(ctx.inv(curve.a))]
     return CountReport(affine, off_axes, off_diag, n1, n2, 2 * n2, affine + 2 * n2)
 
 
-def _classes(curve: CurveParams, t: _ClassTables) -> list:
-    """(u, c_u), c_u = (u - b)/(a*u - 1), over the nonzero n-th powers u with
-    a*u != 1: the points with x^n = u are those with y^n = c_u."""
-    ctx, a, b = curve.ctx, curve.a, curve.b
-    if ctx.m == 1:
-        p = ctx.p
-        return [(u, (u - b) * iv % p) for u, iv in _inverted_classes(p, t, a)]
-    return [(u, ctx.div(ctx.sub(u, b), d)) for u in t.nonzero_powers
-            if (d := ctx.sub(ctx.mul(a, u), ctx.one)) != ctx.zero]
-
-
 def count_points_fast(curve: CurveParams) -> CountReport:
-    """Single pass over the n-th power classes; exact, O(q/n) per curve.  The
-    diagonal x = y meets the class u exactly when c_u = u, i.e. when
-    a*u^2 - 2u + b = 0."""
+    """Single pass over the n-th power classes (`curve_cell`); exact, O(q/n)
+    per curve.  y^n = b has n1 = n roots when n | log b, and 1/a is an n-th
+    power (n2 = n) when n | log a."""
     ctx, n = curve.ctx, curve.n
-    t = class_tables(ctx, n)
-    rc = t.root_count
-    n1, n2 = rc[curve.b], rc[ctx.inv(curve.a)]
-    total, diag = n1, 0  # x = 0 row: y^n = b
-    for u, c in _classes(curve, t):
-        total += n * rc[c]
-        diag += c == u
-    off_axes = total - 2 * n1
-    off_diag = off_axes - n * diag
-    return CountReport(total, off_axes, off_diag, n1, n2, 2 * n2, total + 2 * n2)
+    a, b = ctx.encode(curve.a), ctx.encode(curve.b)
+    log = _index(ctx)[1]
+    n1, n2 = (n if log[b] % n == 0 else 0), (n if log[a] % n == 0 else 0)
+    cell = curve_cell(ctx, n, a, b)
+    total = cell.affine_total
+    return CountReport(total, total - 2 * n1, cell.restricted, n1, n2, 2 * n2, total + 2 * n2)
 
 
 def special_points(curve: CurveParams) -> list[SpecialPoint]:
@@ -398,12 +385,20 @@ def smoothness_scan(curve: CurveParams) -> SmoothnessReport:
 
 
 def _affine_points(curve: CurveParams, t: _ClassTables):
-    """Enumerate all affine rational points via the class tables."""
-    roots = t.roots
-    for y in roots(curve.b):
-        yield curve.ctx.zero, y
-    for u, c in _classes(curve, t):
-        ys = roots(c)
-        for x in roots(u):
+    """Enumerate all affine rational points: y^n = b on x = 0, and on
+    x^n = u = g^lu the points with y^n = c_u, read off the class walk: the
+    n roots of g^(n*i) are exp[i + j*k], j < n."""
+    ctx, n = curve.ctx, curve.n
+    exp, log, _ = _index(ctx)
+    order, el = ctx.q - 1, ctx.from_encoding
+    k, b = order // n, ctx.encode(curve.b)
+    for y in t.roots(curve.b):
+        yield ctx.zero, y
+    for lu, w, v in _class_logs(ctx, n, ctx.encode(curve.a), b):
+        lc = (log[b] + v - w) % order
+        if w < 0 or (v >= 0 and lc % n):
+            continue
+        ys = [ctx.zero] if v < 0 else [el(y) for y in exp[lc // n::k]]
+        for x in exp[lu // n::k]:
             for y in ys:
-                yield x, y
+                yield el(x), y

@@ -14,6 +14,9 @@ output is therefore reproducible byte for byte.
 
 from __future__ import annotations
 
+import functools
+import math
+
 from .errors import (
     CompositeCharacteristic,
     IncompatibleOrder,
@@ -409,17 +412,30 @@ def nth_roots(ctx: FieldCtx, c, n: int) -> list:
     return [x for x in ctx.elements() if ctx.pow(x, n) == c]
 
 
+@functools.cache
+def _primitive_element(ctx: FieldCtx):
+    """The smallest element (canonical order) of order q-1.  Cached per field."""
+    radicals = prime_factors(ctx.q - 1)
+    return next(x for x in ctx.nonzero_elements()
+                if all(ctx.pow(x, (ctx.q - 1) // r) != ctx.one for r in radicals))
+
+
 def subgroup_generator(ctx: FieldCtx, k: int):
-    """The smallest element (canonical order) of multiplicative order k."""
-    if k < 1 or (ctx.q - 1) % k:
-        raise IncompatibleOrder(f"{k} does not divide q-1 = {ctx.q - 1}")
-    radicals = prime_factors(k)
-    for x in ctx.nonzero_elements():
-        if ctx.pow(x, k) != ctx.one:
-            continue
-        if all(ctx.pow(x, k // r) != ctx.one for r in radicals):
-            return x
-    raise AssertionError("cyclic group must contain an element of each divisor order")
+    """The smallest element (canonical order) of multiplicative order k: the
+    least h^j, gcd(j, k) = 1, for h = g^((q-1)/k) and the primitive element
+    g, in O(k) beyond the cached g."""
+    q = ctx.q
+    if k < 1 or (q - 1) % k:
+        raise IncompatibleOrder(f"{k} does not divide q-1 = {q - 1}")
+    g = _primitive_element(ctx)
+    if k == q - 1:
+        return g
+    h, x, gens = ctx.pow(g, (q - 1) // k), ctx.one, []
+    for j in range(1, k + 1):
+        x = ctx.mul(x, h)
+        if math.gcd(j, k) == 1:
+            gens.append(x)
+    return min(gens, key=ctx.encode)
 
 
 # ---------------------------------------------------------------------------

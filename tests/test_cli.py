@@ -288,6 +288,19 @@ def test_one_parser_serves_calls_in_a_row(capsys):
     assert cli._build_parser() is cli._build_parser()
 
 
+def test_runtime_loads_only_the_standard_library():
+    # "no runtime dependencies": importing the package and its CLI loads no
+    # top-level module from outside the standard library
+    code = ("import sys; before = set(sys.modules); import gfcurves, gfcurves.cli; "
+            "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    loaded = set(done.stdout.split())
+    assert "gfcurves" in loaded
+    assert loaded - set(sys.stdlib_module_names) - {"gfcurves"} == set()
+
+
 # -- the class-table size guard ---------------------------------------------------
 
 FIRST_PRIME_ABOVE_LIMIT = 4194319

@@ -2,6 +2,8 @@ import functools
 import json
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from gfcurves import curve as C
 from gfcurves.curve import (
@@ -16,9 +18,9 @@ from gfcurves.curve import (
     special_points,
 )
 from gfcurves.errors import DegenerateParams, DegreeTooSmall, IncompatibleOrder
-from gfcurves.ffield import make_field
+from gfcurves.ffield import make_field, subgroup_generator
 from gfcurves.harness import admissible_degrees, primes_up_to
-from test_ffield import inverse_recurrence
+from test_ffield import inverse_recurrence, prime_powers
 
 
 def brute_report(p, n, a, b):
@@ -283,20 +285,102 @@ def test_index_tables_equal_enumeration_on_pool_primes(p):
         _assert_tables_equal_enumeration(p, n)
 
 
+def _enumerated_extension_tables(ctx, n):
+    """Oracle: the class tables of F_{p^m} built by enumerating the field, the
+    way they were built before the index table: x^n by repeated squaring for
+    every x, then root counts and preimage lists keyed by element."""
+    els = list(ctx.elements())
+    root_count, preimages = dict.fromkeys(els, 0), {x: [] for x in els}
+    for x in els:
+        v = ctx.pow(x, n)
+        root_count[v] += 1
+        preimages[v].append(x)
+    nonzero = [v for v in els[1:] if root_count[v]]
+    return els, root_count, nonzero, preimages
+
+
+def test_extension_tables_equal_enumeration_to_400():
+    fields = [(p, m) for p, m, _ in prime_powers(400) if m > 1]
+    assert (2, 8) in fields and (3, 5) in fields and (7, 3) in fields
+    for p, m in fields:
+        ctx = make_field(p, m)
+        for n in range(2, ctx.q):
+            if (ctx.q - 1) % n:
+                continue
+            t = class_tables(ctx, n)
+            els, root_count, nonzero, preimages = _enumerated_extension_tables(ctx, n)
+            assert t.root_count == [root_count[x] for x in els]  # by encoding
+            assert t.nonzero_powers == [ctx.encode(v) for v in nonzero]
+            assert [t.roots(x) for x in els] == [preimages[x] for x in els]
+            assert t.inv == [0] + [ctx.encode(ctx.inv(x)) for x in els[1:]]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from([(p, m) for p, m, _ in prime_powers(400)]))
+@example((2, 1))
+@example((2, 6))
+@example((3, 4))
+@example((5, 3))
+def test_index_and_zech_tables_match_field_arithmetic(field):
+    ctx = make_field(*field)
+    q, one = ctx.q, ctx.one
+    exp, log, zech = C._index(ctx)
+    assert sorted(exp) == list(range(1, q)) and log[0] == -1
+    g, x = subgroup_generator(ctx, q - 1), one
+    for i, e in enumerate(exp):
+        assert e == ctx.encode(x) and log[e] == i
+        assert zech[i] == log[ctx.encode(ctx.add(x, one))]
+        x = ctx.mul(x, g)
+    # g^i + 1 = 0 only at g^i = -1: i = (q-1)/2 for odd q, i = 0 for even q
+    assert [i for i, z in enumerate(zech[:q - 1]) if z == -1] == [(q - 1) // 2 if q % 2 else 0]
+    assert zech[q - 1:] == zech[:q - 1]  # the second period
+
+
+# the prime fields to 61 and every F_{p^m}, m > 1, with q <= 343
+COUNT_FIELDS = ([(p, 1) for p in primes_up_to(61)]
+                + [(p, m) for p, m, _ in prime_powers(343) if m > 1])
+
+
+@st.composite
+def field_curves(draw):
+    """(p, m, n, a, b) by encodings, with n | q - 1, n >= 2 and a*b != 1."""
+    p, m = draw(st.sampled_from([f for f in COUNT_FIELDS if f != (2, 1)]))
+    q = p**m
+    n = draw(st.sampled_from([d for d in range(2, q) if (q - 1) % d == 0]))
+    return p, m, n, draw(st.integers(1, q - 1)), draw(st.integers(1, q - 1))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(field_curves())
+@example((2, 4, 3, 2, 7))
+@example((2, 5, 31, 5, 20))
+@example((3, 4, 5, 4, 70))
+@example((3, 2, 2, 5, 3))
+def test_count_points_fast_equals_double_loop(case):
+    p, m, n, ea, eb = case
+    ctx = make_field(p, m)
+    a, b = ctx.from_encoding(ea), ctx.from_encoding(eb)
+    assume(ctx.mul(a, b) != ctx.one)
+    curve = make_curve(ctx, n, a, b)
+    assert count_points_fast(curve) == count_points(curve)
+
+
 def test_index_walk_runs_once_per_prime(monkeypatch):
     walks, uncached = [], C._index.__wrapped__
 
     def walk(ctx):
-        walks.append(ctx.p)
+        walks.append(ctx.q)
         return uncached(ctx)
 
     monkeypatch.setattr(C, "_index", functools.cache(walk))
     monkeypatch.setattr(C, "_TABLES_CACHE", {})
-    ctx = make_field(2833)
+    ctx, ext = make_field(2833), make_field(7, 3)
     for n in (2, 12, 24):
         count_points_fast(make_curve(ctx, n, 2, 3))
-    assert walks == [2833]
-    assert sorted(n for _, n in C._TABLES_CACHE) == [2, 12, 24]
+    for n in (2, 9, 19):  # divisors of 342
+        count_points_fast(make_curve(ext, n, 2, ext.element([1, 1])))
+    assert walks == [2833, 343]
+    assert C._TABLES_CACHE == {}  # the counts read logarithms, no (q, n) class table
 
 
 # -- smoothness -------------------------------------------------------------------

@@ -171,13 +171,12 @@ def test_inverse_fermat_vs_euclid_agree():
         for a in ctx.nonzero_elements():
             assert ctx.inv(a) == ctx.pow(a, ctx.q - 2)
     # m = 1 uses Fermat; compare against the batch Euclid-style recurrence
-    # and against the inverse list of the discrete-log index table
+    # and against the inverse read off the discrete-log index, exp[-log a]
     for p in (13, 31):
         ctx = make_field(p)
-        table, index_inv = inverse_recurrence(p), _index(ctx)[2]
-        assert index_inv[0] == 0
+        table, (exp, log, _) = inverse_recurrence(p), _index(ctx)
         for a in range(1, p):
-            assert ctx.inv(a) == table[a] == index_inv[a]
+            assert ctx.inv(a) == table[a] == exp[-log[a]]
 
 
 def test_element_encoding_roundtrip():
@@ -270,6 +269,26 @@ def test_subgroup_generator_order_property():
             for d in range(1, k):
                 if k % d == 0:
                     assert ctx.pow(g, d) != ctx.one
+
+
+def scanned_subgroup_generator(ctx, k):
+    """Oracle: the smallest element of order k by scanning the field in
+    canonical order, the route subgroup_generator took before it read the
+    powers of a primitive element."""
+    radicals = ffield.prime_factors(k)
+    for x in ctx.nonzero_elements():
+        if ctx.pow(x, k) == ctx.one and all(ctx.pow(x, k // r) != ctx.one for r in radicals):
+            return x
+
+
+def test_subgroup_generator_equals_scan_to_400():
+    fields = prime_powers(400)
+    assert (2, 8, 256) in fields and (3, 5, 243) in fields and (19, 2, 361) in fields
+    for p, m, q in fields:
+        ctx = make_field(p, m)
+        for k in range(1, q):
+            if (q - 1) % k == 0:
+                assert subgroup_generator(ctx, k) == scanned_subgroup_generator(ctx, k)
 
 
 # -- splitting fields --------------------------------------------------------

@@ -4,8 +4,9 @@
 mu_k = (F_p^*)^n and per c, from pair histograms, and every (a, b) reads the
 columns hist and D of its row at c = b*s with a = r*s.  These tests pin the
 counts the documented formulas give from those columns to `count_points_fast`
-and to the per-curve class pass `curve_cell` at every (a, b) for p <= 61, and
-check the invariance it rests on with the brute double loop `count_points`
+and to the per-curve class pass `curve_cell` at every (a, b) for p <= 61, pin
+`curve_cell` to the inverse-table pass that it replaced, and check the
+invariance it rests on with the brute double loop `count_points`
 and the chord count `chords_through`.
 """
 
@@ -17,6 +18,7 @@ from gfcurves.curve import (CurveCell, class_tables, count_points, count_points_
                             make_curve, orbit_counts)
 from gfcurves.ffield import make_field
 from gfcurves.harness import admissible_degrees, primes_up_to
+from test_ffield import inverse_recurrence
 
 
 def test_orbit_rows_equal_per_curve_counts_to_61():
@@ -52,6 +54,43 @@ def test_orbit_rows_equal_per_curve_counts_to_61():
                     curves += 1
     assert curves == sum((p - 1) * (p - 2) * len(admissible_degrees(p))
                          for p in primes_up_to(61))
+
+
+def inverse_table_cells(p, n):
+    """Oracle: the per-curve class pass over F_p as it ran before the Zech
+    logarithms, from an inverse table and enumerated root counts: each u in
+    mu_k with a*u != 1 has c_u = (u - b) * inv[a*u - 1]."""
+    inv = inverse_recurrence(p)
+    rc = [0] * p
+    for x in range(p):
+        rc[pow(x, n, p)] += 1
+    mu_k = [v for v in range(1, p) if rc[v]]
+
+    def cell(a, b):
+        total = diag = refined = 0
+        for u in mu_k:
+            if d := (a * u - 1) % p:
+                c = (u - b) * inv[d] % p
+                total += rc[c]
+                if c == u:
+                    diag += 1
+                elif c:
+                    refined += rc[c]
+        affine = rc[b] + n * total
+        return CurveCell(affine, affine - 2 * rc[b] - n * diag, diag, n * refined)
+
+    return cell
+
+
+def test_curve_cell_equals_inverse_table_pass_to_61():
+    for p in primes_up_to(61):
+        ctx = make_field(p)
+        for n in admissible_degrees(p):
+            oracle = inverse_table_cells(p, n)
+            for a in range(1, p):
+                for b in range(1, p):
+                    if a * b % p != 1:
+                        assert curve_cell(ctx, n, a, b) == oracle(a, b)
 
 
 @st.composite
