@@ -359,7 +359,10 @@ def verify_lemmas(u_grid: int = 10_000, t0_max: int = 60,
 def verify_orders(p_max: int = 100, n_values=(3, 4, 5, 6, 7),
                   per_class: int = 2) -> list[Check]:
     """Pivot-computed order sequences against the closed forms, plus the
-    tangent-contact inventory, on the full admissible grid."""
+    tangent-contact inventory, on the full admissible grid.  The contact
+    orders are n * min{m >= 1 : f_m != 0} on the binomial series F_1 of the
+    branch, so the inventory confirms that f_1 = (beta - alpha)/n is nonzero;
+    the tests pin that route to the Newton lift on the splitting field."""
     out = []
     seq_bad, mult_bad, cases = [], [], 0
     for p in primes_up_to(p_max):

@@ -6,20 +6,30 @@ over the singular point at infinity P1 with tangent direction c is
 parametrized by t = 1/x, solving y^n * (a - t^n) = 1 - b t^n.  Both lifts
 are valid because the relevant partial derivative is a unit.
 
-Order sequences of the degree-s series are extracted as the pivot columns of
-the coefficient matrix of the shifted monomial expansions t^e * x^i * y^j:
-the set of columns where the rank grows equals the set of vanishing orders
-achievable by linear combinations.  When the required root (of T^n - b or
-T^n - 1/a) is irrational the computation runs over the smallest splitting
-extension; ranks are insensitive to base change, so the orders are the same.
+Both equations read U^n * (A0 + An t^n) = B0 + Bn t^n, so the branch is
+U = root * G(t^n)^(1/n) with G(s) = (1 + beta s)/(1 + alpha s), alpha =
+An/A0 and beta = Bn/B0, and every power U^i = root^i * G(t^n)^(i/n).  The
+series G^r solves a first-order linear ODE, whose coefficient recurrence
+gives it over the base field in O(L/n) operations (R. P. Stanley,
+Differentiably finite power series, 1980; R. P. Brent and H. T. Kung, Fast
+algorithms for manipulating formal power series, 1978).
+
+Order sequences of the degree-s series are the pivot columns of the
+coefficient matrix of the shifted monomial expansions t^e * x^i * y^j: the
+set of columns where the rank grows equals the set of vanishing orders
+achievable by linear combinations.  The factor root^i scales a whole row, so
+the pivots do not depend on the root and no root, rational or not, is ever
+built; and the row of x^i y^j lives on the columns of one residue mod n, one
+residue per j, so the matrix splits into s blocks of at most s rows.  The
+contact orders of the tangent lines come from the first nonzero coefficient
+of G^(1/n) past the constant.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
-from .curve import CurveParams, SpecialPoint, make_curve
+from .curve import CurveParams, SpecialPoint
 from .errors import (
     InvalidS,
     NotAnInflection,
@@ -27,7 +37,7 @@ from .errors import (
     PrecisionTooLow,
     SmallCharacteristic,
 )
-from .ffield import FieldCtx, nth_root_extension, subgroup_generator
+from .ffield import FieldCtx, nth_root_count
 
 
 # ---------------------------------------------------------------------------
@@ -264,19 +274,50 @@ def branch_residual(curve: CurveParams, series: TruncatedSeries) -> TruncatedSer
 
 
 # ---------------------------------------------------------------------------
-# splitting-field plumbing
+# the binomial series of the branch, over the base field
 
 
-@functools.lru_cache(maxsize=8)  # a curve's checks ask for its two sites again and again
-def _site(curve: CurveParams, kind: str):
-    """(curve', root) over the smallest field containing a root of T^n = b
-    at an inflection, of T^n = 1/a on the branches over P1."""
-    ctx, n = curve.ctx, curve.n
-    c = curve.b if kind == "inflection" else ctx.inv(curve.a)
-    ctx2, root = nth_root_extension(ctx, c, n)
-    if ctx2 is not ctx:
-        curve = make_curve(ctx2, n, ctx2.element(curve.a), ctx2.element(curve.b))
-    return curve, root
+def _root_powers(curve: CurveParams, kind: str, root, count: int, top: int) -> list[list]:
+    """[F_0, .., F_top], each to `count` terms, with U^i = root^i * F_i(t^n)
+    on the branch of `kind` for any root of T^n = B0/A0 (a given root must
+    be one).  F_i = G^r, r = i/n, solves (1 + alpha s)(1 + beta s) F' =
+    r (beta - alpha) F, so f_0 = 1 and (k + 1) f_(k+1) =
+    (r (beta - alpha) - (alpha + beta) k) f_k - alpha beta (k - 1) f_(k-1)."""
+    ctx, n, e = curve.ctx, curve.n, curve.ctx.element
+    A, B = _coefficients(curve, kind, n + 1)
+    if root is not None and ctx.mul(ctx.pow(root, n), A[0]) != B[0]:
+        error, message = _NOT_A_ROOT[kind]
+        raise error(message)
+    if root is None and ctx.m > 1 and not nth_root_count(ctx, ctx.mul(B[0], ctx.inv(A[0])), n):
+        # the orders exist over F_q all the same; this input stays unsupported
+        raise ValueError("splitting extensions only over prime base fields")
+    alpha, beta = ctx.mul(A[n], ctx.inv(A[0])), ctx.mul(B[n], ctx.inv(B[0]))
+    gap, trace, norm = ctx.sub(beta, alpha), ctx.add(alpha, beta), ctx.mul(alpha, beta)
+    inv_n, out = ctx.inv(e(n)), []
+    invs = [ctx.inv(e(k)) for k in range(1, count)]
+    for i in range(top + 1):
+        rgap = ctx.mul(ctx.mul(e(i), inv_n), gap)
+        prev, f = ctx.zero, [ctx.one]
+        for k in range(count - 1):
+            lead = ctx.mul(ctx.sub(rgap, ctx.mul(trace, e(k))), f[k])
+            step = ctx.sub(lead, ctx.mul(ctx.mul(norm, e(k - 1)), prev))
+            prev = f[k]
+            f.append(ctx.mul(step, invs[k]))
+        out.append(f)
+    return out
+
+
+def _contact_gap(curve: CurveParams, kind: str, root=None) -> int:
+    """v(U - root) on the branch of `kind`, for any root (a given one must
+    be a root): U - root = root * (F_1(t^n) - 1), so the valuation is
+    n * min{m >= 1 : f_m != 0}, read to the default precision n + 2 of the
+    expansions, which reaches m = 1."""
+    n = curve.n
+    f = _root_powers(curve, kind, root, -(-(n + 2) // n), 1)[1]
+    m = next((m for m in range(1, len(f)) if not curve.ctx.is_zero(f[m])), None)
+    if m is None:
+        raise PrecisionTooLow("the branch equals its tangent to full precision")
+    return n * m
 
 
 # ---------------------------------------------------------------------------
@@ -285,53 +326,22 @@ def _site(curve: CurveParams, kind: str):
 
 def inflection_contact_order(curve: CurveParams, xi=None) -> int:
     """v(x(t) - xi): the intersection multiplicity of the tangent X = xi."""
-    if xi is None:
-        curve, xi = _site(curve, "inflection")
-    s = expand_at_inflection(curve, xi)
-    shifted = s - TruncatedSeries.constant(curve.ctx, xi, s.prec)
-    v = shifted.valuation()
-    if v is None:
-        raise PrecisionTooLow("x(t) - xi vanished to full precision")
-    return v
+    return _contact_gap(curve, "inflection", xi)
 
 
 def branch_contact_order(curve: CurveParams, c=None) -> int:
     """v((y(t) - c) * t): multiplicity of the tangent Y = c on its branch,
     measured projectively (the extra t is the 1/x normalization)."""
-    if c is None:
-        curve, c = _site(curve, "infinite-branch")
-    s = expand_branch_at_infinity(curve, c)
-    shifted = (s - TruncatedSeries.constant(curve.ctx, c, s.prec)).shift(1)
-    v = shifted.valuation()
-    if v is None:
-        raise PrecisionTooLow("y(t) - c vanished to full precision")
-    return v
+    return _contact_gap(curve, "infinite-branch", c) + 1
 
 
 def tangent_line_branch_intersections(curve: CurveParams, c=None) -> list[int]:
     """Multiplicities of one tangent line Y = c against all n branches at P1.
 
-    With no c given the reference direction is the canonical root of
-    T^n = 1/a, over its splitting extension when irrational.  The n
-    directions differ by the rational n-th roots of unity."""
-    base_zeta = subgroup_generator(curve.ctx, curve.n)
-    if c is None:
-        work, c = _site(curve, "infinite-branch")
-    else:
-        work = curve
-    ctx = work.ctx
-    zeta = ctx.element(base_zeta) if ctx is not curve.ctx else base_zeta
-    out = []
-    direction = c
-    for _ in range(curve.n):
-        s = expand_branch_at_infinity(work, direction)
-        shifted = (s - TruncatedSeries.constant(ctx, c, s.prec)).shift(1)
-        v = shifted.valuation()
-        if v is None:
-            raise PrecisionTooLow("indistinguishable branches at this precision")
-        out.append(v)
-        direction = ctx.mul(direction, zeta)
-    return sorted(out)
+    The n directions differ by the rational n-th roots of unity, so the
+    other n - 1 branches leave the line at once (multiplicity 1) and its
+    own branch meets it to its contact order."""
+    return [1] * (curve.n - 1) + [branch_contact_order(curve, c)]
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +392,8 @@ def branch_top_order(n: int, s: int) -> int:
     return (s - 1) * (n + 1)
 
 
-def _pivot_columns(ctx: FieldCtx, rows: list[list], need: int) -> list[int] | None:
-    """Columns where the rank of the stacked rows increases; None if fewer
-    than `need` pivots exist at this precision."""
+def _pivot_columns(ctx: FieldCtx, rows: list[list]) -> list[int]:
+    """Columns where the rank of the stacked rows increases."""
     pivots: dict[int, list] = {}
     for row in rows:
         r = list(row)
@@ -398,17 +407,16 @@ def _pivot_columns(ctx: FieldCtx, rows: list[list], need: int) -> list[int] | No
             continue
         inv = ctx.inv(r[lead])
         pivots[lead] = [ctx.mul(inv, v) for v in r]
-    cols = sorted(pivots)
-    return cols if len(cols) >= need else None
+    return sorted(pivots)
 
 
 def order_sequence(curve: CurveParams, point, s: int) -> OrderSequence:
     """The degree-s order sequence at a special point, by rank pivots.
 
     `point` is either a SpecialPoint from curve.special_points or one of the
-    kind strings "inflection" / "infinite-branch"; with a kind string the
-    canonical point is used, moving to the splitting extension when the
-    required root is irrational.
+    kind strings "inflection" / "infinite-branch"; the orders do not depend
+    on the point of the kind, so with a kind string no root is needed, and
+    the series stay over the base field even when the root is irrational.
     """
     n = curve.n
     if not 2 <= s <= n - 1:
@@ -418,38 +426,34 @@ def order_sequence(curve: CurveParams, point, s: int) -> OrderSequence:
             f"p = {curve.p} <= s(n+1) = {s * (n + 1)}: outside the verified regime")
 
     if isinstance(point, SpecialPoint):
-        kind, work, site = point.kind, curve, point.tangent_value
+        kind, root = point.kind, point.tangent_value
     elif point in ("inflection", "infinite-branch"):
-        kind = point
-        work, site = _site(curve, kind)
+        kind, root = point, None
     else:
         raise ValueError(f"not a special-point handle: {point!r}")
 
     need = (s + 2) * (s + 1) // 2 - 2
     L = s * (n + 1) + 2
     for attempt in range(2):
-        cols = _order_pivots(work, kind, site, s, L, need)
-        if cols is not None:
+        cols = _order_pivots(curve, kind, root, s, L)
+        if len(cols) >= need:
             return OrderSequence(tuple(cols[:need]), s, kind)
         L *= 2
     raise PrecisionTooLow(f"fewer than {need} pivots found at precision {L // 2}")
 
 
-def _order_pivots(work: CurveParams, kind: str, site, s: int, L: int, need: int):
-    ctx = work.ctx
-    series = _expand(work, kind, site, L)
-    powers = [TruncatedSeries.constant(ctx, ctx.one, L)]
-    for _ in range(s - 1):
-        powers.append(powers[-1] * series)
-    # the monomials x^i y^j, i, j < s, i + j <= s: x = x(t), y = t at (xi, 0)
-    # gives powers[i].shift(j); x = 1/t, y = y(t) at P1 gives powers[j].shift(-i),
-    # and the index set is symmetric, so that is powers[i].shift(-j) over it
-    sign = 1 if kind == "inflection" else -1
-    rows_series = [powers[i].shift(sign * j)
-                   for i in range(s) for j in range(s) if i + j <= s]
-    e_q = -min(r.offset for r in rows_series)
-    shifted = [r.shift(e_q) for r in rows_series]
-    if min(r.prec for r in shifted) < L:
-        return None
-    matrix = [[r.coefficient(e) for e in range(L)] for r in shifted]
-    return _pivot_columns(ctx, matrix, need)
+def _order_pivots(curve: CurveParams, kind: str, root, s: int, L: int) -> list[int]:
+    """Pivot columns below L of the monomials x^i y^j, i, j < s, i + j <= s,
+    one block per j.  x = x(t), y = t at (xi, 0) puts x^i y^j = root^i *
+    F_i(t^n) * t^j on the columns n*m + j; x = 1/t, y = y(t) at P1, over the
+    symmetric index set, puts it on n*m - j, raised by s - 1 to start at 0.
+    The scale root^i leaves the pivots of a row alone, so it is dropped."""
+    ctx, n = curve.ctx, curve.n
+    powers = _root_powers(curve, kind, root, -(-L // n), s - 1)
+    cols = []
+    for j in range(s):
+        base = j if kind == "inflection" else s - 1 - j
+        width = -(-(L - base) // n)
+        block = [powers[i][:width] for i in range(min(s - 1, s - j) + 1)]
+        cols += [n * m + base for m in _pivot_columns(ctx, block)]
+    return sorted(cols)

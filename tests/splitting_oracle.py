@@ -1,0 +1,144 @@
+"""Splitting extensions and the full-matrix pivot route, kept as test oracles.
+
+The order sequences and contact orders are computed over the base field from
+the binomial series of the branch.  The route that preceded it lifted the
+branch by Newton doubling on the smallest extension holding a root of
+T^n - c and read the orders off the pivots of one dense coefficient matrix;
+it is kept here, unchanged, so that the tests can pin the new route to it.
+"""
+
+from __future__ import annotations
+
+from gfcurves.curve import CurveParams, make_curve
+from gfcurves.ffield import (
+    FieldCtx,
+    _check_root_query,
+    _digits,
+    _pdivmod,
+    _pgcd,
+    _poly_encoding,
+    _ppowmod,
+    _ptrim,
+    _zip_pad,
+    make_field,
+    nth_roots,
+)
+from gfcurves.localexp import TruncatedSeries, _expand, _pivot_columns
+
+# T^n - c with n | p-1 has all its roots proportional by rational n-th roots
+# of unity, so its irreducible factors over F_p share one degree d and a
+# single factor is enough to reach every root.
+
+
+def min_splitting_degree(ctx: FieldCtx, c, n: int) -> int:
+    """Smallest d with c an n-th power in F_{q^d} (equivalently: where
+    T^n - c has a root).  Always a divisor of n here since n | q-1."""
+    _check_root_query(ctx, c, n)
+    for d in range(1, n + 1):
+        if ctx.pow(c, (ctx.q**d - 1) // n) == ctx.one:
+            return d
+    raise AssertionError("splitting degree must divide n")
+
+
+def _factor_binomial(p: int, n: int, c0: int, d: int) -> list[list[int]]:
+    """All monic irreducible factors of T^n - c0 over F_p, sorted by
+    coefficient encoding.  Every factor has degree d (precomputed)."""
+    f = [(-c0) % p] + [0] * (n - 1) + [1]
+    if d == n:
+        return [f]
+    work, done = [f], []
+    # Deterministic equal-degree splitting: sweep candidate polynomials u in
+    # encoding order; u^((p^d-1)/2) mod h is +-1 on each irreducible factor h,
+    # and distinct factors disagree for some u of degree < n.
+    exponent = (p**d - 1) // 2
+    enc = p  # skip constants: they cannot separate factors
+    while work:
+        u = _ptrim(_digits(enc, p, n + 1))
+        enc += 1
+        if len(u) - 1 >= n:
+            raise AssertionError("equal-degree split failed to terminate")
+        next_work = []
+        for h in work:
+            g0 = _pgcd(u, h, p)
+            if 0 < len(g0) - 1 < len(h) - 1:
+                pieces = [g0, _pquo_exact(h, g0, p)]
+            else:
+                w = _ppowmod(u, exponent, h, p)
+                w1 = _ptrim([(a - b) % p for a, b in _zip_pad(w, [1])])
+                g = _pgcd(w1, h, p)
+                if 0 < len(g) - 1 < len(h) - 1:
+                    pieces = [g, _pquo_exact(h, g, p)]
+                else:
+                    next_work.append(h)
+                    continue
+            for piece in pieces:
+                (done if len(piece) - 1 == d else next_work).append(piece)
+        work = next_work
+    done.sort(key=lambda h: _poly_encoding(tuple(h[:-1]), p))
+    return done
+
+
+def _pquo_exact(f, g, p):
+    """Exact quotient f / g for monic g dividing f."""
+    quo, rem = _pdivmod(f, g, p)
+    if rem:
+        raise AssertionError("not an exact division")
+    return quo
+
+
+def nth_root_extension(ctx: FieldCtx, c, n: int):
+    """(ctx2, root) with root^n = c, over the smallest extension of ctx.
+
+    For d = 1 the context is returned unchanged with the smallest rational
+    root: over F_p it is read off the linear factors T - r of T^n - c, over
+    an extension base field the field is enumerated.  Otherwise (prime base
+    field only) the returned context is F_p[T]/(h) for the canonically
+    smallest irreducible factor h of T^n - c, and the root is the class of T.
+    """
+    d = min_splitting_degree(ctx, c, n)
+    if ctx.m != 1:
+        if d == 1:
+            return ctx, nth_roots(ctx, c, n)[0]
+        raise ValueError("splitting extensions only over prime base fields")
+    factors = _factor_binomial(ctx.p, n, c, d)
+    if d == 1:
+        return ctx, min(-h[0] % ctx.p for h in factors)
+    h = factors[0]
+    ctx2 = make_field(ctx.p, d, modulus=h)
+    root = ctx2.element([0, 1])
+    if ctx2.pow(root, n) != ctx2.element(c):
+        raise AssertionError("factor of T^n - c does not yield a root")
+    return ctx2, root
+
+
+def site(curve: CurveParams, kind: str):
+    """(curve', root) over the smallest field containing a root of T^n = b
+    at an inflection, of T^n = 1/a on the branches over P1."""
+    ctx, n = curve.ctx, curve.n
+    c = curve.b if kind == "inflection" else ctx.inv(curve.a)
+    ctx2, root = nth_root_extension(ctx, c, n)
+    if ctx2 is not ctx:
+        curve = make_curve(ctx2, n, ctx2.element(curve.a), ctx2.element(curve.b))
+    return curve, root
+
+
+def full_matrix_pivots(curve: CurveParams, kind: str, s: int, L: int) -> list[int]:
+    """Pivot columns of the dense matrix of the monomials x^i y^j (i, j < s,
+    i + j <= s), each expanded to L terms by the Newton lift at the
+    canonical site."""
+    work, root = site(curve, kind)
+    ctx = work.ctx
+    series = _expand(work, kind, root, L)
+    powers = [TruncatedSeries.constant(ctx, ctx.one, L)]
+    for _ in range(s - 1):
+        powers.append(powers[-1] * series)
+    # the monomials x^i y^j: x = x(t), y = t at (xi, 0) gives powers[i].shift(j);
+    # x = 1/t, y = y(t) at P1 gives powers[j].shift(-i), and the index set is
+    # symmetric, so that is powers[i].shift(-j) over it
+    sign = 1 if kind == "inflection" else -1
+    rows_series = [powers[i].shift(sign * j)
+                   for i in range(s) for j in range(s) if i + j <= s]
+    e_q = -min(r.offset for r in rows_series)
+    shifted = [r.shift(e_q) for r in rows_series]
+    assert min(r.prec for r in shifted) >= L
+    return _pivot_columns(ctx, [[r.coefficient(e) for e in range(L)] for r in shifted])

@@ -149,7 +149,7 @@ def test_order_sequences_match_closed_forms():
 def test_contact_multiplicities():
     """v(x(t) - xi) = n at inflections, v((y(t) - c) t) = n + 1 at branches,
     and each tangent line at infinity meets the n branches with total 2n,
-    on the same grid (splitting extensions used for irrational sites)."""
+    on the same grid (from the base field, irrational sites included)."""
     checks = {c.name: c for c in H.verify_orders(100)}
     c = checks["tangent-contact-multiplicities"]
     assert report("contact-multiplicities", c.ok, c.detail)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,12 +8,14 @@ import tracemalloc
 from time import perf_counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gfcurves import cli
+from gfcurves import cli, ffield
 from gfcurves.bounds import k_threshold
 from gfcurves.cli import main
 from gfcurves.curve import MAX_TABLE_Q
-from gfcurves.ffield import is_prime
+from gfcurves.ffield import is_prime, make_field, nth_root_count
 
 
 def run(capsys, argv):
@@ -96,14 +100,89 @@ def test_orders_small_characteristic_rejected(capsys):
 
 
 def test_orders_over_extension_base_field_exits_2(capsys):
-    # b is not a cube in F_121: the splitting tower would be built over
-    # F_{11^2}, which is unsupported input, not a verification verdict
+    # b is not a cube in F_121: an F_{p^m} base field with no root of T^n - b
+    # is unsupported input, not a verification verdict
     code, out, err = run(capsys, ["orders", "--p", "11", "--m", "2", "--n", "3",
                                   "--a", "1,1", "--b", "2,1", "--s", "2"])
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == "error: splitting extensions only over prime base fields\n"
+
+
+# every F_{p^m} with q <= 400, and composite "characteristics" to refuse
+PRIME_POWER_FIELDS = [(p, m) for p in range(2, 401) if is_prime(p)
+                      for m in range(1, 9) if p**m <= 400]
+COMPOSITE_FIELDS = [(p, m) for p in (4, 9, 15, 91, 221, 399) for m in (1, 2) if p**m <= 400]
+
+
+@st.composite
+def orders_argv(draw):
+    """An `orders` command line over F_{p^m}, q <= 400, n < 25: mostly a
+    field, n a divisor of q - 1 and 2 <= s <= n - 1, with a*b in {0, 1},
+    unparsable elements and every other refusal among the draws."""
+    p, m = draw(st.sampled_from(PRIME_POWER_FIELDS * 8 + COMPOSITE_FIELDS))
+    q = p**m
+    divisors = [d for d in range(2, 25) if (q - 1) % d == 0] or [2]
+    n = draw(st.sampled_from(divisors * 12 + list(range(25))))
+    s = draw(st.sampled_from(list(range(2, n)) * 6 + list(range(n + 2))))
+    digits = st.lists(st.sampled_from(list(range(1, p)) * 3 + [-1, 0, p]),
+                      min_size=1, max_size=m).map(lambda cs: ",".join(map(str, cs)))
+    a = draw(digits)
+    b = draw(st.sampled_from(["digits"] * 6 + ["zero", "inverse"]))
+    if b == "zero":
+        b = "0"
+    elif b == "inverse" and is_prime(p) and any(int(c) % p for c in a.split(",")):
+        ctx = make_field(p, m)
+        b = ctx.format_element(ctx.inv(ctx.parse_element(a)))
+    else:
+        b = draw(digits)
+    a = draw(st.sampled_from([a] * 10 + ["x", ",".join(["1"] * (m + 1))]))
+    point = draw(st.sampled_from(["inflection", "infinite-branch"]))
+    return ["orders", "--p", str(p), "--m", str(m), "--n", str(n), "--a", a,
+            "--b", b, "--s", str(s), "--point", point]
+
+
+def run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(orders_argv())
+@example(["orders", "--p", "13", "--m", "2", "--n", "4", "--a", "4", "--b", "4", "--s", "2",
+          "--point", "infinite-branch"])  # a rational root in F_{13^2}
+@example(["orders", "--p", "11", "--m", "2", "--n", "3", "--a", "1,1", "--b", "2,1",
+          "--s", "2"])  # no root in F_{11^2}: refused
+@example(["orders", "--p", "13", "--n", "3", "--a", "2", "--b", "7", "--s", "2"])  # a*b = 1
+def test_orders_keeps_the_exit_code_contract(argv):
+    code, out, err = run_in_process(argv)
+    assert code in (0, 2) or (code == 1 and "verdict: MISMATCH" in out)
     assert "Traceback" not in err
+    assert run_in_process(argv)[1] == out
+
+
+def test_orders_build_no_extension_field(monkeypatch, capsys):
+    # the orders and contact orders stay over the base field: neither
+    # `verify orders` nor a query whose roots lie in F_{13^3} builds a field
+    # of degree m > 1
+    real, built = ffield.make_field, []
+
+    def counting(p, m=1, modulus=None):
+        built.append(m)
+        return real(p, m, modulus)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gfcurves" and getattr(module, "make_field", None) is real:
+            monkeypatch.setattr(module, "make_field", counting)
+    f13 = real(13)
+    assert nth_root_count(f13, 2, 3) == 0 and nth_root_count(f13, f13.inv(2), 3) == 0
+    assert run(capsys, ["verify", "orders", "--p-max", "40"])[0] == 0
+    for point in ("inflection", "infinite-branch"):
+        assert run(capsys, ["orders", "--p", "13", "--n", "3", "--a", "2", "--b", "2",
+                            "--s", "2", "--point", point])[0] == 0
+    assert len(built) > 2 and set(built) == {1}
 
 
 # -- chords ------------------------------------------------------------------------
@@ -366,7 +445,7 @@ def test_figure1_first_refused_degree_is_63():
 
 
 def test_orders_with_a_rational_root_in_a_huge_prime_field(capsys):
-    # the root of T^3 - 8 comes from its linear factors, not from a scan of F_p
+    # the orders need no root of T^3 - 8 and no scan of F_p
     start = perf_counter()
     code, out, err = run(capsys, ["orders", "--p", "1000000009", "--n", "3",
                                   "--a", "2", "--b", "8", "--s", "2"])

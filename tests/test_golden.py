@@ -15,7 +15,11 @@ at P1 for a = 2, b = 3) and the demo hashes from the field scan that found
 rational roots and the per-kind expansions that preceded the shared lift;
 the full-scale `scan --p-max 131` and `verify prop41` (p <= 199) hashes from
 the orbit rows that still carried the derived columns and the sweeps that
-built one record per row and per violating point.
+built one record per row and per violating point; the full-scale
+`verify orders` (p <= 100) and `figure1 3..30` hashes and the `orders` pins
+over F_{13^2} (a rational root in an extension base field) from the Newton
+lift on the smallest splitting extension that preceded the binomial-series
+route.
 `verify prop41` exits 1 by design (the classical chord identity fails on the
 vertex tangents) and `chords` at P = (1, 6) over F_7 is its first
 counterexample.
@@ -92,6 +96,16 @@ GOLDEN = [
      "5d59423d0ce9d036335fc00727249d4e6098a16510d0ed0c6cad3ae45fb73214"),
     (["verify", "prop41"], 1,
      "b5b33c8c203e4b7b4dbc348787a4e6be25e8938ec3a5fcf9fcd549484da5d1f3"),
+    (["verify", "orders"], 0,
+     "6297ae1bf875aaf42f8455dec63be68e8c22c0e695ac0239fe71cfa1e3a6ca64"),
+    (["figure1", "--n-min", "3", "--n-max", "30"], 0,
+     "7ba633d0cacd820fa9df8f08db55f249d84663e41afedb30904437787c7a179e"),
+    (["orders", "--p", "13", "--m", "2", "--n", "4", "--a", "4", "--b", "4", "--s", "2",
+      "--point", "inflection"], 0,
+     "b649934e67a4c6282af7e26be8276b5c2d95c9270710fa1c22cceec5b0577d29"),
+    (["orders", "--p", "13", "--m", "2", "--n", "4", "--a", "4", "--b", "4", "--s", "2",
+      "--point", "infinite-branch"], 0,
+     "b649934e67a4c6282af7e26be8276b5c2d95c9270710fa1c22cceec5b0577d29"),
 ]
 
 DEMOS = {

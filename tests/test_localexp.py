@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from gfcurves import localexp
 from gfcurves.curve import SpecialPoint, make_curve, special_points
+from gfcurves.harness import _class_representatives, primes_up_to
 from gfcurves.errors import (
     InvalidS,
     NotAnInflection,
@@ -29,6 +30,7 @@ from gfcurves.localexp import (
     order_sequence,
     tangent_line_branch_intersections,
 )
+from splitting_oracle import full_matrix_pivots, site
 
 
 # -- series ring ---------------------------------------------------------------
@@ -89,7 +91,7 @@ def test_inflection_expansion_residual_and_contact(p, n, a, b):
         assert inflection_residual(curve, s).is_zero()
         diff = s - TruncatedSeries.constant(curve.ctx, xi, s.prec)
         assert diff.valuation() == n
-    # canonical site (splitting extension when no rational root)
+    # no site given: read off the base-field series, rational root or not
     assert inflection_contact_order(curve) == n
 
 
@@ -125,7 +127,7 @@ def canonical_sites(draw):
 def test_newton_lift_residual_vanishes_at_canonical_site(case):
     # the canonical site may be a splitting extension F_{p^d}, d | n
     curve, kind, L = case
-    work, root = localexp._site(curve, kind)
+    work, root = site(curve, kind)
     assert work.ctx.pow(root, curve.n) == (work.b if kind == "inflection"
                                            else work.ctx.inv(work.a))
     if kind == "inflection":
@@ -137,6 +139,9 @@ def test_newton_lift_residual_vanishes_at_canonical_site(case):
     assert series.prec == L and residual.is_zero() and residual.prec == L
     gap = series - TruncatedSeries.constant(work.ctx, root, L)
     assert gap.shift(contact).valuation() == curve.n + contact
+    # the base-field contact order, with or without the root, matches the lift
+    order = inflection_contact_order if kind == "inflection" else branch_contact_order
+    assert order(curve) == order(work, root) == gap.shift(contact).valuation()
 
 
 @pytest.mark.parametrize("p,n,a,b", CASES)
@@ -244,3 +249,62 @@ def test_order_sequence_guards():
         order_sequence(curve, SpecialPoint("inflection", "affine", (1, 0), "X", 1), 2)
     with pytest.raises(NotATangentDirection):
         order_sequence(curve, SpecialPoint("infinite-branch", "P1", None, "Y", 1), 2)
+
+
+# -- the base-field route against the Newton lift on the splitting field ------------
+
+
+@st.composite
+def recurrence_cases(draw):
+    """(curve, kind, L): p prime, n | p - 1, 2 <= s <= n - 1 with p > s(n+1),
+    b and 1/a often non-n-th powers (an extension site), and n + 2 <= L <=
+    n(p - 1), up to the doubled precision of order_sequence."""
+    n = draw(st.integers(3, 8))
+    s = draw(st.integers(2, n - 1))
+    p = draw(st.sampled_from([p for p in range(s * (n + 1) + 1, 200)
+                              if is_prime(p) and (p - 1) % n == 0]))
+    a = draw(st.integers(1, p - 1))
+    b = draw(st.integers(1, p - 1).filter(lambda b: a * b % p != 1))
+    kind = draw(st.sampled_from(["inflection", "infinite-branch"]))
+    L = draw(st.integers(n + 2, min(n * (p - 1), 2 * (s * (n + 1) + 2))))
+    return make_curve(make_field(p), n, a, b), kind, L
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(recurrence_cases())
+def test_recurrence_series_equals_newton_lift_at_splitting_site(case):
+    # U = root * G(t^n)^(1/n): the base-field recurrence, carried to the
+    # site and scaled by its root, is the Newton lift there, coefficient by
+    # coefficient
+    curve, kind, L = case
+    n = curve.n
+    work, root = site(curve, kind)
+    ctx = work.ctx
+    A, B = localexp._coefficients(work, kind, L)
+    lifted = localexp._solve_unit_power(ctx, A, B, n, root, L)
+    series = localexp._root_powers(curve, kind, None, -(-L // n), 1)[1]
+    expected = [ctx.zero] * L
+    for m, f in enumerate(series):
+        expected[n * m] = ctx.mul(root, ctx.element(f))
+    assert lifted == expected
+
+
+def test_block_pivots_equal_full_matrix_pivots_on_verify_orders_cases():
+    # every (p, n, s, curve, kind) case of `verify orders`: the s blocks over
+    # F_p give the pivots of the dense matrix of the lift on the splitting field
+    cases = 0
+    for p in primes_up_to(100):
+        for n in (3, 4, 5, 6, 7):
+            if (p - 1) % n or n >= p - 1:
+                continue
+            for a, b in _class_representatives(p, n, 2):
+                curve = make_curve(make_field(p), n, a, b)
+                for s in range(2, n):
+                    if p <= s * (n + 1):
+                        continue
+                    L = s * (n + 1) + 2
+                    for kind in ("inflection", "infinite-branch"):
+                        cases += 1
+                        assert (localexp._order_pivots(curve, kind, None, s, L)
+                                == full_matrix_pivots(curve, kind, s, L))
+    assert cases == 672
