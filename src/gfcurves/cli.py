@@ -82,6 +82,19 @@ def _curve_args(parser):
     parser.add_argument("--b", required=True)
 
 
+def _glue_element_values(argv: list[str]) -> list[str]:
+    """`--a -1,3` as `--a=-1,3`: argparse reads a token that starts with '-'
+    and is not a plain negative number as an option, not as a value."""
+    out = []
+    for tok in argv:
+        if (out and out[-1] in ("--a", "--b", "--modulus")
+                and tok[:1] == "-" and tok[1:2].isdigit()):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def _make_curve(args):
     modulus = None
     if args.modulus:
@@ -174,8 +187,8 @@ def cmd_figure1(args) -> int:
     if not 3 <= args.n_min <= args.n_max:
         print("figure1 requires 3 <= --n-min <= --n-max", file=sys.stderr)
         return 2
-    for line in H.figure1_tsv_lines(args.n_min, args.n_max):
-        print(line)
+    for block in H.figure1_tsv_lines(args.n_min, args.n_max):
+        sys.stdout.write(block)
     return 0
 
 
@@ -223,9 +236,12 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_element_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if [] in vars(args).values():  # argparse reads `--p=--` as [], not as a value
+        print("error: '--' is not a value", file=sys.stderr)
+        return 2
     try:
         return _DISPATCH[args.command](args)
     except BrokenPipeError:

@@ -11,6 +11,8 @@ on (affine_total, n1, n2); each distinct key gets one shared record with its
 CSV tail formatted once, and each (p, n) is written as one text block.  The
 chord sweep behind `verify prop41` decides each orbit cell once, from the
 same rows and `chords.chord_columns`, and keeps only the failing cells.
+figure1 rounds each delta in floating point under an a-priori error bound
+(derived at `figure1_tsv_lines`) and exactly only near a half-integer.
 
 All output is generated in sorted key order with fixed formatting; identical
 invocations are byte-identical.
@@ -18,6 +20,7 @@ invocations are byte-identical.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import os
@@ -230,8 +233,8 @@ def _figure1_degrees(n_min: int, n_max: int):
     def degrees():
         for n in range(n_min, n_max + 1):
             cap = n * B.k_threshold(n + 3)
-            top = math.floor(cap)
-            yield n, cap + 1, [p for p in primes if n < p - 1 <= top]
+            lo, hi = (bisect.bisect_right(primes, t + 1) for t in (n, math.floor(cap)))
+            yield n, cap + 1, primes[lo:hi]
     return degrees()
 
 
@@ -255,12 +258,44 @@ def figure1_cells(n_min: int, n_max: int):
 
 
 def figure1_tsv_lines(n_min: int, n_max: int):
+    """The figure1 TSV as text: the header line, then one block of lines per n.
+
+    delta = h - W/2, h = (p + 1 + 2g*sqrt(p))/(2n^2), W = 3c^2 - (103/19)c + 13/3,
+    c = (sqrt(2)*(p - 1)/n)**(1/3), is evaluated in binary64 (u = 2^-53).  Each
+    operation and the constants sqrt(2), 103/19, 13/3, 1/3 round by at most u
+    relative; sqrt is correctly rounded (IEEE 754), libm's pow is assumed within
+    16 ulps (32u), and the rounded exponent costs ln(t)/(3*2^54) < 2u for
+    t < 2^17.  By N. J. Higham (Accuracy and Stability of Numerical Algorithms,
+    ch. 3), h is then within 5u relative, c within 35u, 3c^2 within 72u and
+    (103/19)c within 37u; the three sums and the scaling by 10^6 add u each, times
+    M = h + (3c^2 + (103/19)c + 13/3)/2: |fl(delta) - delta| < 80u*M.  The exact
+    route prints the enclosure midpoint `_delta_num`, within 1e-25 < u*M of delta.
+    So the half-even rounding of 10^6*delta is decided when 10^6*fl(delta) lies
+    farther than 10^6*epsilon, epsilon = 2^-40*M > 100*80u*M, from every
+    half-integer; the other cells (0.1% for n = 3..30) take the exact route."""
     degrees = _figure1_degrees(n_min, n_max)  # refuses an oversized sieve before the header
-    yield "n\tp\tk\tdelta\tboundary_p"
+    yield "n\tp\tk\tdelta\tboundary_p\n"
+    sqrt, r2, c1, c2, third = math.sqrt, math.sqrt(2), 103 / 19, 13 / 3, 1 / 3
+    eps6 = 1e6 * 2.0**-40  # 10^6 * epsilon / M
     for n, boundary_p, ps in degrees:
-        den, tail = 4 * n * n * B._W_DEN, B.fixed(boundary_p, 6)
+        den, g2, n2 = 4 * n * n * B._W_DEN, 2.0 * (n - 1) ** 2, 2.0 * n * n
+        tail = f"\t{B.fixed(boundary_p, 6)}\n"
+        kcol = [(int(w), "." + f) for w, f in (B.fixed(r, 6, n).split(".") for r in range(n))]
+        lines = []
         for p in ps:
-            yield f"{n}\t{p}\t{B.fixed(p - 1, 6, n)}\t{B.fixed(_delta_num(p, n), 6, den)}\t{tail}"
+            h = (p + 1 + g2 * sqrt(p)) / n2
+            c = (r2 * ((p - 1) / n)) ** third
+            t1, t2 = 3 * c * c, c1 * c
+            x = (h - (t1 - t2 + c2) / 2) * 1e6
+            units = round(x)
+            if abs(x - units) + (h + (t1 + t2 + c2) / 2) * eps6 < 0.5:
+                whole, frac = divmod(abs(units), 10**6)
+                delta = f"{'-' if units < 0 else ''}{whole}.{frac:06d}"
+            else:
+                delta = B.fixed(_delta_num(p, n), 6, den)
+            carry, kfrac = kcol[(p - 1) % n]
+            lines.append(f"{n}\t{p}\t{(p - 1) // n + carry}{kfrac}\t{delta}{tail}")
+        yield "".join(lines)
 
 
 # ---------------------------------------------------------------------------

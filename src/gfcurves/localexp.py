@@ -290,7 +290,8 @@ def _root_powers(curve: CurveParams, kind: str, root, count: int, top: int) -> l
         raise error(message)
     if root is None and ctx.m > 1 and not nth_root_count(ctx, ctx.mul(B[0], ctx.inv(A[0])), n):
         # the orders exist over F_q all the same; this input stays unsupported
-        raise ValueError("splitting extensions only over prime base fields")
+        raise ValueError(f"T^{n} - {'b' if kind == 'inflection' else '1/a'} has no root in "
+                         f"F_{ctx.q}: unsupported over an extension base field")
     alpha, beta = ctx.mul(A[n], ctx.inv(A[0])), ctx.mul(B[n], ctx.inv(B[0]))
     gap, trace, norm = ctx.sub(beta, alpha), ctx.add(alpha, beta), ctx.mul(alpha, beta)
     inv_n, out = ctx.inv(e(n)), []

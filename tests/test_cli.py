@@ -51,6 +51,29 @@ def test_count_extension_field(capsys):
     assert data["model_total"] == data["affine_total"] + data["branches_at_infinity_rational"]
 
 
+@pytest.mark.parametrize("spaced,glued", [
+    (["--a", "-1,3", "--b", "2"], ["--a=-1,3", "--b", "2"]),
+    (["--a", "2", "--b", "-1,-3"], ["--a", "2", "--b=-1,-3"]),
+    (["--modulus", "-11,-1,1", "--a", "-1,3", "--b", "2"],
+     ["--modulus=-11,-1,1", "--a=-1,3", "--b", "2"]),
+])
+def test_element_values_with_a_leading_minus(capsys, spaced, glued):
+    # argparse alone reads "-1,3" after --a as an option and exits 2
+    head = ["count", "--p", "13", "--m", "2", "--n", "3"]
+    code, out, err = run(capsys, head + spaced)
+    assert (code, err) == (0, "") and json.loads(out)["model_total"] > 0
+    assert run(capsys, head + glued) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--p=--", "--n", "3", "--a", "1", "--b", "2"],
+    ["figure1", "--n-min=--", "--n-max", "5"],
+])
+def test_double_dash_as_a_value_exits_2(capsys, argv):
+    # argparse hands `--opt=--` to the command as an empty list
+    assert run(capsys, argv) == (2, "", "error: '--' is not a value\n")
+
+
 def test_count_rejects_degenerate(capsys):
     code, _, err = run(capsys, ["count", "--p", "13", "--n", "3", "--a", "2", "--b", "7"])
     assert code == 2
@@ -106,7 +129,8 @@ def test_orders_over_extension_base_field_exits_2(capsys):
                                   "--a", "1,1", "--b", "2,1", "--s", "2"])
     assert code == 2
     assert out == ""
-    assert err == "error: splitting extensions only over prime base fields\n"
+    assert err == ("error: T^3 - b has no root in F_121: "
+                   "unsupported over an extension base field\n")
 
 
 # every F_{p^m} with q <= 400, and composite "characteristics" to refuse
@@ -285,6 +309,47 @@ def test_vtable_output(capsys):
     row44 = next(line for line in lines if line.startswith("44,"))
     fields = row44.split(",")
     assert fields[4] == "15" and fields[5] == "14"
+
+
+GARBAGE = ["", "x", "3.5", "1e3", "-", "--", "0x10", "٣"]
+
+
+@st.composite
+def grid_argv(draw):
+    """A `figure1` or `vtable` command line: mostly a range inside the size
+    budget (n <= 12, k <= 150), with the boundary values, inverted ranges,
+    unparsable values, omitted options and figure1 degrees from 63 up (the
+    sieve guard) among the draws."""
+    if draw(st.booleans()):
+        opts, low, high = ("--n-min", "--n-max"), 3, 12
+        too_big = [63, 64, 100, 10**19]
+    else:  # vtable has no guard of its own: a large --k-max only comes inverted
+        opts, low, high = ("--k-min", "--k-max"), 2, 150
+        too_big = []
+    small = list(range(low - 3, high + 1))
+    lo = draw(st.sampled_from(small * 2 + [low] * 8 + GARBAGE + [10**19, None]))
+    hi = draw(st.sampled_from(small * 2 + [high] * 4 + GARBAGE + too_big * 3 + [None]))
+    if opts[0] == "--k-min" and hi is None and isinstance(lo, int) and lo <= 100:
+        hi = lo  # the default --k-max is 100: keep an omitted one under the budget
+    argv = ["figure1" if opts[0] == "--n-min" else "vtable"]
+    for opt, value in zip(opts, (lo, hi)):
+        if value is not None:
+            argv += draw(st.sampled_from([[opt, str(value)], [f"{opt}={value}"]]))
+    return argv
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(grid_argv())
+@example(["figure1", "--n-min", "3", "--n-max", "63"])  # the first refused degree
+@example(["figure1", "--n-min", "12", "--n-max", "3"])  # inverted
+@example(["vtable", "--k-min", "2", "--k-max", "2"])
+@example(["vtable", "--k-min", str(10**19), "--k-max", "150"])  # inverted
+def test_grids_keep_the_exit_code_contract(argv):
+    code, out, err = run_in_process(argv)
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    assert (code == 0) == (out != "")
+    assert run_in_process(argv)[1] == out
 
 
 # -- verify ------------------------------------------------------------------------

@@ -19,7 +19,9 @@ built one record per row and per violating point; the full-scale
 `verify orders` (p <= 100) and `figure1 3..30` hashes and the `orders` pins
 over F_{13^2} (a rational root in an extension base field) from the Newton
 lift on the smallest splitting extension that preceded the binomial-series
-route.
+route; the `figure1 62..62` hash (the largest degree the sieve guard admits,
+and the most exact fallbacks) from the exact enclosure of every cell that
+preceded the floating-point filter.
 `verify prop41` exits 1 by design (the classical chord identity fails on the
 vertex tangents) and `chords` at P = (1, 6) over F_7 is its first
 counterexample.
@@ -100,6 +102,8 @@ GOLDEN = [
      "6297ae1bf875aaf42f8455dec63be68e8c22c0e695ac0239fe71cfa1e3a6ca64"),
     (["figure1", "--n-min", "3", "--n-max", "30"], 0,
      "7ba633d0cacd820fa9df8f08db55f249d84663e41afedb30904437787c7a179e"),
+    (["figure1", "--n-min", "62", "--n-max", "62"], 0,
+     "c70ba9e2c2c879b2ccf49deb94786c62fc295fef6a806797489381b55522ba90"),
     (["orders", "--p", "13", "--m", "2", "--n", "4", "--a", "4", "--b", "4", "--s", "2",
       "--point", "inflection"], 0,
      "b649934e67a4c6282af7e26be8276b5c2d95c9270710fa1c22cceec5b0577d29"),

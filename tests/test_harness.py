@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from gfcurves import bounds as B
 from gfcurves import harness as H
-from gfcurves.bounds import hasse_weil, sv_bound, w_bound
+from gfcurves.bounds import floor_kth_root, hasse_weil, k_threshold, sv_bound, w_bound
 from gfcurves.chords import build_polygon
 from gfcurves.cli import main
 from gfcurves.curve import OrbitRow, count_points_fast, curve_cell, make_curve
@@ -164,12 +165,71 @@ def test_figure1_delta_matches_float_formula():
 
 
 def test_figure1_tsv_shape():
-    lines = list(H.figure1_tsv_lines(3, 4))
+    blocks = list(H.figure1_tsv_lines(3, 4))
+    assert len(blocks) == 3 and all(block.endswith("\n") for block in blocks)
+    lines = "".join(blocks).splitlines()
     assert lines[0] == "n\tp\tk\tdelta\tboundary_p"
     for line in lines[1:]:
         parts = line.split("\t")
         assert len(parts) == 5
         float(parts[3])  # parseable fixed-point
+
+
+def exact_figure1_lines(n_min, n_max):
+    """figure1 from the exact route alone: every delta is the enclosure
+    midpoint `_delta_num` through `bounds.fixed`, every k `bounds.fixed`."""
+    primes = H.primes_up_to(math.floor(n_max * k_threshold(n_max + 3)) + 1)
+    lines = ["n\tp\tk\tdelta\tboundary_p"]
+    for n in range(n_min, n_max + 1):
+        cap = n * k_threshold(n + 3)
+        den, tail = 4 * n * n * B._W_DEN, B.fixed(cap + 1, 6)
+        lines += [f"{n}\t{p}\t{B.fixed(p - 1, 6, n)}\t"
+                  f"{B.fixed(H._delta_num(p, n), 6, den)}\t{tail}"
+                  for p in primes if n < p - 1 <= cap]
+    return lines
+
+
+def count_exact_calls(monkeypatch):
+    """The (p, n) of every call of `harness._delta_num` from now on."""
+    real, calls = H._delta_num, []
+
+    def counting(p, n):
+        calls.append((p, n))
+        return real(p, n)
+
+    monkeypatch.setattr(H, "_delta_num", counting)
+    return calls
+
+
+def test_figure1_filter_equals_exact_route_on_full_grid(monkeypatch):
+    want = exact_figure1_lines(3, 30)
+    calls = count_exact_calls(monkeypatch)
+    assert "".join(H.figure1_tsv_lines(3, 30)).splitlines() == want
+    assert 0 < len(calls) < len(want) // 500  # the filter decides nearly every cell
+
+
+# cells whose 10^6*delta lies within 10^6*epsilon of a half-integer, from the
+# fallbacks of n = 3..30, with their delta as printed by the exact route
+@pytest.mark.parametrize("p,n,delta", [
+    (7069, 13, "-10.671275"), (7603, 13, "-12.088239"), (2903, 16, "7.526868")])
+def test_figure1_falls_back_near_a_half_integer(monkeypatch, p, n, delta):
+    units = Fraction(H._delta_num(p, n) * 10**6, 4 * n * n * B._W_DEN)
+    assert abs(units - math.floor(units) - Fraction(1, 2)) < Fraction(1, 2000)
+    calls = count_exact_calls(monkeypatch)
+    lines = "".join(H.figure1_tsv_lines(n, n)).splitlines()
+    assert (p, n) in calls
+    assert [line.split("\t")[3] for line in lines if line.split("\t")[1] == str(p)] == [delta]
+
+
+def test_float_cube_root_within_the_assumed_libm_error():
+    # figure1's error bound assumes t ** (1/3) within 16 ulps of the cube root
+    rng = random.Random(7)
+    ts = [math.sqrt(2) * ((p - 1) / n) for n, _, ps in H._figure1_degrees(3, 62)
+          for p in ps[::997]] + [rng.uniform(1.0, 2.0**17) for _ in range(2000)]
+    for t in ts:
+        c, exact = Fraction(t ** (1 / 3)), Fraction(t)
+        root = floor_kth_root((exact.numerator << 240) // exact.denominator, 3)
+        assert abs(c - Fraction(2 * root + 1, 2 << 80)) <= 16 * Fraction(math.ulp(float(c)))
 
 
 # -- vtable ------------------------------------------------------------------------
