@@ -3,25 +3,27 @@
 Validated parameters, exact point counts on the affine curve and on the
 nonsingular model, the inventory of special points (inflections on the axes
 and rational branches over the two singular points at infinity), and a
-smoothness sweep over all affine rational points.
+smoothness check of the affine curve.
 
 Two counting routes are provided.  `count_points` is the plain exhaustive
 double loop over F_q x F_q.  `count_points_fast` collapses the loop over the
 n-th power classes: writing u = x^n, the equation becomes
 y^n = (u - b)/(a*u - 1), so each of the (q-1)/n nonzero classes contributes
 n * #roots.  Both are exact; the test suite pins them equal.  The per-curve
-counts (`count_points_fast`, `curve_cell`) and the point enumeration behind
-`smoothness_scan` read the one class walk `_class_logs`.  The bulk sweeps
-use `orbit_counts`, which counts one curve per torus orbit of (a, b) from
-pair histograms over mu_k and is pinned to `count_points_fast` in the tests.
+counts (`count_points_fast`, `curve_cell`) and `smoothness_scan`, which
+decides the gradient per class, read the one class walk `_class_logs`.  The
+bulk sweeps use `orbit_counts`, which counts one curve per torus orbit of
+(a, b) from pair histograms over mu_k and is pinned to `count_points_fast`
+in the tests.
 
 Every field F_q has one index table, from a single walk over the powers of
 its smallest primitive element g: exp and log on encodings, and the Zech
 logarithm zech[i] = log(g^i + 1).  The class walk reads log(a*u - 1) and
 log(u - b) off zech, and c_u is an n-th power exactly when n | log c_u, so
-it needs no inversion and no per-(q, n) table.  The class tables of one
-degree n (root counts, n-th powers, roots, inverses) are O(q) views of the
-same index.  No table is built for q above `MAX_TABLE_Q` (`FieldTooLarge`).
+it needs no inversion.  Every n-th-power question reads the same index: the
+n-th powers are exp[0::n] and the n roots of v are exp[log v / n :: k]; no
+table is kept per degree n.  No index is built for q above `MAX_TABLE_Q`
+(`FieldTooLarge`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import NamedTuple
 
 from .errors import (DegenerateParams, DegreeTooSmall, FieldTooLarge, IncompatibleOrder,
                      SingularAffinePoint)
-from .ffield import FieldCtx, subgroup_generator
+from .ffield import FieldCtx, nth_root_count, subgroup_generator
 
 
 @dataclass(frozen=True)
@@ -104,14 +106,14 @@ def equation_value(curve: CurveParams, x, y):
 
 
 # ---------------------------------------------------------------------------
-# n-th power class tables, cached per (field, n)
+# the index of F_q
 
-MAX_TABLE_Q = 2**22  # the largest q whose O(q) tables are built
+MAX_TABLE_Q = 2**22  # the largest q whose O(q) index is built
 
 
 def check_table_size(q: int) -> None:
     """Raise FieldTooLarge, before anything is allocated, when q is above
-    MAX_TABLE_Q: the class tables of F_q take O(q) memory."""
+    MAX_TABLE_Q: the index of F_q takes O(q) memory."""
     if q > MAX_TABLE_Q:
         raise FieldTooLarge(f"q = {q} is above the class-table limit {MAX_TABLE_Q}")
 
@@ -142,41 +144,6 @@ def _index(ctx: FieldCtx) -> tuple[list, list, list]:
     succ = log[1:] + log[:1]
     succ[p - 1::p] = log[::p]
     return exp, log, list(map(succ.__getitem__, exp)) * 2
-
-
-class _ClassTables(NamedTuple):
-    root_count: list      # enc v -> #{x : x^n = v}
-    nonzero_powers: list  # encodings of the distinct nonzero n-th powers, ascending
-    roots: object         # v -> list of x with x^n = v, canonical order
-    inv: list             # enc x -> enc(1/x), enc 0 -> 0
-
-
-_TABLES_CACHE: dict = {}
-
-
-def class_tables(ctx: FieldCtx, n: int) -> _ClassTables:
-    """The class tables of degree n read from the index of F_q: v != 0 is an
-    n-th power (one of exp[0::n]) when n | log v, with the n roots
-    exp[log v / n + j*k], j < n, and 1/v = exp[-log v].  Cached per (field, n)."""
-    key = (ctx, n)
-    hit = _TABLES_CACHE.get(key)
-    if hit is not None:
-        return hit
-    exp, log, _ = _index(ctx)
-    k = (ctx.q - 1) // n
-    root_count = [0 if i % n else n for i in log]
-    inv = [exp[-i] for i in log]
-    root_count[0], inv[0] = 1, 0
-
-    def roots(v) -> list:
-        e = ctx.encode(v)
-        if e == 0:
-            return [ctx.zero]
-        i, r = divmod(log[e], n)
-        return [] if r else [ctx.from_encoding(x) for x in sorted(exp[i::k])]
-
-    tables = _TABLES_CACHE[key] = _ClassTables(root_count, sorted(exp[::n]), roots, inv)
-    return tables
 
 
 def _class_logs(ctx: FieldCtx, n: int, a: int, b: int):
@@ -254,9 +221,7 @@ def orbit_counts(ctx: FieldCtx, n: int) -> OrbitCounts:
     CurveCell of (r, c) is affine = n^2*hist + 2*n1, restricted =
     n^2*hist - n*D, tangency = D and refined = n^2*(hist - D); the rows keep
     hist and D, and each consumer reads the formula it needs."""
-    p = ctx.p
-    t = class_tables(ctx, n)
-    mu = t.nonzero_powers
+    p, mu = ctx.p, _index(ctx)[0][::n]  # the histograms are sums: any order of mu_k
     coset = [None] * p
     reps, rows = [], []
     for r in range(1, p):
@@ -312,8 +277,7 @@ def count_points(curve: CurveParams) -> CountReport:
                         off_axes += 1
                         if x != y:
                             off_diag += 1
-    rc = class_tables(ctx, n).root_count
-    n1, n2 = rc[ctx.encode(curve.b)], rc[ctx.encode(ctx.inv(curve.a))]
+    n1, n2 = nth_root_count(ctx, curve.b, n), nth_root_count(ctx, ctx.inv(curve.a), n)
     return CountReport(affine, off_axes, off_diag, n1, n2, 2 * n2, affine + 2 * n2)
 
 
@@ -334,13 +298,18 @@ def special_points(curve: CurveParams) -> list[SpecialPoint]:
     """Rational inflections (xi,0), (0,xi) with xi^n = b, and rational
     tangent directions c with c^n = 1/a of the branches at infinity."""
     ctx, n = curve.ctx, curve.n
-    t = class_tables(ctx, n)
+    exp, log, _ = _index(ctx)
     zero = ctx.zero
+
+    def roots(v) -> list:  # x^n = v: exp[log v / n + j*k], j < n, in canonical order
+        i, r = divmod(log[ctx.encode(v)], n)
+        return [] if r else [ctx.from_encoding(x) for x in sorted(exp[i::curve.k])]
+
     out = []
-    for xi in t.roots(curve.b):
+    for xi in roots(curve.b):
         out.append(SpecialPoint("inflection", "affine", (xi, zero), "X", xi))
         out.append(SpecialPoint("inflection", "affine", (zero, xi), "Y", xi))
-    for c in t.roots(ctx.inv(curve.a)):
+    for c in roots(ctx.inv(curve.a)):
         out.append(SpecialPoint("infinite-branch", "P1", None, "Y", c))
         out.append(SpecialPoint("infinite-branch", "P2", None, "X", c))
     return out
@@ -353,52 +322,27 @@ class SmoothnessReport:
 
 
 def smoothness_scan(curve: CurveParams) -> SmoothnessReport:
-    """Check (g_X, g_Y) != (0,0) at every affine rational point.
+    """Check (g_X, g_Y) != (0,0) at every affine rational point, per class.
 
-    g_X = n*x^(n-1)*(a*y^n - 1) and g_Y = n*y^(n-1)*(a*x^n - 1); a violation
+    g_X = n*x^(n-1)*(a*y^n - 1) and g_Y = n*y^(n-1)*(a*x^n - 1) with n a
+    unit.  On x = 0, y^n = b != 0 and g_Y != 0.  The points with x^n = u
+    have y^n = c_u, so g_X = 0 iff a*c_u = 1 and g_Y = 0 iff c_u = 0 or
+    a*u = 1; each is decided on logarithms for the whole class.  A violation
     raises SingularAffinePoint since it would falsify the curve's smoothness
     inventory for these parameters.
     """
     ctx, n = curve.ctx, curve.n
-    t = class_tables(ctx, n)
-    a = curve.a
-    checked = 0
-    if ctx.m == 1:
-        p = ctx.p
-        for x, y in _affine_points(curve, t):
-            xd, yd = pow(x, n - 1, p), pow(y, n - 1, p)  # x^(n-1), y^(n-1)
-            gx = n * xd * (a * yd * y - 1) % p
-            gy = n * yd * (a * xd * x - 1) % p
-            if gx == 0 and gy == 0:
-                raise SingularAffinePoint(f"singular affine point {(x, y)} on {curve}")
-            checked += 1
-    else:
-        for x, y in _affine_points(curve, t):
-            gx = ctx.mul(ctx.mul(ctx.element(n), ctx.pow(x, n - 1)),
-                         ctx.sub(ctx.mul(a, ctx.pow(y, n)), ctx.one))
-            gy = ctx.mul(ctx.mul(ctx.element(n), ctx.pow(y, n - 1)),
-                         ctx.sub(ctx.mul(a, ctx.pow(x, n)), ctx.one))
-            if ctx.is_zero(gx) and ctx.is_zero(gy):
-                raise SingularAffinePoint(f"singular affine point {(x, y)} on {curve}")
-            checked += 1
-    return SmoothnessReport(points_checked=checked, clean=True)
-
-
-def _affine_points(curve: CurveParams, t: _ClassTables):
-    """Enumerate all affine rational points: y^n = b on x = 0, and on
-    x^n = u = g^lu the points with y^n = c_u, read off the class walk: the
-    n roots of g^(n*i) are exp[i + j*k], j < n."""
-    ctx, n = curve.ctx, curve.n
     exp, log, _ = _index(ctx)
-    order, el = ctx.q - 1, ctx.from_encoding
-    k, b = order // n, ctx.encode(curve.b)
-    for y in t.roots(curve.b):
-        yield ctx.zero, y
-    for lu, w, v in _class_logs(ctx, n, ctx.encode(curve.a), b):
-        lc = (log[b] + v - w) % order
+    a, b, order = ctx.encode(curve.a), ctx.encode(curve.b), ctx.q - 1
+    checked = n if log[b] % n == 0 else 0  # the x = 0 row
+    for lu, w, v in _class_logs(ctx, n, a, b):
+        lc = log[b] + v - w  # log c_u when v >= 0
         if w < 0 or (v >= 0 and lc % n):
-            continue
-        ys = [ctx.zero] if v < 0 else [el(y) for y in exp[lc // n::k]]
-        for x in exp[lu // n::k]:
-            for y in ys:
-                yield el(x), y
+            continue  # no point with x^n = u
+        gx = v >= 0 and (log[a] + lc) % order == 0
+        gy = v < 0 or (log[a] + lu) % order == 0
+        if gx and gy:
+            raise SingularAffinePoint(
+                f"singular affine point with x^n = {ctx.from_encoding(exp[lu])} on {curve}")
+        checked += n if v < 0 else n * n
+    return SmoothnessReport(points_checked=checked, clean=True)

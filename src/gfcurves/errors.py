@@ -75,4 +75,4 @@ class DegeneratePolygon(ValueError):
 
 
 class FieldTooLarge(ValueError):
-    """q is above the limit up to which O(q) class tables are built."""
+    """q is above the limit up to which the O(q) index of F_q is built."""

@@ -32,8 +32,8 @@ from typing import NamedTuple
 from . import bounds as B
 from . import chords as C
 from . import localexp as LE
-from .curve import check_table_size, class_tables, make_curve, orbit_counts
-from .ffield import make_field
+from .curve import check_table_size, make_curve, orbit_counts
+from .ffield import make_field, nth_root_count
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -102,8 +102,6 @@ def scan_task(p: int, n: int, sample: int | None):
     stride); the curve (a, b) with a = r*s, s in mu_k, reads the row of r at
     c = b*s, with affine_total = n^2*hist + 2*n1."""
     ctx = make_field(p)
-    t = class_tables(ctx, n)
-    rc, inv = t.root_count, t.inv
     k = (p - 1) // n
     hw = B.hasse_weil(p, (n - 1) ** 2).value
     w_val = B.w_scalar_value(p, n)
@@ -130,9 +128,11 @@ def scan_task(p: int, n: int, sample: int | None):
         return shared[key]
 
     orbits = orbit_counts(ctx, n)
+    # n1 = #{y : y^n = c} is n on mu_k, the coset of r = 1 (index 0)
+    rc = [n if e and e[0] == 0 else 0 for e in orbits.coset]
     nn, tails = n * n, []
     for r, row in zip(orbits.reps, orbits.rows):
-        skip = inv[r]
+        skip = pow(r, -1, p)
         keys = list(zip(row.hist, rc))  # (hist, n1) at each c
         keys[0] = keys[skip] = None     # c = 0 and c = 1/r are no curve's
         memo = {key: key and tail(nn * key[0] + 2 * key[1], key[1], rc[skip])
@@ -143,7 +143,7 @@ def scan_task(p: int, n: int, sample: int | None):
     def rows():
         for a in range(1, p):
             i, s = orbits.coset[a]
-            inv_a, first = inv[a], (a - 1) * (p - 2)  # p - 2 rows per a, b != 1/a
+            inv_a, first = pow(a, -1, p), (a - 1) * (p - 2)  # p - 2 rows per a, b != 1/a
             bs = chain(range(1, inv_a), range(inv_a + 1, p))
             yield a, s, tails[i], islice(bs, -first % stride, None, stride)
     return rows(), any(tl.fields[-1] for tl in shared.values())
@@ -439,10 +439,9 @@ def _class_representatives(p: int, n: int, per_class: int) -> list[tuple[int, in
     """First `per_class` pairs (a, b), canonical order, with n1 = n and with
     n1 = 0 (where such b exist): the least b of each class, with the least
     a, a*b != 1."""
-    rc = class_tables(make_field(p), n).root_count
-    picks = []
+    ctx, picks = make_field(p), []
     for target in (n, 0):
-        bs = [b for b in range(1, p) if rc[b] == target][:per_class]
+        bs = [b for b in range(1, p) if nth_root_count(ctx, b, n) == target][:per_class]
         picks += [(2 if b == 1 else 1, b) for b in bs]
     return picks
 
@@ -450,13 +449,13 @@ def _class_representatives(p: int, n: int, per_class: int) -> list[tuple[int, in
 def _expand(blocks):
     """(p, n, a, b, lhs, restricted, D) at every point of the cells in
     blocks, in (p, n, a, b) order."""
-    for p, n, coset, inv, cells in blocks:
+    for p, n, coset, cells in blocks:
         if not any(cells):
             continue
         for a in range(1, p):
             i, s = coset[a]  # a = r_i * s: the cell (r_i, c) holds (a, c/s)
             if row := cells[i]:
-                inv_s = inv[s]
+                inv_s = pow(s, -1, p)
                 for b in sorted([c * inv_s % p for c in row]):
                     yield (p, n, a, b, *row[b * s % p])
 
@@ -464,7 +463,7 @@ def _expand(blocks):
 @dataclass(frozen=True)
 class ChordSweep:
     """The counts of the prop41 sweep and the cells that fail each check, per
-    (p, n): (p, n, coset, inv, cells) with cells[i] = {c: (lhs, restricted, D)}
+    (p, n): (p, n, coset, cells) with cells[i] = {c: (lhs, restricted, D)}
     on orbit row i.  The record lists are expanded from the cells when read."""
 
     points_checked: int
@@ -521,11 +520,10 @@ def prop41_sweep(p_max: int = 199) -> ChordSweep:
             if k < 3:
                 continue
             orbits = orbit_counts(ctx, n)
-            inv = class_tables(ctx, n).inv
             cols = C.chord_columns(C.build_polygon(ctx, k), orbits.reps)
             nn, bad, off = n * n, [], []
             for r, (hist, tang), col in zip(orbits.reps, orbits.rows, cols):
-                skip = inv[r]  # c = 0 and c = 1/r are no curve's
+                skip = pow(r, -1, p)  # c = 0 and c = 1/r are no curve's
                 cells = {c: (2 * nn * x, nn * h - n * d, d)
                          for c, h, d, x in zip(range(p), hist, tang, col)
                          if (d or h != 2 * x) and c and c != skip}
@@ -533,8 +531,8 @@ def prop41_sweep(p_max: int = 199) -> ChordSweep:
                 off.append({c: v for c, v in cells.items() if v[1] != v[0] + (nn - n) * v[2]})
                 holds += k * (p - 2 - len(bad[-1]))
             checked += len(bad) * k * (p - 2)
-            violating.append((p, n, orbits.coset, inv, bad))
-            off_decomposition.append((p, n, orbits.coset, inv, off))
+            violating.append((p, n, orbits.coset, bad))
+            off_decomposition.append((p, n, orbits.coset, off))
     return ChordSweep(checked, holds, tuple(violating), tuple(off_decomposition))
 
 

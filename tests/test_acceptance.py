@@ -11,7 +11,7 @@ point on a tangent of XY = 1 at a polygon vertex; the first counterexample
 is p = 7, n = 2, P = (1, 6), with n_P = 0 but N_p = 2.  The test passes by
 pinning that failure set exactly: every admissible point is checked, the
 violations are precisely the points on a vertex tangent (found by
-rasterizing the tangent lines, independently of the class tables), and each
+rasterizing the tangent lines, independently of the orbit rows), and each
 is off by exactly (n^2 - n) per tangent.  tests/test_chords.py pins the
 decomposition and the x^n != y^n refinement point by point; the README
 walks through the finding.
@@ -23,7 +23,7 @@ from collections import Counter
 from gfcurves import harness as H
 from gfcurves.bounds import giulietti_bound, np_bound_value, vtilde
 from gfcurves.curve import count_points, count_points_fast, make_curve, smoothness_scan
-from gfcurves.ffield import make_field, nth_root_count, nth_root_count_brute
+from gfcurves.ffield import make_field, nth_root_count
 from gfcurves.chords import build_polygon
 
 
@@ -74,7 +74,7 @@ def test_chord_identity_sweep_as_stated():
     The test passes by pinning the failure set exactly: no admissible point
     is skipped, the violations are precisely the points on a vertex
     tangent, with D rasterized from the tangent lines themselves rather
-    than taken from the class tables, and each violation is off by exactly
+    than taken from the orbit rows, and each violation is off by exactly
     (n^2 - n) D.
     """
     sweep = H.prop41_sweep(199)
@@ -100,7 +100,7 @@ def test_chord_identity_sweep_as_stated():
     extra = sorted(recorded - tangent_d.keys())
 
     # (c) each violation is off by exactly (n^2 - n) D, and the sweep's D
-    # (from the class tables) equals the geometric one
+    # (from the orbit rows) equals the geometric one
     wrong_size = [v for v in sweep.violations
                   if v[6] != tangent_d.get(v[:4])
                   or v[5] - v[4] != (v[1] * v[1] - v[1]) * v[6]]
@@ -273,10 +273,11 @@ def test_curve_symmetries_smoothness_and_root_counts():
         for n in range(1, q):
             if (q - 1) % n:
                 continue
+            hist = Counter(ctx.pow(x, n) for x in ctx.elements())  # c -> #{x : x^n = c}
             total = 0
             for c in ctx.nonzero_elements():
                 fast = nth_root_count(ctx, c, n)
-                if fast != nth_root_count_brute(ctx, c, n):
+                if fast != hist[c]:
                     roots_bad.append((q, n, c))
                 total += fast
             if total != q - 1:

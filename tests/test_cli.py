@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -139,16 +140,14 @@ PRIME_POWER_FIELDS = [(p, m) for p in range(2, 401) if is_prime(p)
 COMPOSITE_FIELDS = [(p, m) for p in (4, 9, 15, 91, 221, 399) for m in (1, 2) if p**m <= 400]
 
 
-@st.composite
-def orders_argv(draw):
-    """An `orders` command line over F_{p^m}, q <= 400, n < 25: mostly a
-    field, n a divisor of q - 1 and 2 <= s <= n - 1, with a*b in {0, 1},
-    unparsable elements and every other refusal among the draws."""
+def curve_args(draw):
+    """n and the options --p, --m, --n, --a, --b of a curve over F_{p^m},
+    q <= 400, n < 25: mostly a field and n a divisor of q - 1, with a*b in
+    {0, 1}, unparsable elements and every other refusal among the draws."""
     p, m = draw(st.sampled_from(PRIME_POWER_FIELDS * 8 + COMPOSITE_FIELDS))
     q = p**m
     divisors = [d for d in range(2, 25) if (q - 1) % d == 0] or [2]
     n = draw(st.sampled_from(divisors * 12 + list(range(25))))
-    s = draw(st.sampled_from(list(range(2, n)) * 6 + list(range(n + 2))))
     digits = st.lists(st.sampled_from(list(range(1, p)) * 3 + [-1, 0, p]),
                       min_size=1, max_size=m).map(lambda cs: ",".join(map(str, cs)))
     a = draw(digits)
@@ -161,9 +160,16 @@ def orders_argv(draw):
     else:
         b = draw(digits)
     a = draw(st.sampled_from([a] * 10 + ["x", ",".join(["1"] * (m + 1))]))
+    return n, ["--p", str(p), "--m", str(m), "--n", str(n), "--a", a, "--b", b]
+
+
+@st.composite
+def orders_argv(draw):
+    """An `orders` command line (`curve_args`), mostly with 2 <= s <= n - 1."""
+    n, args = curve_args(draw)
+    s = draw(st.sampled_from(list(range(2, n)) * 6 + list(range(n + 2))))
     point = draw(st.sampled_from(["inflection", "infinite-branch"]))
-    return ["orders", "--p", str(p), "--m", str(m), "--n", str(n), "--a", a,
-            "--b", b, "--s", str(s), "--point", point]
+    return ["orders", *args, "--s", str(s), "--point", point]
 
 
 def run_in_process(argv):
@@ -183,6 +189,47 @@ def run_in_process(argv):
 def test_orders_keeps_the_exit_code_contract(argv):
     code, out, err = run_in_process(argv)
     assert code in (0, 2) or (code == 1 and "verdict: MISMATCH" in out)
+    assert "Traceback" not in err
+    assert run_in_process(argv)[1] == out
+
+
+@st.composite
+def curve_query_argv(draw):
+    """A `count` or `bounds` command line (`curve_args`), or a `chords` one
+    over p <= 400, prime or not: mostly n | p - 1 and P a pair of residues,
+    with P = (a, 1/a) (a vertex, or a*b = 1) and residues out of range
+    among the draws."""
+    command = draw(st.sampled_from(["count", "bounds", "chords"]))
+    if command != "chords":
+        return [command, *curve_args(draw)[1]]
+    p = draw(st.sampled_from([p for p, m in PRIME_POWER_FIELDS if m == 1] * 4
+                             + [p for p, m in COMPOSITE_FIELDS if m == 1]))
+    divisors = [d for d in range(2, 25) if (p - 1) % d == 0] or [2]
+    n = draw(st.sampled_from(divisors * 12 + list(range(25))))
+    residues = st.sampled_from(list(range(1, p)) * 3 + [0, -1, p, p + 1])
+    px = draw(residues)
+    if draw(st.integers(0, 6)) == 0 and math.gcd(px, p) == 1:
+        py = pow(px, -1, p)
+    else:
+        py = draw(residues)
+    return ["chords", "--p", str(p), "--n", str(n), "--px", str(px), "--py", str(py)]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(curve_query_argv())
+@example(["count", "--p", "5", "--m", "2", "--n", "3", "--a", "2,1", "--b", "1,3"])
+@example(["bounds", "--p", "3", "--m", "4", "--n", "5", "--a", "1,2", "--b", "0,0,1"])
+@example(["count", "--p", "13", "--n", "3", "--a", "2", "--b", "7"])  # a*b = 1
+@example(["bounds", "--p", "13", "--n", "5", "--a", "2", "--b", "3"])  # 5 does not divide 12
+@example(["chords", "--p", "13", "--n", "5", "--px", "2", "--py", "3"])
+@example(["count", "--p", "4194319", "--n", "2", "--a", "2", "--b", "3"])  # above MAX_TABLE_Q
+@example(["chords", "--p", "4194319", "--n", "2", "--px", "2", "--py", "3"])
+@example(["chords", "--p", "13", "--n", "3", "--px", "5", "--py", "8"])  # a vertex
+@example(["chords", "--p", "7", "--n", "2", "--px", "3", "--py", "6"])  # FAIL: exit 1
+def test_curve_queries_keep_the_exit_code_contract(argv):
+    code, out, err = run_in_process(argv)
+    assert code in (0, 1, 2)
+    assert code != 1 or (argv[0] == "chords" and json.loads(out)["verdict"] == "FAIL")
     assert "Traceback" not in err
     assert run_in_process(argv)[1] == out
 
@@ -445,7 +492,7 @@ def test_runtime_loads_only_the_standard_library():
     assert loaded - set(sys.stdlib_module_names) - {"gfcurves"} == set()
 
 
-# -- the class-table size guard ---------------------------------------------------
+# -- the size guard of the field index --------------------------------------------
 
 FIRST_PRIME_ABOVE_LIMIT = 4194319
 

@@ -8,18 +8,17 @@ from hypothesis import strategies as st
 from gfcurves import curve as C
 from gfcurves.curve import (
     CountReport,
-    _affine_points,
-    class_tables,
     count_points,
     count_points_fast,
     equation_value,
     make_curve,
+    orbit_counts,
     smoothness_scan,
     special_points,
 )
 from gfcurves.errors import DegenerateParams, DegreeTooSmall, IncompatibleOrder
 from gfcurves.ffield import make_field, subgroup_generator
-from gfcurves.harness import admissible_degrees, primes_up_to
+from gfcurves.harness import admissible_degrees, primes_up_to, scan_task
 from test_ffield import inverse_recurrence, prime_powers
 
 
@@ -215,39 +214,13 @@ def test_no_rational_inflections_when_b_not_power_extension_field():
     assert sorted(s.tangent_value for s in pts) == sorted(directions * 2)
 
 
-# -- the class walk ------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("p,m", [(7, 1), (13, 1), (3, 2), (5, 2), (3, 3)])
-def test_affine_points_equal_brute_force_solution_set(p, m):
-    # every (a, b) over the prime fields; over F_{p^m} every b against the
-    # first three a, so the exhaustive check stays cheap.  The oracle solves
-    # y^n * (a*x^n - 1) = x^n - b point by point, with no class tables.
-    ctx = make_field(p, m)
-    els = list(ctx.elements())
-    nonzero = els[1:]
-    for n in range(2, ctx.q):
-        if (ctx.q - 1) % n:
-            continue
-        t = class_tables(ctx, n)
-        xn = [(x, ctx.pow(x, n)) for x in els]
-        for a in nonzero if m == 1 else nonzero[:3]:
-            lead = [(x, ctx.sub(ctx.mul(a, v), ctx.one), v) for x, v in xn]
-            for b in nonzero:
-                if ctx.mul(a, b) == ctx.one:
-                    continue
-                rows = [(x, ax, ctx.sub(v, b)) for x, ax, v in lead]
-                brute = {(x, y) for x, ax, bx in rows for y, w in xn
-                         if ctx.mul(ax, w) == bx}
-                points = list(_affine_points(make_curve(ctx, n, a, b), t))
-                assert len(points) == len(set(points))
-                assert set(points) == brute
+# -- the n-th-power questions against enumeration -------------------------------
 
 
 def _enumerated_tables(p, n):
-    """Oracle: the class tables of F_p built by enumerating the field, the
-    way they were built before the index table: the power list, then the
-    root counts and preimage lists in one pass, and the inverse recurrence."""
+    """Oracle: the n-th-power data of F_p built by enumerating the field: the
+    power list, then the root counts and preimage lists in one pass, and the
+    inverse recurrence."""
     power = [pow(x, n, p) for x in range(p)]
     root_count, preimages = [0] * p, [[] for _ in range(p)]
     for x in range(p):
@@ -257,19 +230,44 @@ def _enumerated_tables(p, n):
     return root_count, nonzero, preimages, inverse_recurrence(p)
 
 
-def _assert_tables_equal_enumeration(p, n):
-    t = class_tables(make_field(p), n)
-    root_count, nonzero, preimages, inv = _enumerated_tables(p, n)
-    assert t.root_count == root_count
-    assert t.nonzero_powers == nonzero  # ascending, as the orbit pass reads it
-    assert t.inv == inv
-    assert [t.roots(v) for v in range(p)] == preimages
+def _assert_roots_equal_enumeration(ctx, n, preimages):
+    """special_points lists the roots of b (the inflections) and of 1/a (the
+    branch directions) in canonical order.  Each v != 0 is asked once, on
+    the curve (a, b) = (1/w, v) of a pair of neighbours v != w of F_q^*."""
+    els = [ctx.from_encoding(e) for e in range(1, ctx.q)]
+    for v, w in zip(els[::2], els[1::2] + els[:1]):
+        pts = special_points(make_curve(ctx, n, ctx.inv(w), v))
+        assert [s.tangent_value for s in pts if s.center == "affine" and s.tangent_axis == "X"] \
+            == preimages[v]
+        assert [s.tangent_value for s in pts if s.center == "P1"] == preimages[w]
 
 
 def test_index_tables_equal_enumeration_to_400():
+    # the roots, and mu_k of the orbit pass as a set and as the coset of r = 1
     for p in primes_up_to(400):
         for n in admissible_degrees(p):
-            _assert_tables_equal_enumeration(p, n)
+            ctx, (_, nonzero, preimages, _) = make_field(p), _enumerated_tables(p, n)
+            _assert_roots_equal_enumeration(ctx, n, preimages)
+            orbits = orbit_counts(ctx, n)
+            assert {s for _, s in orbits.coset[1:]} == set(nonzero)
+            assert [c for c in range(1, p) if orbits.coset[c][0] == 0] == nonzero
+
+
+def test_scan_columns_equal_enumeration_to_199():
+    # the n1 column of every scan row, and the inverses the scan skips: c = 1/r
+    # on the row of r, b = 1/a in the b list of a (p <= 199, the default
+    # range of verify prop41; the columns read mu_k, checked to 400 above)
+    for p in primes_up_to(199):
+        for n in admissible_degrees(p):
+            root_count, _, _, inv = _enumerated_tables(p, n)
+            orbits = orbit_counts(make_field(p), n)
+            for a, s, tails, bs in scan_task(p, n, None)[0]:
+                assert list(bs) == [*range(1, inv[a]), *range(inv[a] + 1, p)]
+                if s == 1:  # a = r_i: the tails of row i by c
+                    hist = orbits.rows[orbits.coset[a][0]].hist
+                    assert [c for c, t in enumerate(tails) if t is None] == [0, inv[a]]
+                    assert all(t.fields[1] == n * n * h + 2 * root_count[c]
+                               for c, (t, h) in enumerate(zip(tails, hist)) if t)
 
 
 # the 16 primes of the benchmark's query pool, each at the smallest, the
@@ -280,39 +278,31 @@ POOL_PRIMES = (941, 2833, 4691, 6569, 8443, 10313, 12211, 14071, 15971, 17827,
 
 @pytest.mark.parametrize("p", POOL_PRIMES)
 def test_index_tables_equal_enumeration_on_pool_primes(p):
+    # no sweep runs on these primes, so the roots are the n-th-power data
+    # left to check there
     degrees = [n for n in admissible_degrees(p) if n <= 24]
     for n in sorted({degrees[0], degrees[len(degrees) // 2], degrees[-1]}):
-        _assert_tables_equal_enumeration(p, n)
+        _assert_roots_equal_enumeration(make_field(p), n, _enumerated_tables(p, n)[2])
 
 
-def _enumerated_extension_tables(ctx, n):
-    """Oracle: the class tables of F_{p^m} built by enumerating the field, the
-    way they were built before the index table: x^n by repeated squaring for
-    every x, then root counts and preimage lists keyed by element."""
-    els = list(ctx.elements())
-    root_count, preimages = dict.fromkeys(els, 0), {x: [] for x in els}
-    for x in els:
-        v = ctx.pow(x, n)
-        root_count[v] += 1
-        preimages[v].append(x)
-    nonzero = [v for v in els[1:] if root_count[v]]
-    return els, root_count, nonzero, preimages
+def _enumerated_extension_preimages(ctx, n):
+    """Oracle: the preimage lists of x -> x^n on F_{p^m}, keyed by element,
+    from x^n by repeated squaring for every x in canonical order."""
+    preimages = {x: [] for x in ctx.elements()}
+    for x in ctx.elements():
+        preimages[ctx.pow(x, n)].append(x)
+    return preimages
 
 
 def test_extension_tables_equal_enumeration_to_400():
+    # the sweeps and their inverses run over prime fields only
     fields = [(p, m) for p, m, _ in prime_powers(400) if m > 1]
     assert (2, 8) in fields and (3, 5) in fields and (7, 3) in fields
     for p, m in fields:
         ctx = make_field(p, m)
         for n in range(2, ctx.q):
-            if (ctx.q - 1) % n:
-                continue
-            t = class_tables(ctx, n)
-            els, root_count, nonzero, preimages = _enumerated_extension_tables(ctx, n)
-            assert t.root_count == [root_count[x] for x in els]  # by encoding
-            assert t.nonzero_powers == [ctx.encode(v) for v in nonzero]
-            assert [t.roots(x) for x in els] == [preimages[x] for x in els]
-            assert t.inv == [0] + [ctx.encode(ctx.inv(x)) for x in els[1:]]
+            if (ctx.q - 1) % n == 0:
+                _assert_roots_equal_enumeration(ctx, n, _enumerated_extension_preimages(ctx, n))
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -373,17 +363,50 @@ def test_index_walk_runs_once_per_prime(monkeypatch):
         return uncached(ctx)
 
     monkeypatch.setattr(C, "_index", functools.cache(walk))
-    monkeypatch.setattr(C, "_TABLES_CACHE", {})
     ctx, ext = make_field(2833), make_field(7, 3)
-    for n in (2, 12, 24):
-        count_points_fast(make_curve(ctx, n, 2, 3))
-    for n in (2, 9, 19):  # divisors of 342
-        count_points_fast(make_curve(ext, n, 2, ext.element([1, 1])))
-    assert walks == [2833, 343]
-    assert C._TABLES_CACHE == {}  # the counts read logarithms, no (q, n) class table
+    for field, degrees, b in ((ctx, (2, 12, 24), 3), (ext, (2, 9, 19), ext.element([1, 1]))):
+        for n in degrees:  # divisors of q - 1
+            curve = make_curve(field, n, 2, b)
+            count_points_fast(curve)
+            special_points(curve)
+            smoothness_scan(curve)
+    orbit_counts(ctx, 24)
+    assert walks == [2833, 343]  # no table per degree n
 
 
 # -- smoothness -------------------------------------------------------------------
+
+
+@functools.cache
+def _arithmetic(ctx):
+    """The elements of F_q in canonical order, and its mul and sub tables by
+    encoding."""
+    els = [ctx.from_encoding(e) for e in range(ctx.q)]
+    return (els, [[ctx.encode(ctx.mul(x, y)) for y in els] for x in els],
+            [[ctx.encode(ctx.sub(x, y)) for y in els] for x in els])
+
+
+def brute_smoothness(ctx, n):
+    """Oracle: the per-point gradient route over F_q, by encodings, with no
+    index.  For fixed (n, a) every (x, y) lies on exactly one curve, the one
+    with b = x^n + y^n - a*x^n*y^n, so one pass over F_q^2 enumerates the
+    solution set of every b.  At each point g_X = n*x^(n-1)*(a*y^n - 1) and
+    g_Y = n*y^(n-1)*(a*x^n - 1) come from field arithmetic.  Yields, for
+    each a != 0, a and the point count and singular-point count of each b."""
+    (els, mul, sub), enc = _arithmetic(ctx), ctx.encode
+    xn = [enc(ctx.pow(x, n)) for x in els]
+    grad = [enc(ctx.mul(ctx.element(n), ctx.pow(x, n - 1))) for x in els]  # n*x^(n-1)
+    for ea in range(1, ctx.q):
+        lead = [sub[mul[ea][v]][1] for v in xn]  # a*x^n - 1
+        count, singular = [0] * ctx.q, [0] * ctx.q
+        for x in range(ctx.q):
+            X, ax, gx = xn[x], lead[x], grad[x]
+            for y in range(ctx.q):
+                b = sub[X][mul[xn[y]][ax]]
+                count[b] += 1
+                if mul[gx][lead[y]] == 0 and mul[grad[y]][ax] == 0:
+                    singular[b] += 1
+        yield els[ea], count, singular
 
 
 @pytest.mark.parametrize("p,n,a,b", [(13, 3, 2, 3), (11, 5, 10, 7), (31, 6, 4, 9)])
@@ -400,6 +423,27 @@ def test_smoothness_scan_extension_field():
     rep = smoothness_scan(curve)
     assert rep.clean
     assert rep.points_checked == count_points_fast(curve).affine_total
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p, m, q in prime_powers(49) if q > 2])
+def test_affine_points_equal_brute_force_solution_set(p, m):
+    # every valid (a, b) over F_q, q <= 49: the per-class smoothness scan
+    # checks as many affine points as the brute solution set holds, and none
+    # of them is singular
+    ctx = make_field(p, m)
+    q = ctx.q
+    for n in range(2, q):
+        if (q - 1) % n:
+            continue
+        for a, count, singular in brute_smoothness(ctx, n):
+            for eb in range(1, q):
+                b = ctx.from_encoding(eb)
+                if ctx.mul(a, b) == ctx.one:
+                    continue
+                curve = make_curve(ctx, n, a, b)
+                rep = smoothness_scan(curve)
+                assert rep.clean and singular[eb] == 0
+                assert rep.points_checked == count[eb] == count_points_fast(curve).affine_total
 
 
 def test_model_total_respects_hasse_weil_on_extension_fields():
