@@ -11,19 +11,22 @@ n-th power classes: writing u = x^n, the equation becomes
 y^n = (u - b)/(a*u - 1), so each of the (q-1)/n nonzero classes contributes
 n * #roots.  Both are exact; the test suite pins them equal.  The per-curve
 counts (`count_points_fast`, `curve_cell`) and `smoothness_scan`, which
-decides the gradient per class, read the one class walk `_class_logs`.  The
-bulk sweeps use `orbit_counts`, which counts one curve per torus orbit of
-(a, b) from pair histograms over mu_k and is pinned to `count_points_fast`
-in the tests.
+decides the gradient per class, read the two columns of `_class_logs`.
+`curve_cell` counts the classes with an n-th-power c_u in one C-level pass
+over them and settles the two exceptional classes (a*u = 1, u = b) and the
+at most two diagonal ones (c_u = u) in closed form.  The bulk sweeps use
+`orbit_counts`, which counts one curve per torus orbit of (a, b) from pair
+histograms over mu_k and is pinned to `count_points_fast` in the tests.
 
 Every field F_q has one index table, from a single walk over the powers of
 its smallest primitive element g: exp and log on encodings, and the Zech
-logarithm zech[i] = log(g^i + 1).  The class walk reads log(a*u - 1) and
-log(u - b) off zech, and c_u is an n-th power exactly when n | log c_u, so
-it needs no inversion.  Every n-th-power question reads the same index: the
-n-th powers are exp[0::n] and the n roots of v are exp[log v / n :: k]; no
-table is kept per degree n.  No index is built for q above `MAX_TABLE_Q`
-(`FieldTooLarge`).
+logarithm zech[i] = log(g^i + 1), all for one period.  Over F_{p^m} the walk
+multiplies out only (q-1)/(p-1) powers and scales them by F_p^*.  The class
+columns read log(a*u - 1) and log(u - b) off zech, and c_u is an n-th power
+exactly when n | log c_u, so they need no inversion.  Every n-th-power
+question reads the same index: the n-th powers are exp[0::n] and the n
+roots of v are exp[log v / n :: k]; no table is kept per degree n.  No index
+is built for q above `MAX_TABLE_Q` (`FieldTooLarge`).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, asdict
+from operator import sub
 from typing import NamedTuple
 
 from .errors import (DegenerateParams, DegreeTooSmall, FieldTooLarge, IncompatibleOrder,
@@ -123,39 +127,56 @@ def _index(ctx: FieldCtx) -> tuple[list, list, list]:
     """(exp, log, zech) of F_q from one walk over the powers of its smallest
     primitive element g: exp[i] = enc(g^i) for i < q-1, log[enc(g^i)] = i
     (log[0] = -1) and the Zech logarithm zech[i] = log[enc(g^i + 1)] (-1 where
-    g^i = -1), stored for i < 2(q-1) so that every window of one period is a
-    slice.  Cached per field."""
+    g^i = -1), for one period i < q-1.  Over F_{p^m} only the first
+    N = (q-1)/(p-1) powers are multiplied out: gamma = g^N is a constant that
+    generates F_p^*, so g^(i + jN) = gamma^j * g^i, and each later block of N
+    encodings is the previous one mapped through enc(x) -> enc(gamma * x).
+    Cached per field."""
     check_table_size(ctx.q)
     q, p = ctx.q, ctx.p
     g = subgroup_generator(ctx, q - 1)
-    exp, log = [0] * (q - 1), [-1] * q
     x = ctx.one
     if ctx.m == 1:
+        exp, log = [0] * (q - 1), [-1] * q
         for i in range(q - 1):
             exp[i] = x
             log[x] = i
             x = x * g % p
     else:
-        for i in range(q - 1):
-            e = exp[i] = ctx.encode(x)
-            log[e] = i
+        block = []
+        for _ in range((q - 1) // (p - 1)):
+            block.append(ctx.encode(x))
             x = ctx.mul(x, g)
+        exp = block[:]
+        if p > 2:  # x = gamma; scale[e] = enc(gamma * y) for e = enc(y), digit by digit
+            scale = [0]
+            for t in range(ctx.m):
+                scale = [e + d * x[0] % p * p**t for d in range(p) for e in scale]
+            for _ in range(p - 2):
+                block = list(map(scale.__getitem__, block))
+                exp += block
+        log = [-1] * q
+        for i, e in enumerate(exp):
+            log[e] = i
     # enc(x + 1) is e + 1, or e + 1 - p when the constant digit of e is p - 1
     succ = log[1:] + log[:1]
     succ[p - 1::p] = log[::p]
-    return exp, log, list(map(succ.__getitem__, exp)) * 2
+    return exp, log, list(map(succ.__getitem__, exp))
 
 
-def _class_logs(ctx: FieldCtx, n: int, a: int, b: int):
-    """(lu, w, v) over the nonzero n-th powers u = g^lu, for the encodings a
-    and b.  With h = log(-1), log(a*u - 1) = h + w for w = zech[log a + lu - h]
-    (w = -1: a*u = 1) and log(u - b) = log(-b) + v for v = zech[lu - log(-b)]
-    (v = -1: u = b), so c_u = (u - b)/(a*u - 1) has log c_u = log b + v - w."""
+def _class_logs(ctx: FieldCtx, n: int, a: int, b: int) -> tuple[list, list]:
+    """(w, v) over the nonzero n-th powers u = g^(j*n), j < (q-1)/n, for the
+    encodings a and b.  With h = log(-1), log(a*u - 1) = h + w[j] for
+    w[j] = zech[log a + j*n - h] (w = -1: a*u = 1) and log(u - b) =
+    log(-b) + v[j] for v[j] = zech[j*n - log(-b)] (v = -1: u = b), so
+    c_u = (u - b)/(a*u - 1) has log c_u = log b + v - w.  The stride-n window
+    of zech from s, zech[s::n] + zech[s % n:s:n], is the column zech[s % n::n]
+    rotated by s // n."""
     _, log, zech = _index(ctx)
     order = ctx.q - 1
     h = order // 2 if ctx.p > 2 else 0
     sa, sb = (log[a] - h) % order, (-log[b] - h) % order
-    return zip(range(0, order, n), zech[sa:sa + order:n], zech[sb:sb + order:n])
+    return zech[sa::n] + zech[sa % n:sa:n], zech[sb::n] + zech[sb % n:sb:n]
 
 
 # ---------------------------------------------------------------------------
@@ -188,26 +209,33 @@ class OrbitCounts(NamedTuple):
 
 
 def curve_cell(ctx: FieldCtx, n: int, a: int, b: int) -> CurveCell:
-    """The orbit counts of one curve (a, b), a*b != 1, given by encodings, by
-    one pass over its classes: each u contributes n * rc[c_u] points with
-    x^n = u, c_u = (u - b)/(a*u - 1), where rc[0] = 1 and rc[c] = n when
-    n | log c (0 otherwise); c_u = u exactly when a*u^2 - 2u + b = 0."""
-    log, order = _index(ctx)[1], ctx.q - 1
-    total = diag = refined = 0
-    for lu, w, v in _class_logs(ctx, n, a, b):
-        if w < 0:
-            continue
-        if v < 0:
-            total += 1
-        elif (lc := log[b] + v - w) % n == 0:
-            total += n
-            if (lc - lu) % order == 0:
-                diag += 1
-            else:
-                refined += n
-    n1 = n if log[b] % n == 0 else 0  # the x = 0 row has y^n = b
-    affine = n1 + n * total
-    return CurveCell(affine, affine - 2 * n1 - n * diag, diag, n * refined)
+    """The orbit counts of one curve (a, b), a*b != 1, given by encodings.
+    Each class u has n^2 points with x^n = u when n | log c_u, c_u =
+    (u - b)/(a*u - 1): one C-level pass over the columns of `_class_logs`
+    counts them, with the two -1 entries corrected in closed form: u = 1/a
+    (w = -1, j = -log a / n) has no point, and u = b (v = -1, j = log b / n)
+    has n1 points y = 0, as many as the x = 0 row.  c_u = u on the roots of
+    a*u^2 - 2u + b, u = (1 +- s)/a with s^2 = 1 - ab for odd p and u^2 = b/a
+    for p = 2, which are nonzero and not exceptional: the diagonal classes
+    are those with n | log u."""
+    _, log, zech = _index(ctx)
+    la, lb, order = log[a], log[b], ctx.q - 1
+    w, v = _class_logs(ctx, n, a, b)
+    t = -lb % n
+    hits = list(map(n.__rmod__, map(sub, v, w))).count(t)
+    for j in -la % order, lb:  # the slots of u = 1/a and u = b
+        if j % n == 0 and (v[j // n] - w[j // n]) % n == t:
+            hits -= 1
+    if ctx.p == 2:
+        diag = int((lb - la) % n == 0)  # log u = (lb - la)/2 and 2 is a unit mod n
+    else:
+        h = order // 2  # log(-1)
+        ls = zech[(la + lb + h) % order]  # log(1 - ab)
+        diag = 0 if ls % 2 else sum((z - la) % n == 0 for z in
+                                    (zech[ls // 2], zech[(ls // 2 + h) % order]))
+    n1 = n if lb % n == 0 else 0  # the x = 0 row has y^n = b
+    return CurveCell(n * n * hits + 2 * n1, n * n * hits - n * diag, diag,
+                     n * n * (hits - diag))
 
 
 def orbit_counts(ctx: FieldCtx, n: int) -> OrbitCounts:
@@ -335,7 +363,7 @@ def smoothness_scan(curve: CurveParams) -> SmoothnessReport:
     exp, log, _ = _index(ctx)
     a, b, order = ctx.encode(curve.a), ctx.encode(curve.b), ctx.q - 1
     checked = n if log[b] % n == 0 else 0  # the x = 0 row
-    for lu, w, v in _class_logs(ctx, n, a, b):
+    for lu, w, v in zip(range(0, order, n), *_class_logs(ctx, n, a, b)):
         lc = log[b] + v - w  # log c_u when v >= 0
         if w < 0 or (v >= 0 and lc % n):
             continue  # no point with x^n = u

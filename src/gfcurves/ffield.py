@@ -411,9 +411,11 @@ def nth_roots(ctx: FieldCtx, c, n: int) -> list:
 
 @functools.cache
 def _primitive_element(ctx: FieldCtx):
-    """The smallest element (canonical order) of order q-1.  Cached per field."""
+    """The smallest element (canonical order) of order q-1.  Cached per field.
+    For m > 1 the search starts at encoding p: a constant's order divides p-1."""
     radicals = prime_factors(ctx.q - 1)
-    return next(x for x in ctx.nonzero_elements()
+    candidates = map(ctx.from_encoding, range(1 if ctx.m == 1 else ctx.p, ctx.q))
+    return next(x for x in candidates
                 if all(ctx.pow(x, (ctx.q - 1) // r) != ctx.one for r in radicals))
 
 

@@ -399,6 +399,64 @@ def test_grids_keep_the_exit_code_contract(argv):
     assert run_in_process(argv)[1] == out
 
 
+@st.composite
+def sweep_argv(draw):
+    """A `scan` or `verify` command line under the size budget: --p-max up
+    to 60 with its boundary, negative and garbage values and its omission,
+    scan's --n-filter and --sample, every verify suite and some that do not
+    exist, options spaced or `=`-joined and in any order, and a global --jobs
+    of 1 or a value that starts no pool (an int below 2 or garbage).  The
+    suites that run `verify lemmas`, and the default --p-max of orders and
+    prop41, are drawn only with a value that is refused before any check
+    runs: a full-size sweep is not a contract question."""
+    command = draw(st.sampled_from(["scan", "verify"]))
+    p_max = draw(st.sampled_from([*range(-1, 5), 6, 7, 12, 13, *GARBAGE, None]
+                                 + [*range(5, 61)] * 2))
+    if command == "scan":
+        opts = [("--p-max", p_max),
+                ("--n-filter", draw(st.sampled_from([*range(0, 25), 60, *GARBAGE]
+                                                    + [None] * 20))),
+                ("--sample", draw(st.sampled_from(["ALL", "0", "-1", *GARBAGE]
+                                                  + ["all", "1", "2", "50", None] * 5)))]
+        lead = []
+    else:
+        suite = draw(st.sampled_from(["orders", "prop41"] * 4 + ["lemmas", "all", "x", "ORDERS"]))
+        slow = suite in ("lemmas", "all") or (suite in ("orders", "prop41") and p_max is None)
+        refused = isinstance(p_max, str) or (suite == "all" and p_max is not None and p_max < 13)
+        if slow and not refused:
+            p_max = "x"
+        opts, lead = [("--p-max", p_max)], [suite]
+    words = []
+    for opt, value in opts:
+        if value is not None:
+            words.append(draw(st.sampled_from([[opt, str(value)], [f"{opt}={value}"]])))
+    words = draw(st.permutations(words + [lead]))
+    jobs = draw(st.sampled_from([None] * 20 + ["1"] * 5 + ["0", "-1", *GARBAGE]))
+    top = [] if jobs is None else draw(st.sampled_from([["--jobs", jobs], [f"--jobs={jobs}"]]))
+    return [*top, command, *(w for word in words for w in word)]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(sweep_argv())
+@example(["--jobs", "2", "scan", "--p-max", "13"])  # the one draw that starts a pool
+@example(["scan", "--p-max", "5"])
+@example(["scan", "--p-max", "4"])
+@example(["scan", "--p-max", "13", "--sample", "0"])
+@example(["verify", "prop41", "--p-max", "7"])  # FAIL: exit 1
+@example(["verify", "orders", "--p-max", "12"])
+@example(["verify", "all", "--p-max", "12"])
+def test_sweeps_keep_the_exit_code_contract(argv):
+    code, out, err = run_in_process(argv)
+    assert code in (0, 1, 2)
+    if "scan" in argv:
+        failing = any(line.endswith(",1") for line in out.splitlines())
+    else:
+        failing = "[FAIL]" in out
+    assert code != 1 or failing
+    assert "Traceback" not in err
+    assert run_in_process(argv)[1] == out
+
+
 # -- verify ------------------------------------------------------------------------
 
 

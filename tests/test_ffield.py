@@ -290,6 +290,24 @@ def test_subgroup_generator_equals_scan_to_400():
                 assert subgroup_generator(ctx, k) == scanned_subgroup_generator(ctx, k)
 
 
+def multiplicative_order(ctx, x):
+    y, order = x, 1
+    while y != ctx.one:
+        y, order = ctx.mul(y, x), order + 1
+    return order
+
+
+def test_primitive_element_equals_brute_search_to_1000():
+    # the search skips the constants of F_{p^m}, m > 1, whose orders divide
+    # p - 1; the brute search walks the powers of every nonzero element
+    fields = prime_powers(1000)
+    assert (2, 9, 512) in fields and (31, 2, 961) in fields and (3, 6, 729) in fields
+    for p, m, q in fields:
+        ctx = make_field(p, m)
+        brute = next(x for x in ctx.nonzero_elements() if multiplicative_order(ctx, x) == q - 1)
+        assert ffield._primitive_element(ctx) == brute
+
+
 # -- splitting fields (the oracle of the base-field order route) ---------------
 
 
