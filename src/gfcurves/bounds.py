@@ -18,20 +18,20 @@ Floors are applied once, at the outermost step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .curve import CurveParams
 from .errors import DomainError, EmptyFeasibleSet, InvalidS
 from .ffield import nth_root_count
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     name: str
     value: int | None
     applicable: bool
     reasons: tuple[str, ...] = ()
-    intermediates: dict = field(default_factory=dict)
+    intermediates: dict = MappingProxyType({})  # read-only: one default for every report
 
     def to_jsonable(self) -> dict:
         inter = {}

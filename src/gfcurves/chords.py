@@ -29,16 +29,15 @@ representatives of mu_k: O(C(k,2)*n) instead of O(C(k,2)*p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .curve import CurveParams, check_table_size, count_points_fast, curve_cell, make_curve
 from .errors import DegeneratePolygon, IncompatibleOrder, VertexQuery
 from .ffield import FieldCtx, make_field, subgroup_generator
 
 
-@dataclass(frozen=True)
-class Polygon:
+class Polygon(NamedTuple):
     ctx: FieldCtx
     k: int
     gen: int
@@ -49,8 +48,7 @@ class Polygon:
         return self.ctx.p
 
 
-@dataclass(frozen=True)
-class ChordSet:
+class ChordSet(NamedTuple):
     chords: tuple  # C(k,2) canonicalized projective triples (u, v, w)
 
 
@@ -117,8 +115,7 @@ def restricted_count(curve: CurveParams) -> int:
     return count_points_fast(curve).off_axes_off_diag
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     p: int
     n: int
     point: tuple

@@ -1,6 +1,8 @@
 """Command-line surface.
 
 Subcommands: count, bounds, orders, chords, scan, figure1, vtable, verify.
+The batch subcommands (scan, figure1, vtable, verify) import `harness` on
+first use, so a single-curve query does not load it.
 Exit codes: 0 success / all checks pass, 1 a verification failure was found,
 2 usage error.  All output is deterministic; --seed is accepted and ignored
 (reserved), --jobs parallelizes the scan without changing its output.
@@ -16,7 +18,6 @@ import sys
 
 from . import bounds as B
 from . import chords as C
-from . import harness as H
 from . import localexp as LE
 from .curve import count_points_fast, make_curve
 from .errors import VertexQuery
@@ -168,6 +169,7 @@ def cmd_scan(args) -> int:
     if sample == -1:
         print("--sample must be 'all' or a positive integer", file=sys.stderr)
         return 2
+    from . import harness as H
     violations = 0
     for text, count in H.scan_csv_blocks(args.p_max, args.n_filter, sample, args.jobs):
         sys.stdout.write(text)
@@ -187,6 +189,7 @@ def cmd_figure1(args) -> int:
     if not 3 <= args.n_min <= args.n_max:
         print("figure1 requires 3 <= --n-min <= --n-max", file=sys.stderr)
         return 2
+    from . import harness as H
     for block in H.figure1_tsv_lines(args.n_min, args.n_max):
         sys.stdout.write(block)
     return 0
@@ -196,6 +199,7 @@ def cmd_vtable(args) -> int:
     if args.k_min < 2 or args.k_min > args.k_max:
         print("vtable requires 2 <= --k-min <= --k-max", file=sys.stderr)
         return 2
+    from . import harness as H
     for line in H.vtable_csv_lines(args.k_min, args.k_max):
         print(line)
     return 0
@@ -212,6 +216,7 @@ def cmd_verify(args) -> int:
     if None not in (p_min, args.p_max) and args.p_max < p_min:
         print(f"verify {args.suite} requires --p-max >= {p_min}", file=sys.stderr)
         return 2
+    from . import harness as H
     checks = H.verify_suite(args.suite, args.p_max)
     width = max(len(c.name) for c in checks)
     for c in checks:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, asdict
 from operator import sub
 from typing import NamedTuple
 
@@ -42,8 +41,7 @@ from .errors import (DegenerateParams, DegreeTooSmall, FieldTooLarge, Incompatib
 from .ffield import FieldCtx, nth_root_count, subgroup_generator
 
 
-@dataclass(frozen=True)
-class CurveParams:
+class CurveParams(NamedTuple):
     """Validated (field, n, a, b) with the derived genus and k = (q-1)/n."""
 
     ctx: FieldCtx
@@ -62,8 +60,7 @@ class CurveParams:
         return self.ctx.q
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     """Exact point counts; model_total counts points of the nonsingular model."""
 
     affine_total: int
@@ -75,7 +72,7 @@ class CountReport:
     model_total: int
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=False)
+        return json.dumps(self._asdict(), sort_keys=False)
 
 
 class SpecialPoint(NamedTuple):
@@ -292,14 +289,14 @@ def count_points(curve: CurveParams) -> CountReport:
                             off_diag += 1
     else:
         els = list(ctx.elements())
-        pw = {x: ctx.pow(x, n) for x in els}
-        a, b, zero = curve.a, curve.b, ctx.zero
+        xn = [ctx.pow(x, n) for x in els]
+        zero = ctx.zero
         affine = off_axes = off_diag = 0
-        for x in els:
-            for y in els:
-                v = ctx.add(ctx.sub(ctx.sub(ctx.mul(a, ctx.mul(pw[x], pw[y])),
-                                            pw[x]), pw[y]), b)
-                if v == zero:
+        for x, u in zip(els, xn):
+            ax = ctx.sub(ctx.mul(curve.a, u), ctx.one)  # y^n * ax = bx on the curve
+            bx = ctx.sub(u, curve.b)
+            for y, v in zip(els, xn):
+                if ctx.mul(ax, v) == bx:
                     affine += 1
                     if x != zero and y != zero:
                         off_axes += 1
@@ -343,8 +340,7 @@ def special_points(curve: CurveParams) -> list[SpecialPoint]:
     return out
 
 
-@dataclass(frozen=True)
-class SmoothnessReport:
+class SmoothnessReport(NamedTuple):
     points_checked: int
     clean: bool
 

@@ -24,7 +24,6 @@ import bisect
 import functools
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from typing import NamedTuple
@@ -59,8 +58,7 @@ def admissible_degrees(p: int) -> list[int]:
 # soundness scan
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     p: int
     m: int
     n: int
@@ -77,9 +75,7 @@ class ScanRow:
     violation: bool
 
 
-SCAN_COLUMNS = ("p", "m", "n", "a", "b", "k", "affine_total", "model_total",
-                "hw", "sv_best", "sv_best_s", "w_bound", "applicable_flags",
-                "violation")
+SCAN_COLUMNS = ScanRow._fields
 
 
 def _pair_stride(p: int, sample: int | None) -> int:
@@ -214,8 +210,7 @@ def scan_csv_blocks(p_max: int, n_filter: int | None = None,
 # the contour grid
 
 
-@dataclass(frozen=True)
-class GridCell:
+class GridCell(NamedTuple):
     n: int
     p: int
     k: Fraction
@@ -326,8 +321,7 @@ def vtable_csv_lines(k_min: int = 2, k_max: int = 100):
 # verification suites (the same engines back the acceptance tests)
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     ok: bool
     detail: str
@@ -460,16 +454,18 @@ def _expand(blocks):
                     yield (p, n, a, b, *row[b * s % p])
 
 
-@dataclass(frozen=True)
-class ChordSweep:
-    """The counts of the prop41 sweep and the cells that fail each check, per
-    (p, n): (p, n, coset, cells) with cells[i] = {c: (lhs, restricted, D)}
-    on orbit row i.  The record lists are expanded from the cells when read."""
-
+class _ChordSweep(NamedTuple):
     points_checked: int
     holds: int
     violating: tuple           # lhs != restricted
     off_decomposition: tuple   # restricted != lhs + (n^2 - n)*D
+
+
+class ChordSweep(_ChordSweep):
+    """The counts of the prop41 sweep and the cells that fail each check, per
+    (p, n): (p, n, coset, cells) with cells[i] = {c: (lhs, restricted, D)}
+    on orbit row i.  The record lists are expanded from the cells when read
+    and cached in the instance dict (no __slots__, so it has one)."""
 
     @property
     def violation_count(self) -> int:

@@ -27,7 +27,7 @@ of G^(1/n) past the constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curve import CurveParams, SpecialPoint
 from .errors import (
@@ -349,18 +349,22 @@ def tangent_line_branch_intersections(curve: CurveParams, c=None) -> list[int]:
 # order sequences
 
 
-@dataclass(frozen=True)
-class OrderSequence:
+class _OrderSequence(NamedTuple):
     orders: tuple[int, ...]
     s: int
     point_kind: str
 
-    def __post_init__(self):
-        expected = (self.s + 2) * (self.s + 1) // 2 - 2
-        if len(self.orders) != expected:
-            raise ValueError(f"expected {expected} orders, got {len(self.orders)}")
-        if list(self.orders) != sorted(set(self.orders)) or self.orders[0] != 0:
+
+class OrderSequence(_OrderSequence):
+    __slots__ = ()
+
+    def __new__(cls, orders, s, point_kind):
+        expected = (s + 2) * (s + 1) // 2 - 2
+        if len(orders) != expected:
+            raise ValueError(f"expected {expected} orders, got {len(orders)}")
+        if list(orders) != sorted(set(orders)) or orders[0] != 0:
             raise ValueError("orders must be strictly increasing from 0")
+        return super().__new__(cls, orders, s, point_kind)
 
 
 def inflection_orders(n: int, s: int) -> tuple[int, ...]:

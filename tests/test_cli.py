@@ -550,6 +550,27 @@ def test_runtime_loads_only_the_standard_library():
     assert loaded - set(sys.stdlib_module_names) - {"gfcurves"} == set()
 
 
+def test_single_curve_queries_load_neither_dataclasses_nor_harness():
+    # a cold `import gfcurves.cli` does only what a single-curve query needs;
+    # -I ignores PYTHONPATH and -S keeps the `site` imports out of sys.modules
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    code = "\n".join([
+        "import contextlib, io, sys",
+        f"sys.path.insert(0, {src!r})",
+        "import gfcurves.cli as cli",
+        "print('dataclasses' in sys.modules, 'gfcurves.harness' in sys.modules)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    rc = cli.main(['count', '--p', '13', '--n', '3', '--a', '6', '--b', '2'])",
+        "print(rc, 'gfcurves.harness' in sys.modules)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    rc = cli.main(['vtable', '--k-min', '2', '--k-max', '3'])",
+        "print(rc, 'gfcurves.harness' in sys.modules)",
+    ])
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.splitlines() == ["False False", "0 False", "0 True"]
+
+
 # -- the size guard of the field index --------------------------------------------
 
 FIRST_PRIME_ABOVE_LIMIT = 4194319
