@@ -217,13 +217,20 @@ def _f_num(t: int, u_num: int, u_den: int) -> int:
 
 def _min_f(u, t_hi: int) -> tuple[Fraction, int]:
     """(min, argmin) of f_u over the integers t in [6, t_hi], ties toward the
-    smaller t; the numerators over 6*t*u_den are compared by cross-multiplying."""
+    smaller t; the numerators over 6*t*u_den are compared by cross-multiplying.
+
+    f_u''(t) = 1 + 8(u+3)/t^3 > 0, so f_u is strictly convex and on the
+    integers it falls and then rises.  The walk stops at the first t with
+    f_u(t) >= f_u(t-1): every later t is larger still, so the stop decides
+    the minimum over all of [6, t_hi], and on a tie (possible only between
+    the two integers at the turn) it keeps t-1."""
     u_num, u_den = u.numerator, u.denominator
     best_n, best_t = _f_num(6, u_num, u_den), 6
     for t in range(7, t_hi + 1):
         num = _f_num(t, u_num, u_den)
-        if num * best_t < best_n * t:
-            best_n, best_t = num, t
+        if num * best_t >= best_n * t:
+            break
+        best_n, best_t = num, t
     return Fraction(best_n, 6 * best_t * u_den), best_t
 
 

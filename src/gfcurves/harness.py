@@ -25,7 +25,7 @@ import functools
 import math
 import os
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from typing import NamedTuple
 
 from . import bounds as B
@@ -46,7 +46,7 @@ def primes_up_to(limit: int) -> list[int]:
     for i in range(2, math.isqrt(limit) + 1):
         if sieve[i]:
             sieve[i * i:: i] = b"\x00" * len(sieve[i * i:: i])
-    return [i for i in range(limit + 1) if sieve[i]]
+    return list(compress(range(limit + 1), sieve))
 
 
 def admissible_degrees(p: int) -> list[int]:
@@ -355,6 +355,10 @@ def verify_lemmas(u_grid: int = 10_000, t0_max: int = 60,
     out.append(Check("lemma-ladder-packaged-predicate", sub_bad == 0,
                      f"u in [2,300], t0 in [6,{t0_max}]: {sub_bad} disagreements"))
 
+    # the ladder minimum against a walk of f_u up t that knows no k_t: f_u is
+    # strictly convex (f_u'' = 1 + 8(u+3)/t^3 > 0), so once f_u(t) >= f_u(t-1)
+    # every later t is larger still; the stop decides all of [6, brute_t],
+    # and a tie keeps the smaller t
     base = [(3 * t * t - 23 * t + 26) * t for t in range(brute_t + 1)]
     mism = 0
     for u in range(2, brute_u + 1):
@@ -362,8 +366,9 @@ def verify_lemmas(u_grid: int = 10_000, t0_max: int = 60,
         best_n, best_d = base[6] + off, 6
         for t in range(7, brute_t + 1):
             num = base[t] + off
-            if num * best_d < best_n * t:
-                best_n, best_d = num, t
+            if num * best_d >= best_n * t:
+                break
+            best_n, best_d = num, t
         if B.vtilde(u) != Fraction(best_n, 6 * best_d):
             mism += 1
     out.append(Check("vtilde-equals-brute-min",

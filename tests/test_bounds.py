@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gfcurves import bounds as B
 from gfcurves import harness as H
 from gfcurves.bounds import (
     f_u,
@@ -159,12 +160,31 @@ def test_f_u_and_vtilde_equal_fraction_route():
 
 
 def test_v_of_k_equals_fraction_brute_force_min():
-    for n in range(3, 31):
-        for k in range(2, 201):
-            t_hi = min(n + 3, math.floor(Fraction(k, 2) + 5))
-            values = [f_u_fraction(t, k) for t in range(6, t_hi + 1)]
-            best = min(values)
-            assert v_of_k(k, n) == (best, 6 + values.index(best))
+    # up to k = 200 both caps bind; past it n = k leaves t_hi = k/2 + 5, far
+    # beyond the turn of f_k, and each k = k_t that is an integer ties f_k(t)
+    # with f_k(t + 1) at the turn
+    ties = [k for t in range(6, 40) if (k := k_threshold_fraction(t)).denominator == 1]
+    large = [1000, 5000] + [int(k) for k in ties if 200 < k <= 5000]
+    cases = [(n, k) for n in range(3, 31) for k in range(2, 201)] + [(k, k) for k in large]
+    for n, k in cases:
+        t_hi = min(n + 3, math.floor(Fraction(k, 2) + 5))
+        values = [f_u_fraction(t, k) for t in range(6, t_hi + 1)]
+        best = min(values)
+        assert v_of_k(k, n) == (best, 6 + values.index(best))
+
+
+def test_min_f_stop_equals_exhaustive_scan():
+    # the walk of _min_f stops where the convex f_u stops falling; the full
+    # scan of t in [6, 2000], ties kept low, must agree on (min, argmin)
+    base = [(3 * t * t - 23 * t + 26) * t for t in range(2001)]
+    for u in range(2, 5001):
+        off = 24 * (u + 3)
+        best_n, best_t = base[6] + off, 6
+        for t in range(7, 2001):
+            num = base[t] + off
+            if num * best_t < best_n * t:
+                best_n, best_t = num, t
+        assert B._min_f(u, 2000) == (Fraction(best_n, 6 * best_t), best_t)
 
 
 # -- output formatting ----------------------------------------------------------

@@ -408,7 +408,8 @@ def sweep_argv(draw):
     of 1 or a value that starts no pool (an int below 2 or garbage).  The
     suites that run `verify lemmas`, and the default --p-max of orders and
     prop41, are drawn only with a value that is refused before any check
-    runs: a full-size sweep is not a contract question."""
+    runs: a full-size sweep is not a contract question.  `verify lemmas`
+    alone, which ignores --p-max, is pinned by explicit examples instead."""
     command = draw(st.sampled_from(["scan", "verify"]))
     p_max = draw(st.sampled_from([*range(-1, 5), 6, 7, 12, 13, *GARBAGE, None]
                                  + [*range(5, 61)] * 2))
@@ -445,6 +446,8 @@ def sweep_argv(draw):
 @example(["verify", "prop41", "--p-max", "7"])  # FAIL: exit 1
 @example(["verify", "orders", "--p-max", "12"])
 @example(["verify", "all", "--p-max", "12"])
+@example(["verify", "lemmas"])
+@example(["verify", "lemmas", "--p-max", "13"])  # --p-max is ignored
 def test_sweeps_keep_the_exit_code_contract(argv):
     code, out, err = run_in_process(argv)
     assert code in (0, 1, 2)

@@ -21,7 +21,9 @@ over F_{13^2} (a rational root in an extension base field) from the Newton
 lift on the smallest splitting extension that preceded the binomial-series
 route; the `figure1 62..62` hash (the largest degree the sieve guard admits,
 and the most exact fallbacks) from the exact enclosure of every cell that
-preceded the floating-point filter.
+preceded the floating-point filter; the `vtable 2..3000` hash (t_hi = k/2 + 5
+far past the turn of f_k) from the scan of every t that preceded the stop
+where f_k stops falling.
 `verify prop41` exits 1 by design (the classical chord identity fails on the
 vertex tangents) and `chords` at P = (1, 6) over F_7 is its first
 counterexample.
@@ -104,6 +106,8 @@ GOLDEN = [
      "7ba633d0cacd820fa9df8f08db55f249d84663e41afedb30904437787c7a179e"),
     (["figure1", "--n-min", "62", "--n-max", "62"], 0,
      "c70ba9e2c2c879b2ccf49deb94786c62fc295fef6a806797489381b55522ba90"),
+    (["vtable", "--k-min", "2", "--k-max", "3000"], 0,
+     "fa6c2b3587644c39e34a4a66a9ecd671361f959787df181de74a1f0a792252b4"),
     (["orders", "--p", "13", "--m", "2", "--n", "4", "--a", "4", "--b", "4", "--s", "2",
       "--point", "inflection"], 0,
      "b649934e67a4c6282af7e26be8276b5c2d95c9270710fa1c22cceec5b0577d29"),

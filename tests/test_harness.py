@@ -17,6 +17,9 @@ from test_chords import chord_count_grid
 def test_primes_up_to():
     assert H.primes_up_to(31) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
     assert H.primes_up_to(1) == []
+    primes = [x for x in range(2, 2001) if all(x % d for d in range(2, math.isqrt(x) + 1))]
+    for limit in range(2001):  # trial division pins every limit, 0 to 3 among them
+        assert H.primes_up_to(limit) == [x for x in primes if x <= limit]
 
 
 def test_admissible_degrees():
