@@ -42,8 +42,6 @@ from .ffield import (
     FieldCtx,
     make_field,
     nth_root_count,
-    nth_root_count_brute,
-    nth_roots,
     subgroup_generator,
 )
 from .localexp import (
@@ -87,8 +85,6 @@ __all__ = [
     "np_bound",
     "np_bound_value",
     "nth_root_count",
-    "nth_root_count_brute",
-    "nth_roots",
     "order_sequence",
     "restricted_count",
     "smoothness_scan",

@@ -5,7 +5,8 @@ The batch subcommands (scan, figure1, vtable, verify) import `harness` on
 first use, so a single-curve query does not load it.
 Exit codes: 0 success / all checks pass, 1 a verification failure was found,
 2 usage error.  All output is deterministic; --seed is accepted and ignored
-(reserved), --jobs parallelizes the scan without changing its output.
+(reserved), --jobs parallelizes a scan of at least harness.POOL_MIN_LINES
+lines (smaller scans run serially) without changing its output.
 """
 
 from __future__ import annotations

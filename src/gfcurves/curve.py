@@ -96,16 +96,6 @@ def make_curve(ctx: FieldCtx, n: int, a, b) -> CurveParams:
     return CurveParams(ctx=ctx, n=n, a=a, b=b, g=(n - 1) ** 2, k=(ctx.q - 1) // n)
 
 
-def equation_value(curve: CurveParams, x, y):
-    """g(x, y) = a*x^n*y^n - x^n - y^n + b."""
-    ctx, n = curve.ctx, curve.n
-    xn, yn = ctx.pow(x, n), ctx.pow(y, n)
-    v = ctx.mul(curve.a, ctx.mul(xn, yn))
-    v = ctx.sub(v, xn)
-    v = ctx.sub(v, yn)
-    return ctx.add(v, curve.b)
-
-
 # ---------------------------------------------------------------------------
 # the index of F_q
 

@@ -391,22 +391,10 @@ def _check_root_query(ctx: FieldCtx, c, n: int) -> None:
 def nth_root_count(ctx: FieldCtx, c, n: int) -> int:
     """#{x in F_q : x^n = c} for c != 0 and n | q-1.
 
-    Equals n when c^((q-1)/n) = 1 and 0 otherwise; the exhaustive companion
-    :func:`nth_root_count_brute` exists so the criterion itself is testable.
+    Equals n when c^((q-1)/n) = 1 and 0 otherwise (Euler's criterion).
     """
     _check_root_query(ctx, c, n)
     return n if ctx.pow(c, (ctx.q - 1) // n) == ctx.one else 0
-
-
-def nth_root_count_brute(ctx: FieldCtx, c, n: int) -> int:
-    """Exhaustive-loop slow path of :func:`nth_root_count`."""
-    _check_root_query(ctx, c, n)
-    return sum(1 for x in ctx.elements() if ctx.pow(x, n) == c)
-
-
-def nth_roots(ctx: FieldCtx, c, n: int) -> list:
-    """All x with x^n = c, in canonical order (enumerates the field)."""
-    return [x for x in ctx.elements() if ctx.pow(x, n) == c]
 
 
 @functools.cache

@@ -163,47 +163,66 @@ def _scan_task_block(task) -> tuple[str, int]:
     return text, text.count(",1\n") if violating else 0
 
 
-def worker_count(jobs: int, tasks: int) -> int:
-    """Worker processes for a scan: min(jobs, tasks, cpu count), at least 1."""
-    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+# The fewest CSV lines for which `--jobs` starts a process pool.  Below it a
+# pool costs more than it saves: starting it takes about 10 ms, every task's
+# text block is pickled back through one pipe, and forked workers ran the
+# tasks about 20% slower than the parent.  In interleaved runs piped into a
+# hashing reader on a 2-core host, --jobs 2 lost at p <= 97 (389,460 lines)
+# and won from p <= 131 (1,015,968 lines) on; table in the README.
+POOL_MIN_LINES = 1_000_000
 
 
-def _run_scan(fn, p_max: int, n_filter: int | None, sample: int | None, jobs: int):
-    """fn over the tasks (p, n, sample) for every prime p <= p_max and
-    admissible n, in ascending (p, n); serial unless worker_count > 1."""
-    tasks = [(p, n, sample) for p in primes_up_to(p_max) for n in admissible_degrees(p)
-             if n_filter is None or n == n_filter]
-    workers = worker_count(jobs, len(tasks))
+def _scan_tasks(p_max: int, n_filter: int | None, sample: int | None) -> list[tuple]:
+    """The tasks (p, n, sample) for every prime p <= p_max and admissible n,
+    in ascending (p, n)."""
+    return [(p, n, sample) for p in primes_up_to(p_max) for n in admissible_degrees(p)
+            if n_filter is None or n == n_filter]
+
+
+def worker_count(jobs: int, tasks: list[tuple]) -> int:
+    """Worker processes for the scan tasks (p, n, sample): 1, that is serial,
+    when they write fewer than POOL_MIN_LINES lines, else min(jobs, tasks,
+    cpu count), at least 1.  A task writes its (p - 1)(p - 2) pairs thinned
+    by the sample stride, so the count is known before any task runs."""
+    lines = sum(-(-(p - 1) * (p - 2) // _pair_stride(p, sample)) for p, _, sample in tasks)
+    if lines < POOL_MIN_LINES:
+        return 1
+    return max(1, min(jobs, len(tasks), os.cpu_count() or 1))
+
+
+def _run_scan(tasks: list[tuple], jobs: int):
+    """The text blocks of the tasks, in order: serial unless worker_count > 1,
+    so a small scan never imports the pool."""
+    workers = worker_count(jobs, tasks)
     if workers == 1:
-        yield from map(fn, tasks)
+        yield from map(_scan_task_block, tasks)
         return
     from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, tasks, chunksize=1)
+        yield from pool.map(_scan_task_block, tasks, chunksize=1)
 
 
-def scan_rows(p_max: int, n_filter: int | None = None,
-              sample: int | None = None, jobs: int = 1):
+def scan_rows(p_max: int, n_filter: int | None = None, sample: int | None = None):
     """Yield ScanRow for every prime p <= p_max and admissible n, sorted by
-    (p, m, n, a, b)."""
-    for rows in _run_scan(_scan_task_rows, p_max, n_filter, sample, jobs):
-        yield from rows
+    (p, m, n, a, b); the tasks run serially."""
+    for task in _scan_tasks(p_max, n_filter, sample):
+        yield from _scan_task_rows(task)
 
 
 def scan_csv_blocks(p_max: int, n_filter: int | None = None,
                     sample: int | None = None, jobs: int = 1):
     """The scan as CSV text, one block of newline-terminated lines per (p, n)
     after one block of comments and header, each with its violation count."""
-    primes = primes_up_to(p_max)
+    tasks = _scan_tasks(p_max, n_filter, sample)
     head = [f"# scan p_max={p_max} n_filter={n_filter if n_filter is not None else 'all'} "
             f"sample={'all' if sample is None else sample}"]
     if sample is not None:
-        head += [f"# stride p={p}: {_pair_stride(p, sample)}" for p in primes
-                 if any(n_filter in (None, n) for n in admissible_degrees(p))]
+        head += [f"# stride p={p}: {_pair_stride(p, sample)}"
+                 for p in dict.fromkeys(p for p, _, _ in tasks)]
     head.append(",".join(SCAN_COLUMNS))
     yield "".join(line + "\n" for line in head), 0
-    yield from _run_scan(_scan_task_block, p_max, n_filter, sample, jobs)
+    yield from _run_scan(tasks, jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -244,13 +244,6 @@ def _expand(curve: CurveParams, kind: str, root, L: int | None) -> TruncatedSeri
     return TruncatedSeries(ctx, 0, _solve_unit_power(ctx, A, B, n, root, L))
 
 
-def _residual(curve: CurveParams, kind: str, series: TruncatedSeries) -> TruncatedSeries:
-    """U^n * A - B for U = series; zero to precision for a valid expansion."""
-    A, B = _coefficients(curve, kind, series.prec)
-    ctx = curve.ctx
-    return series.pow(curve.n) * TruncatedSeries(ctx, 0, A) - TruncatedSeries(ctx, 0, B)
-
-
 def expand_at_inflection(curve: CurveParams, xi, L: int | None = None) -> TruncatedSeries:
     """x(t) = xi + O(t^n) with g(x(t), t) = 0, local parameter t the other
     coordinate.  The same series serves (xi, 0) and (0, xi) by symmetry."""
@@ -261,16 +254,6 @@ def expand_branch_at_infinity(curve: CurveParams, c, L: int | None = None) -> Tr
     """y(t) = c + O(t^n) with y^n (a - t^n) = 1 - b t^n, t = 1/x; the
     dehomogenized equation at P1 divided by x^n (P2 swaps the roles)."""
     return _expand(curve, "infinite-branch", c, L)
-
-
-def inflection_residual(curve: CurveParams, series: TruncatedSeries) -> TruncatedSeries:
-    """g(x(t), t) as a series; zero to precision for a valid expansion."""
-    return _residual(curve, "inflection", series)
-
-
-def branch_residual(curve: CurveParams, series: TruncatedSeries) -> TruncatedSeries:
-    """a y^n - 1 - t^n (y^n - b) as a series."""
-    return _residual(curve, "infinite-branch", series)
 
 
 # ---------------------------------------------------------------------------

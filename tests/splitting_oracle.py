@@ -21,9 +21,10 @@ from gfcurves.ffield import (
     _ptrim,
     _zip_pad,
     make_field,
-    nth_roots,
 )
 from gfcurves.localexp import TruncatedSeries, _expand, _pivot_columns
+
+from brute_oracles import nth_roots
 
 # T^n - c with n | p-1 has all its roots proportional by rational n-th roots
 # of unity, so its irreducible factors over F_p share one degree d and a

@@ -405,7 +405,8 @@ def sweep_argv(draw):
     to 60 with its boundary, negative and garbage values and its omission,
     scan's --n-filter and --sample, every verify suite and some that do not
     exist, options spaced or `=`-joined and in any order, and a global --jobs
-    of 1 or a value that starts no pool (an int below 2 or garbage).  The
+    from 2 to 4, of 1, or an int below 1 or garbage.  No scan drawn here
+    reaches harness.POOL_MIN_LINES, so --jobs runs each serially.  The
     suites that run `verify lemmas`, and the default --p-max of orders and
     prop41, are drawn only with a value that is refused before any check
     runs: a full-size sweep is not a contract question.  `verify lemmas`
@@ -432,14 +433,15 @@ def sweep_argv(draw):
         if value is not None:
             words.append(draw(st.sampled_from([[opt, str(value)], [f"{opt}={value}"]])))
     words = draw(st.permutations(words + [lead]))
-    jobs = draw(st.sampled_from([None] * 20 + ["1"] * 5 + ["0", "-1", *GARBAGE]))
+    jobs = draw(st.sampled_from([None] * 20 + ["1"] * 5 + ["2", "3", "4"] * 3
+                                + ["0", "-1", *GARBAGE]))
     top = [] if jobs is None else draw(st.sampled_from([["--jobs", jobs], [f"--jobs={jobs}"]]))
     return [*top, command, *(w for word in words for w in word)]
 
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(sweep_argv())
-@example(["--jobs", "2", "scan", "--p-max", "13"])  # the one draw that starts a pool
+@example(["--jobs", "2", "scan", "--p-max", "13"])  # below the pool's line floor: serial
 @example(["scan", "--p-max", "5"])
 @example(["scan", "--p-max", "4"])
 @example(["scan", "--p-max", "13", "--sample", "0"])
@@ -572,6 +574,27 @@ def test_single_curve_queries_load_neither_dataclasses_nor_harness():
     done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.splitlines() == ["False False", "0 False", "0 True"]
+
+
+def test_small_jobs_scan_runs_serially_without_the_pool():
+    # below harness.POOL_MIN_LINES, --jobs 2 writes the serial bytes and
+    # never imports the process pool
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    code = "\n".join([
+        "import contextlib, io, sys",
+        f"sys.path.insert(0, {src!r})",
+        "import gfcurves.cli as cli",
+        "outs = []",
+        "for argv in (['--jobs', '2', 'scan', '--p-max', '23'], ['scan', '--p-max', '23']):",
+        "    with contextlib.redirect_stdout(io.StringIO()) as buf:",
+        "        rc = cli.main(argv)",
+        "    outs.append(buf.getvalue())",
+        "    print(rc, 'concurrent.futures.process' in sys.modules)",
+        "print(outs[0] == outs[1], outs[0].count('\\n'))",
+    ])
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.splitlines() == ["0 False", "0 False", "True 3650"]
 
 
 # -- the size guard of the field index --------------------------------------------

@@ -10,7 +10,6 @@ from gfcurves.curve import (
     CountReport,
     count_points,
     count_points_fast,
-    equation_value,
     make_curve,
     orbit_counts,
     smoothness_scan,
@@ -19,6 +18,7 @@ from gfcurves.curve import (
 from gfcurves.errors import DegenerateParams, DegreeTooSmall, IncompatibleOrder
 from gfcurves.ffield import make_field, subgroup_generator
 from gfcurves.harness import admissible_degrees, primes_up_to, scan_task
+from brute_oracles import equation_value
 from test_ffield import inverse_recurrence, prime_powers
 
 

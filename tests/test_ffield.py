@@ -14,10 +14,9 @@ from gfcurves.ffield import (
     FieldCtx,
     make_field,
     nth_root_count,
-    nth_root_count_brute,
-    nth_roots,
     subgroup_generator,
 )
+from brute_oracles import nth_root_count_brute, nth_roots
 from splitting_oracle import min_splitting_degree, nth_root_extension
 
 

@@ -124,23 +124,62 @@ def test_sampled_scan_is_every_stride_th_row_of_each_task():
                 assert H._scan_task_rows((p, n, sample)) == full[::stride]
 
 
-def test_scan_parallel_matches_serial():
+def test_scan_parallel_matches_serial(monkeypatch):
+    # a scan this small stays serial; with no line floor the pool must start
+    import concurrent.futures
+
+    started = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(H.os, "cpu_count", lambda: 2)
     serial = list(H.scan_csv_blocks(31, jobs=1))
+    assert started == []
+    monkeypatch.setattr(H, "POOL_MIN_LINES", 0)
     parallel = list(H.scan_csv_blocks(31, jobs=2))
+    assert started == [2]
     assert serial == parallel
 
 
 def test_worker_count_clamps_to_tasks_and_cpus(monkeypatch):
+    monkeypatch.setattr(H, "POOL_MIN_LINES", 0)
     monkeypatch.setattr(H.os, "cpu_count", lambda: 4)
-    assert H.worker_count(1, 50) == 1
-    assert H.worker_count(2, 50) == 2
-    assert H.worker_count(10_000, 50) == 4   # never more than the cpus
-    assert H.worker_count(10_000, 3) == 3    # nor than the tasks
-    assert H.worker_count(0, 50) == 1        # 0 and below run serially
-    assert H.worker_count(-5, 50) == 1
-    assert H.worker_count(8, 0) == 1
+    tasks = H._scan_tasks(211, None, None)
+    assert H.worker_count(1, tasks) == 1
+    assert H.worker_count(2, tasks) == 2
+    assert H.worker_count(10_000, tasks) == 4     # never more than the cpus
+    assert H.worker_count(10_000, tasks[:3]) == 3  # nor than the tasks
+    assert H.worker_count(0, tasks) == 1          # 0 and below run serially
+    assert H.worker_count(-5, tasks) == 1
+    assert H.worker_count(8, []) == 1
     monkeypatch.setattr(H.os, "cpu_count", lambda: None)  # unknown: serial
-    assert H.worker_count(8, 50) == 1
+    assert H.worker_count(8, tasks) == 1
+
+
+def test_worker_count_pools_only_from_the_line_floor(monkeypatch):
+    """The pool starts when the kept tasks write at least POOL_MIN_LINES
+    lines: (p - 1)(p - 2) per (p, n), thinned by the sample stride."""
+    monkeypatch.setattr(H.os, "cpu_count", lambda: 4)
+    # the full scan at p <= 211 writes 4,679,088 lines and keeps the pool
+    assert H.worker_count(2, H._scan_tasks(211, None, None)) == 2
+    # but not when --sample thins it (14,192 lines) or --n-filter keeps
+    # one degree (n = 2: 596,364 lines)
+    assert H.worker_count(2, H._scan_tasks(211, None, 50)) == 1
+    assert H.worker_count(2, H._scan_tasks(211, 2, None)) == 1
+    # the floor falls between p <= 127 (915,348 lines) and p <= 131 (1,015,968)
+    assert H.worker_count(2, H._scan_tasks(127, None, None)) == 1
+    assert H.worker_count(2, H._scan_tasks(131, None, None)) == 2
+    for args in [(13, None, None), (13, 3, None), (23, None, 7), (31, 2, 50)]:
+        tasks = H._scan_tasks(*args)
+        lines = sum(len(H._scan_task_rows(task)) for task in tasks)  # row by row
+        monkeypatch.setattr(H, "POOL_MIN_LINES", lines)
+        assert H.worker_count(2, tasks) == 2
+        monkeypatch.setattr(H, "POOL_MIN_LINES", lines + 1)
+        assert H.worker_count(2, tasks) == 1
 
 
 def test_scan_no_violations_p31_full():

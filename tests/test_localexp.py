@@ -12,24 +12,23 @@ from gfcurves.errors import (
     PrecisionTooLow,
     SmallCharacteristic,
 )
-from gfcurves.ffield import is_prime, make_field, nth_roots
+from gfcurves.ffield import is_prime, make_field
 from gfcurves.localexp import (
     TruncatedSeries,
     branch_contact_order,
     branch_order_sum,
     branch_orders,
-    branch_residual,
     branch_top_order,
     expand_at_inflection,
     expand_branch_at_infinity,
     inflection_contact_order,
     inflection_order_sum,
     inflection_orders,
-    inflection_residual,
     inflection_top_order,
     order_sequence,
     tangent_line_branch_intersections,
 )
+from brute_oracles import branch_residual, inflection_residual, nth_roots
 from splitting_oracle import full_matrix_pivots, site
 
 
