@@ -374,22 +374,9 @@ def verify_lemmas(u_grid: int = 10_000, t0_max: int = 60,
     out.append(Check("lemma-ladder-packaged-predicate", sub_bad == 0,
                      f"u in [2,300], t0 in [6,{t0_max}]: {sub_bad} disagreements"))
 
-    # the ladder minimum against a walk of f_u up t that knows no k_t: f_u is
-    # strictly convex (f_u'' = 1 + 8(u+3)/t^3 > 0), so once f_u(t) >= f_u(t-1)
-    # every later t is larger still; the stop decides all of [6, brute_t],
-    # and a tie keeps the smaller t
-    base = [(3 * t * t - 23 * t + 26) * t for t in range(brute_t + 1)]
-    mism = 0
-    for u in range(2, brute_u + 1):
-        off = 24 * (u + 3)
-        best_n, best_d = base[6] + off, 6
-        for t in range(7, brute_t + 1):
-            num = base[t] + off
-            if num * best_d >= best_n * t:
-                break
-            best_n, best_d = num, t
-        if B.vtilde(u) != Fraction(best_n, 6 * best_d):
-            mism += 1
+    # the ladder minimum against the walk of f_u up t in bounds._min_f, which
+    # knows no k_t: it stops where the strictly convex f_u stops falling
+    mism = sum(1 for u in range(2, brute_u + 1) if B.vtilde(u) != B._min_f(u, brute_t)[0])
     out.append(Check("vtilde-equals-brute-min",
                      mism == 0, f"u in [2,{brute_u}], t in [6,{brute_t}]: {mism} mismatches"))
 
@@ -415,7 +402,7 @@ def verify_orders(p_max: int = 100, n_values=(3, 4, 5, 6, 7),
     tangent-contact inventory, on the full admissible grid.  The contact
     orders are n * min{m >= 1 : f_m != 0} on the binomial series F_1 of the
     branch, so the inventory confirms that f_1 = (beta - alpha)/n is nonzero;
-    the tests pin that route to the Newton lift on the splitting field."""
+    the tests pin that series to the Newton lift on the splitting field."""
     out = []
     seq_bad, mult_bad, cases = [], [], 0
     for p in primes_up_to(p_max):

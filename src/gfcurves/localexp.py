@@ -1,18 +1,18 @@
 """Truncated series arithmetic and local expansions at the special points.
 
 A branch through an inflection (xi, 0) is parametrized by t = y, solving
-g(x(t), t) = 0 by Newton lifting of x^n * (a t^n - 1) = t^n - b; a branch
-over the singular point at infinity P1 with tangent direction c is
-parametrized by t = 1/x, solving y^n * (a - t^n) = 1 - b t^n.  Both lifts
-are valid because the relevant partial derivative is a unit.
+x^n * (a t^n - 1) = t^n - b; a branch over the singular point at infinity
+P1 with tangent direction c is parametrized by t = 1/x, solving
+y^n * (a - t^n) = 1 - b t^n.
 
 Both equations read U^n * (A0 + An t^n) = B0 + Bn t^n, so the branch is
 U = root * G(t^n)^(1/n) with G(s) = (1 + beta s)/(1 + alpha s), alpha =
 An/A0 and beta = Bn/B0, and every power U^i = root^i * G(t^n)^(i/n).  The
-series G^r solves a first-order linear ODE, whose coefficient recurrence
-gives it over the base field in O(L/n) operations (R. P. Stanley,
-Differentiably finite power series, 1980; R. P. Brent and H. T. Kung, Fast
-algorithms for manipulating formal power series, 1978).
+series G^r = (1 + beta s)^r * (1 + alpha s)^(-r) is a product of two
+binomial series.  For r = i/n with p not dividing n, r is a p-adic integer,
+and binom(r, k) mod p is the product of binom(r_j, k_j) over the base-p
+digits of r and k (E. Lucas, Amer. J. Math. 1, 1878), so the coefficients
+are exact over F_q at every precision.
 
 Order sequences of the degree-s series are the pivot columns of the
 coefficient matrix of the shifted monomial expansions t^e * x^i * y^j: the
@@ -27,6 +27,7 @@ of G^(1/n) past the constant.
 
 from __future__ import annotations
 
+from math import comb
 from typing import NamedTuple
 
 from .curve import CurveParams, SpecialPoint
@@ -90,26 +91,6 @@ def _pow_trunc(ctx: FieldCtx, A: list, e: int, L: int) -> list:
         if e:
             base = _mul_trunc(ctx, base, base, L)
     return out
-
-
-def _solve_unit_power(ctx: FieldCtx, A: list, B: list, n: int, u0, L: int) -> list:
-    """U with U^n * A = B mod t^L and U(0) = u0, by Newton doubling."""
-    U = [u0]
-    prec = 1
-    while prec < L:
-        prec = min(2 * prec, L)
-        U = U + [ctx.zero] * (prec - len(U))
-        Un1 = _pow_trunc(ctx, U, n - 1, prec)
-        Un = _mul_trunc(ctx, Un1, U, prec)
-        F = [ctx.sub(x, y) for x, y in zip(_mul_trunc(ctx, Un, A, prec), B[:prec])]
-        Fp = _mul_trunc(ctx, [ctx.mul(ctx.element(n), v) for v in Un1], A, prec)
-        corr = _mul_trunc(ctx, F, _inv_trunc(ctx, Fp, prec), prec)
-        U = [ctx.sub(x, y) for x, y in zip(U, corr)]
-    Un = _pow_trunc(ctx, U, n, L)
-    res = [ctx.sub(x, y) for x, y in zip(_mul_trunc(ctx, Un, A, L), B[:L])]
-    if any(not ctx.is_zero(v) for v in res):
-        raise AssertionError("Newton lift failed to cancel the residual")
-    return U
 
 
 # ---------------------------------------------------------------------------
@@ -230,18 +211,20 @@ _NOT_A_ROOT = {"inflection": (NotAnInflection, "xi^n != b"),
 
 
 def _expand(curve: CurveParams, kind: str, root, L: int | None) -> TruncatedSeries:
-    """The series U = root + O(t^n) with U^n * A = B, to L terms; the root
+    """The series U = root * F_1(t^n) with U^n * A = B, to L terms; the root
     must solve root^n * A(0) = B(0)."""
     ctx, n = curve.ctx, curve.n
     if L is None:
         L = n + 2
     if L < n + 2:
         raise PrecisionTooLow(f"L = {L} < n + 2 = {n + 2}")
+    U = [ctx.zero] * L
+    U[::n] = [ctx.mul(root, f) for f in _root_powers(curve, kind, root, -(-L // n), 1)[1]]
     A, B = _coefficients(curve, kind, L)
-    if ctx.mul(ctx.pow(root, n), A[0]) != B[0]:
-        error, message = _NOT_A_ROOT[kind]
-        raise error(message)
-    return TruncatedSeries(ctx, 0, _solve_unit_power(ctx, A, B, n, root, L))
+    res = [ctx.sub(x, y) for x, y in zip(_mul_trunc(ctx, _pow_trunc(ctx, U, n, L), A, L), B)]
+    if any(not ctx.is_zero(v) for v in res):
+        raise AssertionError("the branch series fails to cancel the residual")
+    return TruncatedSeries(ctx, 0, U)
 
 
 def expand_at_inflection(curve: CurveParams, xi, L: int | None = None) -> TruncatedSeries:
@@ -260,13 +243,29 @@ def expand_branch_at_infinity(curve: CurveParams, c, L: int | None = None) -> Tr
 # the binomial series of the branch, over the base field
 
 
+def _binomials(p: int, num: int, den: int, count: int) -> list[int]:
+    """binom(r, k) mod p for k < count, r = num/den with p not dividing den,
+    by Lucas' theorem: the product of binom(r_j, k_j) over the base-p digits,
+    with r taken mod p^D > k."""
+    size = 1
+    while size < count:
+        size *= p
+    r = num * pow(den, -1, size) % size
+    out = []
+    for k in range(count):
+        c, rest = 1, r
+        while k and c:
+            c = c * comb(rest % p, k % p) % p
+            rest, k = rest // p, k // p
+        out.append(c)
+    return out
+
+
 def _root_powers(curve: CurveParams, kind: str, root, count: int, top: int) -> list[list]:
     """[F_0, .., F_top], each to `count` terms, with U^i = root^i * F_i(t^n)
     on the branch of `kind` for any root of T^n = B0/A0 (a given root must
-    be one).  F_i = G^r, r = i/n, solves (1 + alpha s)(1 + beta s) F' =
-    r (beta - alpha) F, so f_0 = 1 and (k + 1) f_(k+1) =
-    (r (beta - alpha) - (alpha + beta) k) f_k - alpha beta (k - 1) f_(k-1)."""
-    ctx, n, e = curve.ctx, curve.n, curve.ctx.element
+    be one): F_i = (1 + beta s)^r * (1 + alpha s)^(-r), r = i/n."""
+    ctx, n = curve.ctx, curve.n
     A, B = _coefficients(curve, kind, n + 1)
     if root is not None and ctx.mul(ctx.pow(root, n), A[0]) != B[0]:
         error, message = _NOT_A_ROOT[kind]
@@ -276,19 +275,17 @@ def _root_powers(curve: CurveParams, kind: str, root, count: int, top: int) -> l
         raise ValueError(f"T^{n} - {'b' if kind == 'inflection' else '1/a'} has no root in "
                          f"F_{ctx.q}: unsupported over an extension base field")
     alpha, beta = ctx.mul(A[n], ctx.inv(A[0])), ctx.mul(B[n], ctx.inv(B[0]))
-    gap, trace, norm = ctx.sub(beta, alpha), ctx.add(alpha, beta), ctx.mul(alpha, beta)
-    inv_n, out = ctx.inv(e(n)), []
-    invs = [ctx.inv(e(k)) for k in range(1, count)]
-    for i in range(top + 1):
-        rgap = ctx.mul(ctx.mul(e(i), inv_n), gap)
-        prev, f = ctx.zero, [ctx.one]
-        for k in range(count - 1):
-            lead = ctx.mul(ctx.sub(rgap, ctx.mul(trace, e(k))), f[k])
-            step = ctx.sub(lead, ctx.mul(ctx.mul(norm, e(k - 1)), prev))
-            prev = f[k]
-            f.append(ctx.mul(step, invs[k]))
-        out.append(f)
-    return out
+    a_pow, b_pow = [ctx.one], [ctx.one]
+    for _ in range(count - 1):
+        a_pow.append(ctx.mul(a_pow[-1], alpha))
+        b_pow.append(ctx.mul(b_pow[-1], beta))
+
+    def series(i, powers):
+        return [ctx.mul(ctx.element(c), v)
+                for c, v in zip(_binomials(ctx.p, i, n, count), powers)]
+
+    return [_mul_trunc(ctx, series(i, b_pow), series(-i, a_pow), count)
+            for i in range(top + 1)]
 
 
 def _contact_gap(curve: CurveParams, kind: str, root=None) -> int:

@@ -1,10 +1,11 @@
 """Slow routes from the definitions, kept as test oracles.
 
-The package counts n-th roots by Euler's criterion and checks every Newton
-lift inside the lift.  These routes recompute the same facts the long way:
-by enumerating the field, or by substituting a point or a series into the
-curve equation g(x, y) = a*x^n*y^n - x^n - y^n + b.  They share no code with
-the routes they check beyond the field and series arithmetic.
+The package counts n-th roots by Euler's criterion and checks every branch
+series against U^n * A = B inside the expansion.  These routes recompute
+the same facts the long way: by enumerating the field, or by substituting a
+point or a series into the curve equation g(x, y) = a*x^n*y^n - x^n - y^n +
+b.  They share no code with the routes they check beyond the field and
+series arithmetic.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
-"""Splitting extensions and the full-matrix pivot route, kept as test oracles.
+"""The Newton lift, splitting extensions and the full-matrix pivot route,
+kept as test oracles.
 
-The order sequences and contact orders are computed over the base field from
-the binomial series of the branch.  The route that preceded it lifted the
-branch by Newton doubling on the smallest extension holding a root of
-T^n - c and read the orders off the pivots of one dense coefficient matrix;
-it is kept here, unchanged, so that the tests can pin the new route to it.
+The package computes the branch series, the order sequences and the contact
+orders over the base field from the binomial series of the branch.  The
+route that preceded it lifted the branch by Newton doubling on the smallest
+extension holding a root of T^n - c and read the orders off the pivots of
+one dense coefficient matrix.  This file is the home of that lift and of
+that route, kept unchanged, so that the tests can pin the binomial series
+to them.
 """
 
 from __future__ import annotations
@@ -22,13 +25,46 @@ from gfcurves.ffield import (
     _zip_pad,
     make_field,
 )
-from gfcurves.localexp import TruncatedSeries, _expand, _pivot_columns
+from gfcurves.localexp import (
+    TruncatedSeries,
+    _coefficients,
+    _inv_trunc,
+    _mul_trunc,
+    _pivot_columns,
+    _pow_trunc,
+)
 
 from brute_oracles import nth_roots
 
 # T^n - c with n | p-1 has all its roots proportional by rational n-th roots
 # of unity, so its irreducible factors over F_p share one degree d and a
 # single factor is enough to reach every root.
+
+
+def _solve_unit_power(ctx: FieldCtx, A: list, B: list, n: int, u0, L: int) -> list:
+    """U with U^n * A = B mod t^L and U(0) = u0, by Newton doubling."""
+    U = [u0]
+    prec = 1
+    while prec < L:
+        prec = min(2 * prec, L)
+        U = U + [ctx.zero] * (prec - len(U))
+        Un1 = _pow_trunc(ctx, U, n - 1, prec)
+        Un = _mul_trunc(ctx, Un1, U, prec)
+        F = [ctx.sub(x, y) for x, y in zip(_mul_trunc(ctx, Un, A, prec), B[:prec])]
+        Fp = _mul_trunc(ctx, [ctx.mul(ctx.element(n), v) for v in Un1], A, prec)
+        corr = _mul_trunc(ctx, F, _inv_trunc(ctx, Fp, prec), prec)
+        U = [ctx.sub(x, y) for x, y in zip(U, corr)]
+    Un = _pow_trunc(ctx, U, n, L)
+    res = [ctx.sub(x, y) for x, y in zip(_mul_trunc(ctx, Un, A, L), B[:L])]
+    if any(not ctx.is_zero(v) for v in res):
+        raise AssertionError("Newton lift failed to cancel the residual")
+    return U
+
+
+def newton_lift(curve: CurveParams, kind: str, root, L: int) -> list:
+    """The branch of `kind` through `root`, to L terms, by Newton doubling."""
+    A, B = _coefficients(curve, kind, L)
+    return _solve_unit_power(curve.ctx, A, B, curve.n, root, L)
 
 
 def min_splitting_degree(ctx: FieldCtx, c, n: int) -> int:
@@ -129,7 +165,7 @@ def full_matrix_pivots(curve: CurveParams, kind: str, s: int, L: int) -> list[in
     canonical site."""
     work, root = site(curve, kind)
     ctx = work.ctx
-    series = _expand(work, kind, root, L)
+    series = TruncatedSeries(ctx, 0, newton_lift(work, kind, root, L))
     powers = [TruncatedSeries.constant(ctx, ctx.one, L)]
     for _ in range(s - 1):
         powers.append(powers[-1] * series)

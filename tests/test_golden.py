@@ -23,7 +23,9 @@ route; the `figure1 62..62` hash (the largest degree the sieve guard admits,
 and the most exact fallbacks) from the exact enclosure of every cell that
 preceded the floating-point filter; the `vtable 2..3000` hash (t_hi = k/2 + 5
 far past the turn of f_k) from the scan of every t that preceded the stop
-where f_k stops falling.
+where f_k stops falling; the demo 03, `verify orders` and `orders` hashes
+hold unchanged from the ODE recurrence and the Newton lift that preceded
+the binomial series by Lucas' theorem.
 `verify prop41` exits 1 by design (the classical chord identity fails on the
 vertex tangents) and `chords` at P = (1, 6) over F_7 is its first
 counterexample.

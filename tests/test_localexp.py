@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +31,7 @@ from gfcurves.localexp import (
     tangent_line_branch_intersections,
 )
 from brute_oracles import branch_residual, inflection_residual, nth_roots
-from splitting_oracle import full_matrix_pivots, site
+from splitting_oracle import full_matrix_pivots, newton_lift, site
 
 
 # -- series ring ---------------------------------------------------------------
@@ -123,7 +125,7 @@ def canonical_sites(draw):
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(canonical_sites())
-def test_newton_lift_residual_vanishes_at_canonical_site(case):
+def test_expansion_residual_vanishes_at_canonical_site(case):
     # the canonical site may be a splitting extension F_{p^d}, d | n
     curve, kind, L = case
     work, root = site(curve, kind)
@@ -138,9 +140,34 @@ def test_newton_lift_residual_vanishes_at_canonical_site(case):
     assert series.prec == L and residual.is_zero() and residual.prec == L
     gap = series - TruncatedSeries.constant(work.ctx, root, L)
     assert gap.shift(contact).valuation() == curve.n + contact
-    # the base-field contact order, with or without the root, matches the lift
+    # the base-field contact order, with or without the root, matches the series
     order = inflection_contact_order if kind == "inflection" else branch_contact_order
     assert order(curve) == order(work, root) == gap.shift(contact).valuation()
+
+
+@pytest.mark.parametrize("p,m", [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
+def test_expansions_in_small_characteristic(p, m):
+    # every degree n | q - 1, at L = 2np + 3 > n(p - 1): the series divides
+    # by no k, so it holds where k reaches p; checked on the curve equation
+    ctx = make_field(p, m)
+    firsts = list(ctx.nonzero_elements())[:3]
+    checked = 0
+    for n in (n for n in range(2, ctx.q) if (ctx.q - 1) % n == 0):
+        L = 2 * n * p + 3
+        for a in firsts:
+            for b in firsts:
+                if ctx.mul(a, b) == ctx.one:
+                    continue
+                curve = make_curve(ctx, n, a, b)
+                for roots, expand, residual in (
+                        (nth_roots(ctx, b, n), expand_at_inflection, inflection_residual),
+                        (nth_roots(ctx, ctx.inv(a), n), expand_branch_at_infinity,
+                         branch_residual)):
+                    if roots:
+                        series = expand(curve, roots[0], L=L)
+                        assert series.prec == L and residual(curve, series).is_zero()
+                        checked += 1
+    assert checked > 0
 
 
 @pytest.mark.parametrize("p,n,a,b", CASES)
@@ -243,49 +270,62 @@ def test_order_sequence_guards():
     small = make_curve(make_field(7), 3, 2, 3)
     with pytest.raises(SmallCharacteristic):
         order_sequence(small, "inflection", 2)  # 7 <= 2*4
-    # a handle whose tangent value is no root is refused by the shared lift
+    # a handle whose tangent value is no root is refused by the shared series
     with pytest.raises(NotAnInflection):
         order_sequence(curve, SpecialPoint("inflection", "affine", (1, 0), "X", 1), 2)
     with pytest.raises(NotATangentDirection):
         order_sequence(curve, SpecialPoint("infinite-branch", "P1", None, "Y", 1), 2)
 
 
-# -- the base-field route against the Newton lift on the splitting field ------------
+# -- the binomial coefficients of the branch series ----------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_lucas_binomials_equal_exact_binomials(p):
+    # binom(i/n, k) as an exact fraction, reduced mod p; k runs past p, where
+    # the falling factorial over k! has p in its denominator
+    for n in [n for n in range(1, 12) if n % p][:5]:
+        for i in range(-6, 7):
+            r, exact, c = Fraction(i, n), [], Fraction(1)
+            for k in range(60):
+                exact.append(c.numerator * pow(c.denominator, -1, p) % p)
+                c = c * (r - k) / (k + 1)
+            assert localexp._binomials(p, i, n, 60) == exact
+
+
+# -- the binomial series against the Newton lift on the splitting field ------------
 
 
 @st.composite
-def recurrence_cases(draw):
-    """(curve, kind, L): p prime, n | p - 1, 2 <= s <= n - 1 with p > s(n+1),
-    b and 1/a often non-n-th powers (an extension site), and n + 2 <= L <=
-    n(p - 1), up to the doubled precision of order_sequence."""
+def binomial_cases(draw):
+    """(curve, kind, L): p < 60 prime with a degree 3 <= n <= 8 dividing
+    p - 1, b and 1/a often non-n-th powers (an extension site), and
+    n + 2 <= L <= 3np, past n(p - 1), where a falling factorial over k! would
+    divide by p."""
     n = draw(st.integers(3, 8))
-    s = draw(st.integers(2, n - 1))
-    p = draw(st.sampled_from([p for p in range(s * (n + 1) + 1, 200)
-                              if is_prime(p) and (p - 1) % n == 0]))
+    p = draw(st.sampled_from([p for p in range(5, 60) if is_prime(p) and (p - 1) % n == 0]))
     a = draw(st.integers(1, p - 1))
     b = draw(st.integers(1, p - 1).filter(lambda b: a * b % p != 1))
     kind = draw(st.sampled_from(["inflection", "infinite-branch"]))
-    L = draw(st.integers(n + 2, min(n * (p - 1), 2 * (s * (n + 1) + 2))))
+    L = draw(st.integers(n + 2, 3 * n * p))
     return make_curve(make_field(p), n, a, b), kind, L
 
 
 @settings(max_examples=120, deadline=None, database=None)
-@given(recurrence_cases())
-def test_recurrence_series_equals_newton_lift_at_splitting_site(case):
-    # U = root * G(t^n)^(1/n): the base-field recurrence, carried to the
+@given(binomial_cases())
+def test_binomial_series_equals_newton_lift_at_splitting_site(case):
+    # U = root * G(t^n)^(1/n): the base-field binomial series, carried to the
     # site and scaled by its root, is the Newton lift there, coefficient by
     # coefficient
     curve, kind, L = case
     n = curve.n
     work, root = site(curve, kind)
     ctx = work.ctx
-    A, B = localexp._coefficients(work, kind, L)
-    lifted = localexp._solve_unit_power(ctx, A, B, n, root, L)
     series = localexp._root_powers(curve, kind, None, -(-L // n), 1)[1]
     expected = [ctx.zero] * L
     for m, f in enumerate(series):
         expected[n * m] = ctx.mul(root, ctx.element(f))
-    assert lifted == expected
+    assert newton_lift(work, kind, root, L) == expected
 
 
 def test_block_pivots_equal_full_matrix_pivots_on_verify_orders_cases():
