@@ -1,8 +1,10 @@
 """Command-line surface.
 
-Subcommands: count, bounds, orders, chords, scan, figure1, vtable, verify.
-The batch subcommands (scan, figure1, vtable, verify) import `harness` on
-first use, so a single-curve query does not load it.
+Subcommands: count, bounds, orders, chords, scan, figure1, vtable, verify, with their
+options declared once, in `_GRAMMAR`.  An argv of exact `--name value` tokens is read
+from that table directly; argparse, imported and built from it on first need, parses
+any other argv (help, abbreviations, errors).  The batch subcommands (scan, figure1,
+vtable, verify) import `harness` on first use; a single-curve query loads neither.
 Exit codes: 0 success / all checks pass, 1 a verification failure was found,
 2 usage error.  All output is deterministic; --seed is accepted and ignored
 (reserved), --jobs parallelizes a scan of at least harness.POOL_MIN_LINES
@@ -11,11 +13,11 @@ lines (smaller scans run serially) without changing its output.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
+import types
 
 from . import bounds as B
 from . import chords as C
@@ -25,63 +27,83 @@ from .errors import VertexQuery
 from .ffield import make_field
 
 
+_INT = {"type": int, "required": True}  # a required int option
+_CURVE = {
+    "--p": _INT, "--m": {"type": int, "default": 1},
+    "--modulus": {"help": "comma-joined coefficients, constant first"}, "--n": _INT,
+    "--a": {"required": True, "help": "field element: residue, or comma-joined coefficients"},
+    "--b": {"required": True},
+}
+
+# The grammar, declared once: per subcommand its help line and its arguments in help
+# order as add_argument keywords; None: the global options, given before the subcommand.
+_GRAMMAR = {
+    None: (None, {"--format": {"choices": ("csv", "json", "tsv"), "help":
+                               "output format where the subcommand supports a choice"},
+                  "--jobs": {"type": int, "default": 1},
+                  "--seed": {"type": int, "help": "reserved; all behavior is deterministic"}}),
+    "count": ("point counts for one curve", _CURVE),
+    "bounds": ("all bound reports for one curve", _CURVE),
+    "orders": ("order sequence at a special point", {
+        **_CURVE, "--s": _INT,
+        "--point": {"choices": ("inflection", "infinite-branch"), "default": "inflection"}}),
+    "chords": ("chord count vs restricted point count",
+               {"--p": _INT, "--n": _INT, "--px": _INT, "--py": _INT}),
+    "scan": ("bound-soundness sweep, CSV", {
+        "--p-max": _INT, "--n-filter": {"type": int},
+        "--sample": {"default": "all", "help": "'all' or a target pair count per (p, n)"}}),
+    "figure1": ("contour grid of the bound difference, TSV",
+                {"--n-min": _INT, "--n-max": _INT}),
+    "vtable": ("minimization table over k, CSV", {"--k-min": {"type": int, "default": 2},
+                                                  "--k-max": {"type": int, "default": 100}}),
+    "verify": ("run a property suite",
+               {"suite": {"choices": ("orders", "prop41", "lemmas", "all")},
+                "--p-max": {"type": int}}),
+}
+
+
 @functools.cache  # parsing keeps no state in the parser, so one serves every call
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse
     top = argparse.ArgumentParser(prog="gfcurves")
-    top.add_argument("--format", choices=("csv", "json", "tsv"), default=None,
-                     help="output format where the subcommand supports a choice")
-    top.add_argument("--jobs", type=int, default=1)
-    top.add_argument("--seed", type=int, default=None,
-                     help="reserved; all behavior is deterministic")
     sub = top.add_subparsers(dest="command", required=True)
-
-    pc = sub.add_parser("count", help="point counts for one curve")
-    _curve_args(pc)
-
-    pb = sub.add_parser("bounds", help="all bound reports for one curve")
-    _curve_args(pb)
-
-    po = sub.add_parser("orders", help="order sequence at a special point")
-    _curve_args(po)
-    po.add_argument("--s", type=int, required=True)
-    po.add_argument("--point", choices=("inflection", "infinite-branch"),
-                    default="inflection")
-
-    pch = sub.add_parser("chords", help="chord count vs restricted point count")
-    pch.add_argument("--p", type=int, required=True)
-    pch.add_argument("--n", type=int, required=True)
-    pch.add_argument("--px", type=int, required=True)
-    pch.add_argument("--py", type=int, required=True)
-
-    ps = sub.add_parser("scan", help="bound-soundness sweep, CSV")
-    ps.add_argument("--p-max", type=int, required=True)
-    ps.add_argument("--n-filter", type=int, default=None)
-    ps.add_argument("--sample", default="all",
-                    help="'all' or a target pair count per (p, n)")
-
-    pf = sub.add_parser("figure1", help="contour grid of the bound difference, TSV")
-    pf.add_argument("--n-min", type=int, required=True)
-    pf.add_argument("--n-max", type=int, required=True)
-
-    pv = sub.add_parser("vtable", help="minimization table over k, CSV")
-    pv.add_argument("--k-min", type=int, default=2)
-    pv.add_argument("--k-max", type=int, default=100)
-
-    pver = sub.add_parser("verify", help="run a property suite")
-    pver.add_argument("suite", choices=("orders", "prop41", "lemmas", "all"))
-    pver.add_argument("--p-max", type=int, default=None)
+    for command, (help_line, arguments) in _GRAMMAR.items():
+        parser = top if command is None else sub.add_parser(command, help=help_line)
+        for name, spec in arguments.items():
+            parser.add_argument(name, **spec)
     return top
 
 
-def _curve_args(parser):
-    parser.add_argument("--p", type=int, required=True)
-    parser.add_argument("--m", type=int, default=1)
-    parser.add_argument("--modulus", default=None,
-                        help="comma-joined coefficients, constant first")
-    parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--a", required=True,
-                        help="field element: residue, or comma-joined coefficients")
-    parser.add_argument("--b", required=True)
+def _plain_parse(argv):
+    """argparse's namespace for an argv of exact `--name value` tokens and verify's
+    suite, else None: for help, an abbreviation, `--name=value`, a value that starts
+    with '-', a repeated, unknown, misplaced or missing argument, or a bad value."""
+    arguments, command, given = _GRAMMAR[None][1], None, {}
+    tokens = iter(argv)
+    for tok in tokens:
+        if command is None and tok in _GRAMMAR:
+            command, arguments = tok, _GRAMMAR[tok][1]
+            continue
+        # an option and its value, or verify's positional
+        name, value = (tok, next(tokens, "-")) if tok[:2] == "--" else ("suite", tok)
+        if name not in arguments or name in given or value[:1] == "-":
+            return None
+        given[name] = value
+    namespace = {"command": command}
+    for name, spec in (*_GRAMMAR[None][1].items(), *arguments.items()):
+        if name in given:
+            try:
+                value = spec.get("type", str)(given[name])
+            except ValueError:
+                return None
+            if value not in spec.get("choices", (value,)):
+                return None
+        elif spec.get("required") or name == "suite":
+            return None
+        else:
+            value = spec.get("default")
+        namespace[name.lstrip("-").replace("-", "_")] = value
+    return types.SimpleNamespace(**namespace) if command else None
 
 
 def _glue_element_values(argv: list[str]) -> list[str]:
@@ -240,14 +262,16 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(_glue_element_values(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    if [] in vars(args).values():  # argparse reads `--p=--` as [], not as a value
-        print("error: '--' is not a value", file=sys.stderr)
-        return 2
+    argv = sys.argv[1:] if argv is None else argv
+    args = _plain_parse(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(_glue_element_values(argv))
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
+        if [] in vars(args).values():  # argparse reads `--p=--` as [], not as a value
+            print("error: '--' is not a value", file=sys.stderr)
+            return 2
     try:
         return _DISPATCH[args.command](args)
     except BrokenPipeError:

@@ -369,10 +369,16 @@ def make_field(p: int, m: int = 1, modulus=None) -> FieldCtx:
         if not poly_is_irreducible(mod, p):
             raise ReducibleModulus(f"{mod} factors over F_{p}")
         return FieldCtx(p, m, tuple(mod[: m + 1]))
+    return FieldCtx(p, m, _canonical_modulus(p, m))
+
+
+@functools.cache
+def _canonical_modulus(p: int, m: int) -> tuple:
+    """The smallest-encoding monic irreducible of degree m over F_p, found once per (p, m)."""
     for enc in range(p**m):
         cand = _digits(enc, p, m) + [1]
         if poly_is_irreducible(cand, p):
-            return FieldCtx(p, m, tuple(cand))
+            return tuple(cand)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 

@@ -462,6 +462,100 @@ def test_sweeps_keep_the_exit_code_contract(argv):
     assert run_in_process(argv)[1] == out
 
 
+# the option names of the grammar: the global ones (None) and per subcommand
+CURVE_OPTIONS = ("--p", "--m", "--modulus", "--n", "--a", "--b")
+OPTIONS = {
+    None: ("--format", "--jobs", "--seed"),
+    "count": CURVE_OPTIONS, "bounds": CURVE_OPTIONS,
+    "orders": (*CURVE_OPTIONS, "--s", "--point"), "chords": ("--p", "--n", "--px", "--py"),
+    "scan": ("--p-max", "--n-filter", "--sample"), "figure1": ("--n-min", "--n-max"),
+    "vtable": ("--k-min", "--k-max"), "verify": ("--p-max",),
+}
+OPTION_NAMES = frozenset(name for names in OPTIONS.values() for name in names)
+MUTATIONS = ("none", "abbreviate", "equals", "minus", "value", "drop", "duplicate", "move",
+             "insert")
+
+
+@st.composite
+def mutated_argv(draw):
+    """A command line of `orders_argv`, `curve_query_argv`, `grid_argv` or
+    `sweep_argv`, as drawn or with one mutation: an option abbreviated, in
+    the `--name=value` form (with or without its old value left behind), with
+    a leading '-' on its value, a non-int, bad-choice or empty value, dropped,
+    duplicated or moved across the subcommand; or `-h`, `--help`, `--` or a
+    second verify suite inserted anywhere."""
+    argv = draw(st.one_of(orders_argv(), curve_query_argv(), grid_argv(), sweep_argv()))
+    options = [i for i, tok in enumerate(argv[:-1]) if tok in OPTION_NAMES]
+    kind = draw(st.sampled_from(MUTATIONS))
+    if kind == "none" or not options:
+        return argv
+    i = draw(st.sampled_from(options))
+    name, value = argv[i], argv[i + 1]
+    if kind == "abbreviate" and len(name) > 3:
+        argv[i] = name[:draw(st.integers(3, len(name) - 1))]
+    elif kind == "equals":
+        argv[i:i + 2] = draw(st.sampled_from([[f"{name}={value}"], [f"{name}={value}", value]]))
+    elif kind == "minus":
+        argv[i + 1] = "-" + value
+    elif kind == "value":
+        argv[i + 1] = draw(st.sampled_from(["x", "3.5", "", "xml", "-1"]))
+    elif kind == "drop":
+        del argv[i:i + 2]
+    elif kind == "duplicate":
+        argv[i:i] = [name, draw(st.sampled_from([value, "2"]))]
+    elif kind == "move":
+        command = next(j for j, tok in enumerate(argv) if tok in OPTIONS)
+        del argv[i:i + 2]
+        at = len(argv) if i < command else 0
+        argv[at:at] = [name, value]
+    elif kind == "insert":
+        at = draw(st.integers(0, len(argv)))
+        argv.insert(at, draw(st.sampled_from(["-h", "--help", "--", "orders"])))
+    return argv
+
+
+def exact_tokens(argv):
+    """Whether each token that starts with '-' is the full name of an option
+    of its place, before or after the subcommand, and none comes twice."""
+    names, seen = OPTIONS[None], set()
+    for tok in argv:
+        if names is OPTIONS[None] and tok in OPTIONS:
+            names = OPTIONS[tok]
+        elif tok[:1] == "-":
+            if tok not in names or tok in seen:
+                return False
+            seen.add(tok)
+    return True
+
+
+def argparse_vars(argv):
+    """vars() of argparse's namespace for what `main` hands it, or None when
+    argparse exits (usage error or help)."""
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            return vars(cli._build_parser().parse_args(cli._glue_element_values(argv)))
+    except SystemExit:
+        return None
+
+
+@settings(max_examples=600, deadline=None, database=None)
+@given(mutated_argv())
+@example(["verify", "--p-max", "13", "orders"])
+@example(["verify", "suite", "orders"])  # the positional's name is not an option
+@example(["verify", "--p", "13", "orders"])  # an abbreviation of --p-max
+@example(["orders", "--p", "13", "--n", "3", "--a", "2", "--b", "3", "--s", "2",
+          "--point", "x", "--point", "inflection"])  # argparse checks every occurrence
+@example(["count", "--p", "13", "--m", "2", "--n", "3", "--a=-1,3", "--b", "2"])
+@example(["count", "--p=13", "13", "--n", "3", "--a", "6", "--b", "2"])
+def test_plain_parse_agrees_with_argparse(argv):
+    plain, reference = cli._plain_parse(argv), argparse_vars(argv)
+    if plain is not None:
+        assert vars(plain) == reference
+    elif reference is not None:  # declined though argparse accepts it
+        assert not exact_tokens(argv)
+
+
 # -- verify ------------------------------------------------------------------------
 
 
@@ -529,7 +623,9 @@ def test_one_parser_serves_calls_in_a_row(capsys):
     # each call in one process answers as a fresh `python -m gfcurves.cli`
     count = ["count", "--p", "13", "--n", "3", "--a", "6", "--b", "2"]
     calls = [count, ["bounds", "--p", "31", "--n", "5", "--a", "2", "--b", "3"],
-             ["count", "--p", "13"], ["--format", "csv"] + count, count]
+             ["count", "--p", "13"], ["--format", "csv"] + count, count,
+             ["--form", "csv"] + count,  # an abbreviation: argparse parses it
+             ["count", "--p", "13", "--m", "2", "--n", "3", "--a=-1,3", "--b", "2"]]
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
     codes = []
     for argv in calls:
@@ -538,7 +634,7 @@ def test_one_parser_serves_calls_in_a_row(capsys):
                                capture_output=True, text=True, env=env, timeout=60)
         assert got == (fresh.returncode, fresh.stdout, fresh.stderr)
         codes.append(got[0])
-    assert codes == [0, 0, 2, 0, 0]
+    assert codes == [0, 0, 2, 0, 0, 0, 0]
     assert cli._build_parser() is cli._build_parser()
 
 
@@ -566,14 +662,17 @@ def test_single_curve_queries_load_neither_dataclasses_nor_harness():
         "print('dataclasses' in sys.modules, 'gfcurves.harness' in sys.modules)",
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    rc = cli.main(['count', '--p', '13', '--n', '3', '--a', '6', '--b', '2'])",
-        "print(rc, 'gfcurves.harness' in sys.modules)",
+        "print(rc, 'gfcurves.harness' in sys.modules, 'argparse' in sys.modules)",
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    rc = cli.main(['vtable', '--k-min', '2', '--k-max', '3'])",
         "print(rc, 'gfcurves.harness' in sys.modules)",
+        "with contextlib.redirect_stderr(io.StringIO()):",
+        "    rc = cli.main(['count', '--p', '13'])",
+        "print(rc, 'argparse' in sys.modules)",
     ])
     done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
                           text=True, timeout=60, check=True)
-    assert done.stdout.splitlines() == ["False False", "0 False", "0 True"]
+    assert done.stdout.splitlines() == ["False False", "0 False False", "0 True", "2 True"]
 
 
 def test_small_jobs_scan_runs_serially_without_the_pool():

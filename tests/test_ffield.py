@@ -88,6 +88,21 @@ def test_canonical_modulus_is_smallest_irreducible():
     assert make_field(2, 2).modulus == (1, 1, 1)
 
 
+def test_canonical_modulus_search_runs_once_per_field(monkeypatch):
+    # a second make_field(p, m) reuses the search: no irreducibility test,
+    # and a fresh context equal to the first
+    tested = []
+    real = ffield.poly_is_irreducible
+    monkeypatch.setattr(ffield, "poly_is_irreducible",
+                        lambda f, p: tested.append(f) or real(f, p))
+    ffield._canonical_modulus.cache_clear()
+    first = make_field(7, 3)
+    assert len(tested) > 1
+    tested.clear()
+    second = make_field(7, 3)
+    assert tested == [] and second == first and second is not first
+
+
 @pytest.mark.parametrize("p,m", [(2, 3), (3, 3), (5, 2), (7, 2), (11, 2), (3, 4)])
 def test_canonical_modulus_is_irreducible_by_brute_force(p, m):
     ctx = make_field(p, m)

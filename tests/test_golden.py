@@ -126,6 +126,20 @@ DEMOS = {
     "05_sweeps_and_grids.py": "d7738cbf1a601529eb5589ad65632b247a715977d915070faef8716adb6da3f2",
 }
 
+# the help text, pinned from the per-subcommand add_argument calls that
+# preceded the grammar table; argparse wraps it at the terminal width
+HELP = [
+    ([], "cf412cd42bc79466f328d5a380e84e556fb37488282b5404d15448c69d9befb1"),
+    (["count"], "564ce855a04b743c58f8b8a5b7aeeee4071ef6612560f6f0d480b72305358563"),
+    (["bounds"], "f4c7224906703f7b526f0845589c1dbbd0414ac73b96ddb08ddcbc5fd46cf0e5"),
+    (["orders"], "325ac9f5e7e1e004c563334bd8e07cc89babe6f5033d9d1127efb945281746ad"),
+    (["chords"], "5e28917c549af9af06e15e9b4061ea4baaed5d48596a8dc0da23101677a9b077"),
+    (["scan"], "11e2f7e24cc1a6961761eaef76923a67ba01d5a9a3db1b462802a2e690f6215d"),
+    (["figure1"], "3395751e2004b90ef581b8b9177d6ed847b748e27a864159d6643ba77a6cf752"),
+    (["vtable"], "3e16d66d1b1723c5dafba11079332c6eae0f755508c6d5073baf415053e60032"),
+    (["verify"], "2781ec3acaff915acd2c938169e797a740b1128b0dcf26eaa78b38d0fb8f5054"),
+]
+
 
 @pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
 def test_golden_output(argv, code, digest):
@@ -133,6 +147,16 @@ def test_golden_output(argv, code, digest):
     with contextlib.redirect_stdout(buf):
         got = main(argv)
     assert got == code
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command,digest", HELP, ids=[" ".join(h[0] + ["--help"]) for h in HELP])
+def test_help_output(monkeypatch, command, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        got = main([*command, "--help"])
+    assert got == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
