@@ -15,9 +15,12 @@ The exact decomposition
     N_p = 2*n^2*n_P + (n^2 - n)*D,   D = #{t in mu_k : a t^2 - 2t + b = 0},
 
 is what the verification report exposes, together with the refined count
-that excludes all of x^n = y^n and does satisfy the 2*n^2 identity.  The
-refined count is summed directly over the n-th power classes, not derived
-from D, so the two checks are independent.
+that excludes all of x^n = y^n and does satisfy the 2*n^2 identity.  Both
+come from one `curve_cell`, with refined = n^2*(hits - D), so the refined
+count is derived from D.  The independent counts are in the tests: the
+exhaustive x^n != y^n loop of `test_identity_fails_exactly_on_vertex_tangents`
+(tests/test_chords.py) and the brute CurveCells of tests/test_orbits.py and
+tests/test_curve.py.
 
 The chord through the vertices (t1, 1/t1) and (t2, 1/t2) is the line
 x + t1*t2*y = t1 + t2, so `chords_through` counts n_P in O(k), from the

@@ -131,10 +131,8 @@ def cmd_count(args) -> int:
     curve = _make_curve(args)
     report = count_points_fast(curve)
     if args.format == "csv":
-        names = ("affine_total", "off_axes", "off_axes_off_diag", "n1", "n2",
-                 "branches_at_infinity_rational", "model_total")
-        print(",".join(names))
-        print(",".join(str(getattr(report, f)) for f in names))
+        print(",".join(report._fields))
+        print(",".join(map(str, report)))
     else:
         print(report.to_json())
     return 0

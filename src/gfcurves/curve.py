@@ -178,7 +178,7 @@ class CurveCell(NamedTuple):
     affine_total: int
     restricted: int   # N_p: off the axes and off X = Y
     tangency: int     # D = #{u in mu_k : a*u^2 - 2u + b = 0}
-    refined: int      # off the axes with x^n != y^n, summed directly
+    refined: int      # off the axes with x^n != y^n: n^2*(hits - D)
 
 
 class OrbitRow(NamedTuple):

@@ -513,9 +513,10 @@ def prop41_sweep(p_max: int = 199) -> ChordSweep:
 
     On these rows the decomposition restricted = lhs + (n^2 - n)*D and the
     refined identity lhs = refined are one condition, hist = 2*col + D, so
-    `decomposition_failures` and `refined_failures` agree by construction;
-    the independent refined route is the per-curve `curve.curve_cell`, pinned
-    to the orbit rows and to this sweep for p <= 61 in the tests."""
+    `decomposition_failures` and `refined_failures` agree by construction,
+    as they do in `curve.curve_cell` (refined = n^2*(hits - D)); the
+    independent refined counts are the brute CurveCells of tests/test_orbits.py
+    and tests/test_curve.py, pinned to the orbit rows and to `curve_cell`."""
     checked = holds = 0
     violating, off_decomposition = [], []
     for p in primes_up_to(p_max):

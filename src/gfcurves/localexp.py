@@ -38,7 +38,7 @@ from .errors import (
     PrecisionTooLow,
     SmallCharacteristic,
 )
-from .ffield import FieldCtx, nth_root_count
+from .ffield import FieldCtx
 
 
 # ---------------------------------------------------------------------------
@@ -64,20 +64,6 @@ def _mul_trunc(ctx: FieldCtx, A: list, B: list, L: int) -> list:
             b = B[j]
             if not ctx.is_zero(b):
                 out[i + j] = ctx.add(out[i + j], ctx.mul(a, b))
-    return out
-
-
-def _inv_trunc(ctx: FieldCtx, A: list, L: int) -> list:
-    """Inverse of a unit power series to L terms."""
-    c0 = ctx.inv(A[0])
-    out = [c0] + [ctx.zero] * (L - 1)
-    for k in range(1, L):
-        acc = ctx.zero
-        for i in range(1, min(k, len(A) - 1) + 1):
-            ai = A[i]
-            if not ctx.is_zero(ai):
-                acc = ctx.add(acc, ctx.mul(ai, out[k - i]))
-        out[k] = ctx.neg(ctx.mul(c0, acc))
     return out
 
 
@@ -173,12 +159,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.ctx, e * self.offset,
                                _pow_trunc(self.ctx, self.coeffs, e, len(self.coeffs)))
 
-    def inverse(self) -> "TruncatedSeries":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of a series that is zero to precision")
-        unit = _inv_trunc(self.ctx, self.coeffs, len(self.coeffs))
-        return TruncatedSeries(self.ctx, -self.offset, unit)
-
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries)
                 and (self.ctx, self.offset, self.coeffs)
@@ -270,10 +250,6 @@ def _root_powers(curve: CurveParams, kind: str, root, count: int, top: int) -> l
     if root is not None and ctx.mul(ctx.pow(root, n), A[0]) != B[0]:
         error, message = _NOT_A_ROOT[kind]
         raise error(message)
-    if root is None and ctx.m > 1 and not nth_root_count(ctx, ctx.mul(B[0], ctx.inv(A[0])), n):
-        # the orders exist over F_q all the same; this input stays unsupported
-        raise ValueError(f"T^{n} - {'b' if kind == 'inflection' else '1/a'} has no root in "
-                         f"F_{ctx.q}: unsupported over an extension base field")
     alpha, beta = ctx.mul(A[n], ctx.inv(A[0])), ctx.mul(B[n], ctx.inv(B[0]))
     a_pow, b_pow = [ctx.one], [ctx.one]
     for _ in range(count - 1):

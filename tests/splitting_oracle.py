@@ -6,13 +6,18 @@ orders over the base field from the binomial series of the branch.  The
 route that preceded it lifted the branch by Newton doubling on the smallest
 extension holding a root of T^n - c and read the orders off the pivots of
 one dense coefficient matrix.  This file is the home of that lift and of
-that route, kept unchanged, so that the tests can pin the binomial series
-to them.
+that route, so that the tests can pin the binomial series to them.
+
+Over a prime base field the splitting extension is F_p[T]/(h) for a factor
+h of T^n - c.  Over F_q, q = p^m, it is K = F_{p^(m*d)} with its canonical
+modulus, and F_q enters K by the embedding sum c_i T^i -> sum c_i theta^i
+for a root theta in K of the modulus of F_q; the root of T^n - c is read
+off the discrete-log index of K.
 """
 
 from __future__ import annotations
 
-from gfcurves.curve import CurveParams, make_curve
+from gfcurves.curve import CurveParams, _index, make_curve
 from gfcurves.ffield import (
     FieldCtx,
     _check_root_query,
@@ -28,7 +33,6 @@ from gfcurves.ffield import (
 from gfcurves.localexp import (
     TruncatedSeries,
     _coefficients,
-    _inv_trunc,
     _mul_trunc,
     _pivot_columns,
     _pow_trunc,
@@ -39,6 +43,20 @@ from brute_oracles import nth_roots
 # T^n - c with n | p-1 has all its roots proportional by rational n-th roots
 # of unity, so its irreducible factors over F_p share one degree d and a
 # single factor is enough to reach every root.
+
+
+def _inv_trunc(ctx: FieldCtx, A: list, L: int) -> list:
+    """Inverse of a unit power series to L terms."""
+    c0 = ctx.inv(A[0])
+    out = [c0] + [ctx.zero] * (L - 1)
+    for k in range(1, L):
+        acc = ctx.zero
+        for i in range(1, min(k, len(A) - 1) + 1):
+            ai = A[i]
+            if not ctx.is_zero(ai):
+                acc = ctx.add(acc, ctx.mul(ai, out[k - i]))
+        out[k] = ctx.neg(ctx.mul(c0, acc))
+    return out
 
 
 def _solve_unit_power(ctx: FieldCtx, A: list, B: list, n: int, u0, L: int) -> list:
@@ -123,20 +141,49 @@ def _pquo_exact(f, g, p):
     return quo
 
 
+def embedding(ctx: FieldCtx, K: FieldCtx):
+    """The map iota: F_q -> K, sum c_i T^i -> sum c_i theta^i, for theta the
+    first root of the modulus of F_q among the copy exp[j (|K| - 1)/(q - 1)]
+    of F_q^* in K (any root gives a field embedding; m divides the degree of
+    K).  Over a prime base field iota is K.element."""
+    if ctx.m == 1:
+        return K.element
+    exp = _index(K)[0]
+
+    def value(poly, x):  # Horner, highest coefficient first
+        acc = K.zero
+        for c in reversed(poly):
+            acc = K.add(K.mul(acc, x), K.element(c))
+        return acc
+
+    step = (K.q - 1) // (ctx.q - 1)
+    theta = next(x for x in map(K.from_encoding, exp[::step])
+                 if K.is_zero(value(ctx.modulus, x)))
+    return lambda a: value(a, theta)
+
+
 def nth_root_extension(ctx: FieldCtx, c, n: int):
     """(ctx2, root) with root^n = c, over the smallest extension of ctx.
 
     For d = 1 the context is returned unchanged with the smallest rational
     root: over F_p it is read off the linear factors T - r of T^n - c, over
-    an extension base field the field is enumerated.  Otherwise (prime base
-    field only) the returned context is F_p[T]/(h) for the canonically
-    smallest irreducible factor h of T^n - c, and the root is the class of T.
+    an extension base field the field is enumerated.  Otherwise, over F_p,
+    the returned context is F_p[T]/(h) for the canonically smallest
+    irreducible factor h of T^n - c, and the root is the class of T; over
+    F_{p^m} it is the canonical F_{p^(m*d)}, holding F_q by `embedding`, and
+    the root is exp[log(c) / n] from its index.
     """
     d = min_splitting_degree(ctx, c, n)
     if ctx.m != 1:
         if d == 1:
             return ctx, nth_roots(ctx, c, n)[0]
-        raise ValueError("splitting extensions only over prime base fields")
+        K = make_field(ctx.p, ctx.m * d)
+        exp, log, _ = _index(K)
+        image = embedding(ctx, K)(c)
+        root = K.from_encoding(exp[log[K.encode(image)] // n])
+        if K.pow(root, n) != image:
+            raise AssertionError("the index of the splitting field yields no root")
+        return K, root
     factors = _factor_binomial(ctx.p, n, c, d)
     if d == 1:
         return ctx, min(-h[0] % ctx.p for h in factors)
@@ -150,12 +197,14 @@ def nth_root_extension(ctx: FieldCtx, c, n: int):
 
 def site(curve: CurveParams, kind: str):
     """(curve', root) over the smallest field containing a root of T^n = b
-    at an inflection, of T^n = 1/a on the branches over P1."""
+    at an inflection, of T^n = 1/a on the branches over P1; curve' is the
+    image of curve under `embedding`."""
     ctx, n = curve.ctx, curve.n
     c = curve.b if kind == "inflection" else ctx.inv(curve.a)
     ctx2, root = nth_root_extension(ctx, c, n)
     if ctx2 is not ctx:
-        curve = make_curve(ctx2, n, ctx2.element(curve.a), ctx2.element(curve.b))
+        iota = embedding(ctx, ctx2)
+        curve = make_curve(ctx2, n, iota(curve.a), iota(curve.b))
     return curve, root
 
 

@@ -123,15 +123,16 @@ def test_orders_small_characteristic_rejected(capsys):
     assert "verified regime" in err
 
 
-def test_orders_over_extension_base_field_exits_2(capsys):
-    # b is not a cube in F_121: an F_{p^m} base field with no root of T^n - b
-    # is unsupported input, not a verification verdict
-    code, out, err = run(capsys, ["orders", "--p", "11", "--m", "2", "--n", "3",
-                                  "--a", "1,1", "--b", "2,1", "--s", "2"])
-    assert code == 2
-    assert out == ""
-    assert err == ("error: T^3 - b has no root in F_121: "
-                   "unsupported over an extension base field\n")
+def test_orders_over_extension_base_field_without_a_root(capsys):
+    # b is no cube in F_121 (1/a is one): the orders are geometric, so the
+    # base-field series answers without a root of T^3 - b, at both kinds
+    # of point
+    for point in ("inflection", "infinite-branch"):
+        code, out, err = run(capsys, ["orders", "--p", "11", "--m", "2", "--n", "3",
+                                      "--a", "1,1", "--b", "2,1", "--s", "2",
+                                      "--point", point])
+        assert code == 0 and err == ""
+        assert out == "orders: 0 1 3 4\nclosed-form: 0 1 3 4\nverdict: MATCH\n"
 
 
 # every F_{p^m} with q <= 400, and composite "characteristics" to refuse
@@ -184,11 +185,11 @@ def run_in_process(argv):
 @example(["orders", "--p", "13", "--m", "2", "--n", "4", "--a", "4", "--b", "4", "--s", "2",
           "--point", "infinite-branch"])  # a rational root in F_{13^2}
 @example(["orders", "--p", "11", "--m", "2", "--n", "3", "--a", "1,1", "--b", "2,1",
-          "--s", "2"])  # no root in F_{11^2}: refused
+          "--s", "2"])  # no root in F_{11^2}: answered from the base-field series
 @example(["orders", "--p", "13", "--n", "3", "--a", "2", "--b", "7", "--s", "2"])  # a*b = 1
 def test_orders_keeps_the_exit_code_contract(argv):
     code, out, err = run_in_process(argv)
-    assert code in (0, 2) or (code == 1 and "verdict: MISMATCH" in out)
+    assert (code == 0 and out.endswith("verdict: MATCH\n")) or (code == 2 and out == "")
     assert "Traceback" not in err
     assert run_in_process(argv)[1] == out
 

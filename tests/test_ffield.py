@@ -17,7 +17,7 @@ from gfcurves.ffield import (
     subgroup_generator,
 )
 from brute_oracles import nth_root_count_brute, nth_roots
-from splitting_oracle import min_splitting_degree, nth_root_extension
+from splitting_oracle import embedding, min_splitting_degree, nth_root_extension
 
 
 def inverse_recurrence(p):
@@ -335,13 +335,32 @@ def test_min_splitting_degree_rational_case():
 
 
 def test_nth_root_extension_irrational_case():
-    f13 = make_field(13)
-    # 2 is not a cube mod 13; the class of 2 has full order 3 in F*/F*^3
-    d = min_splitting_degree(f13, 2, 3)
-    assert d == 3
-    ctx, root = nth_root_extension(f13, 2, 3)
-    assert ctx.m == 3
-    assert ctx.pow(root, 3) == ctx.element(2)
+    # 2 is not a cube mod 13 (the class of 2 has full order 3 in F*/F*^3),
+    # and T is no cube in F_{2^2}, no fourth power in F_{3^2} and no square
+    # in F_{5^2}: the root lies in F_{q^d}, where its n-th power is the
+    # image of c
+    for p, m, n, c, d in [(13, 1, 3, 2, 3), (2, 2, 3, (0, 1), 3), (3, 2, 4, (0, 1), 2),
+                          (5, 2, 2, (0, 1), 2)]:
+        base = make_field(p, m)
+        assert min_splitting_degree(base, c, n) == d
+        ctx, root = nth_root_extension(base, c, n)
+        assert ctx.q == base.q**d
+        assert ctx.pow(root, n) == embedding(base, ctx)(c)
+
+
+@pytest.mark.parametrize("p,m,d", [(2, 2, 3), (3, 2, 2), (5, 2, 2), (3, 3, 2)])
+def test_embedding_is_an_injective_ring_map(p, m, d):
+    # iota: F_{p^m} -> F_{p^(m d)}, both with canonical moduli, keeps 1, sums
+    # and products and sends distinct elements apart
+    base, big = make_field(p, m), make_field(p, m * d)
+    iota = embedding(base, big)
+    elems = list(base.elements())
+    images = [iota(x) for x in elems]
+    assert iota(base.one) == big.one and len(set(images)) == base.q
+    for x, ix in zip(elems, images):
+        for y, iy in zip(elems[::3], images[::3]):
+            assert iota(base.add(x, y)) == big.add(ix, iy)
+            assert iota(base.mul(x, y)) == big.mul(ix, iy)
 
 
 @pytest.mark.parametrize("p,n", [(13, 3), (13, 4), (11, 5), (31, 5), (29, 7)])

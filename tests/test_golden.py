@@ -25,7 +25,12 @@ preceded the floating-point filter; the `vtable 2..3000` hash (t_hi = k/2 + 5
 far past the turn of f_k) from the scan of every t that preceded the stop
 where f_k stops falling; the demo 03, `verify orders` and `orders` hashes
 hold unchanged from the ODE recurrence and the Newton lift that preceded
-the binomial series by Lucas' theorem.
+the binomial series by Lucas' theorem; the `orders` pins over F_{11^2}
+(b = 2 + T is no cube there, so the orders at the inflections come without
+a root of T^3 - b) from the base-field series once the refusal of such input
+was deleted, with the inflection answer checked against the dense pivots of
+the Newton lift over F_{11^6}, the splitting field holding F_{11^2} by the
+embedding of `tests/splitting_oracle.py`.
 `verify prop41` exits 1 by design (the classical chord identity fails on the
 vertex tangents) and `chords` at P = (1, 6) over F_7 is its first
 counterexample.
@@ -116,6 +121,11 @@ GOLDEN = [
     (["orders", "--p", "13", "--m", "2", "--n", "4", "--a", "4", "--b", "4", "--s", "2",
       "--point", "infinite-branch"], 0,
      "b649934e67a4c6282af7e26be8276b5c2d95c9270710fa1c22cceec5b0577d29"),
+    (["orders", "--p", "11", "--m", "2", "--n", "3", "--a", "1,1", "--b", "2,1", "--s", "2"], 0,
+     "b2c87a8e8df89f1aae3a452739c6c9056c5115fb52aea8edc915046ae97bdb0e"),
+    (["orders", "--p", "11", "--m", "2", "--n", "3", "--a", "1,1", "--b", "2,1", "--s", "2",
+      "--point", "infinite-branch"], 0,
+     "b2c87a8e8df89f1aae3a452739c6c9056c5115fb52aea8edc915046ae97bdb0e"),
 ]
 
 DEMOS = {

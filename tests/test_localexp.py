@@ -14,7 +14,7 @@ from gfcurves.errors import (
     PrecisionTooLow,
     SmallCharacteristic,
 )
-from gfcurves.ffield import is_prime, make_field
+from gfcurves.ffield import is_prime, make_field, nth_root_count
 from gfcurves.localexp import (
     TruncatedSeries,
     branch_contact_order,
@@ -31,7 +31,7 @@ from gfcurves.localexp import (
     tangent_line_branch_intersections,
 )
 from brute_oracles import branch_residual, inflection_residual, nth_roots
-from splitting_oracle import full_matrix_pivots, newton_lift, site
+from splitting_oracle import embedding, full_matrix_pivots, newton_lift, site
 
 
 # -- series ring ---------------------------------------------------------------
@@ -57,15 +57,6 @@ def test_series_normalizes_leading_zeros():
     assert s.offset == 2 and s.coeffs == [5, 1] and s.prec == 4
     z = TruncatedSeries(ctx, 0, [0, 0, 0])
     assert z.is_zero() and z.valuation() is None and z.prec == 3
-
-
-def test_series_inverse():
-    ctx = make_field(13)
-    s = TruncatedSeries(ctx, 2, [3, 1, 4, 1, 5])
-    prod = s * s.inverse()
-    assert prod.offset == 0
-    for e in range(prod.prec):
-        assert prod.coefficient(e) == (1 if e == 0 else 0)
 
 
 def test_series_coefficient_precision_guard():
@@ -347,3 +338,44 @@ def test_block_pivots_equal_full_matrix_pivots_on_verify_orders_cases():
                         assert (localexp._order_pivots(curve, kind, None, s, L)
                                 == full_matrix_pivots(curve, kind, s, L))
     assert cases == 672
+
+
+def _no_root_curve(p, n):
+    """The first curve over F_{p^2}, with a and then b first in encoding
+    order among the non-constants, on which neither b nor 1/a has a root of
+    T^n - c in F_{p^2} and both have one in F_{p^4}."""
+    ctx = make_field(p, 2)
+
+    def splits_at_degree_2(c):
+        return not nth_root_count(ctx, c, n) and ctx.pow(c, (ctx.q**2 - 1) // n) == ctx.one
+
+    pool = [ctx.from_encoding(e) for e in range(p, ctx.q)]
+    a = next(a for a in pool if splits_at_degree_2(ctx.inv(a)))
+    b = next(b for b in pool if ctx.mul(a, b) != ctx.one and splits_at_degree_2(b))
+    return make_curve(ctx, n, a, b)
+
+
+def test_extension_base_field_without_a_root_equals_the_embedded_lift():
+    # F_{p^2} with no root of T^n - c: the splitting field is K = F_{p^4},
+    # q^2 <= 279,841, holding F_{p^2} by iota.  The base-field pivots are
+    # those of the dense matrix of the Newton lift over K, and the base-field
+    # series F_1, mapped through iota and scaled by the root, is that lift
+    cases = 0
+    for p, n in [(13, 4), (19, 4), (19, 6), (19, 8), (23, 4), (23, 8)]:
+        curve = _no_root_curve(p, n)
+        for kind in ("inflection", "infinite-branch"):
+            work, root = site(curve, kind)
+            iota, K = embedding(curve.ctx, work.ctx), work.ctx
+            assert K.q == curve.ctx.q ** 2
+            for s in range(2, n):
+                if p <= s * (n + 1):
+                    continue
+                L = s * (n + 1) + 2
+                assert (localexp._order_pivots(curve, kind, None, s, L)
+                        == full_matrix_pivots(curve, kind, s, L))
+                expected = [K.zero] * L
+                for m, f in enumerate(localexp._root_powers(curve, kind, None, -(-L // n), 1)[1]):
+                    expected[n * m] = K.mul(root, iota(f))
+                assert newton_lift(work, kind, root, L) == expected
+                cases += 1
+    assert cases == 16
