@@ -18,9 +18,9 @@ print(f"soundness scan p <= 31: {rows} curves, {violations} violations")
 print()
 print("k     V(k)      Vtilde(k)  np_bound  (k+1)/3")
 for (k, v, vt, w, gi, np_v, ref) in H.vtable_rows(2, 50):
-    if k in (2, 6, 24, 25, 26, 43, 44, 45, 50):
-        print(f"{k:<5} {str(v):9} {str(vt):10} {np_v:<9} {str(gi):8}"
-              + (f" refinement={ref}" if ref is not None else ""))
+    if int(k) in (2, 6, 24, 25, 26, 43, 44, 45, 50):
+        print(f"{k:<5} {v:9} {vt:10} {np_v:<9} {gi:8}"
+              + (f" refinement={ref}" if ref != "-" else ""))
 
 # the contour grid: where the cube-root chord bound beats Hasse-Weil
 cells = list(H.figure1_cells(3, 10))

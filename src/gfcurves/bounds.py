@@ -9,8 +9,11 @@ is enclosed in a rational interval [lo, hi] with hi - lo below 1e-25
 (outward rounding, as in R. E. Moore, Interval Analysis, 1966), and
 q + 1 + 2g*sqrt(q) likewise.  The enclosures are computed on plain integers
 over fixed denominators (`_w_num` over `_W_DEN`, `_hw_num` over `_SCALE`),
-and so is the minimisation of f_u; the public functions build their
-`fractions.Fraction` results once, from those numerators.  Every reported
+and so are the minimisation of f_u and its threshold ladder (`_min_f`,
+`_vtilde_num`: a numerator over 6*t*u_den).  The public functions build
+their `fractions.Fraction` results once, from those numerators; the k-table
+and `verify lemmas` in `harness` read the numerators directly, and `fixed`
+and `ratio` format a numerator over its denominator.  Every reported
 integer floors the upper endpoint, so a bound is never under-reported.
 Floors are applied once, at the outermost step.
 """
@@ -66,9 +69,12 @@ def fixed(x, digits: int, den: int = 1) -> str:
     return f"{sign}{whole}.{frac:0{digits}d}"
 
 
-def ratio(x: Fraction) -> str:
-    """x as "num/den", or "num" when x is an integer."""
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def ratio(x, den: int = 1) -> str:
+    """x/den in lowest terms as "num/den", or "num" when it is an integer;
+    x is an int or a Fraction, den a positive int."""
+    num, den = x.numerator, den * x.denominator
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 # ---------------------------------------------------------------------------
@@ -120,21 +126,6 @@ def _hw_num(q: int, g: int) -> int:
     """Numerator over _SCALE of the lower end of the enclosure of
     q + 1 + 2*g*sqrt(q); the upper end is 2*g more."""
     return (q + 1) * _SCALE + 2 * g * math.isqrt(q * _SCALE**2)
-
-
-def w_interval(k) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of W(k); k may be an int or a Fraction >= 0."""
-    k = Fraction(k)
-    if k < 0:
-        raise DomainError("k must be nonnegative")
-    lo, hi = _w_num(k.numerator, k.denominator)
-    return Fraction(lo, _W_DEN), Fraction(hi, _W_DEN)
-
-
-def hw_interval(q: int, g: int) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of q + 1 + 2*g*sqrt(q)."""
-    lo = _hw_num(q, g)
-    return Fraction(lo, _SCALE), Fraction(lo + 2 * g, _SCALE)
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +206,10 @@ def _f_num(t: int, u_num: int, u_den: int) -> int:
     return (3 * t * t - 23 * t + 26) * t * u_den + 24 * (u_num + 3 * u_den)
 
 
-def _min_f(u, t_hi: int) -> tuple[Fraction, int]:
-    """(min, argmin) of f_u over the integers t in [6, t_hi], ties toward the
-    smaller t; the numerators over 6*t*u_den are compared by cross-multiplying.
+def _min_f(u, t_hi: int) -> tuple[int, int]:
+    """(num, t) with min f_u = num/(6*t*u_den) over the integers t in [6, t_hi]
+    and t its argmin, ties toward the smaller t; the numerators over
+    6*t*u_den are compared by cross-multiplying.
 
     f_u''(t) = 1 + 8(u+3)/t^3 > 0, so f_u is strictly convex and on the
     integers it falls and then rises.  The walk stops at the first t with
@@ -231,7 +223,7 @@ def _min_f(u, t_hi: int) -> tuple[Fraction, int]:
         if num * best_t >= best_n * t:
             break
         best_n, best_t = num, t
-    return Fraction(best_n, 6 * best_t * u_den), best_t
+    return best_n, best_t
 
 
 def _k12(t0: int) -> int:
@@ -257,18 +249,24 @@ def lemma34_check(u, t0: int) -> bool:
     return left
 
 
-def vtilde(u) -> Fraction:
-    """min of f_u over all integers t >= 6, via the threshold ladder; u is
-    compared with k_t as 12*u against 12*k_t."""
-    if u < 2:
-        raise DomainError("u must be >= 2")
+def _vtilde_num(u) -> tuple[int, int]:
+    """(num, t) with vtilde(u) = f_u(t) = num/(6*t*u_den), t read off the
+    threshold ladder; u is compared with k_t as 12*u against 12*k_t."""
     u_num, u_den = u.numerator, u.denominator
     t = 6
     if 12 * u_num > _k12(6) * u_den:  # u > k_6
         while _k12(t + 1) * u_den <= 12 * u_num:
             t += 1
         t += 1
-    return Fraction(_f_num(t, u_num, u_den), 6 * t * u_den)
+    return _f_num(t, u_num, u_den), t
+
+
+def vtilde(u) -> Fraction:
+    """min of f_u over all integers t >= 6, via the threshold ladder."""
+    if u < 2:
+        raise DomainError("u must be >= 2")
+    num, t = _vtilde_num(u)
+    return Fraction(num, 6 * t * u.denominator)
 
 
 def v_of_k(k: int, n: int) -> tuple[Fraction, int]:
@@ -281,7 +279,8 @@ def v_of_k(k: int, n: int) -> tuple[Fraction, int]:
     t_hi = min(n + 3, k // 2 + 5)
     if k < 2 or t_hi < 6:
         raise EmptyFeasibleSet(f"no integer t in [6, {t_hi}]")
-    return _min_f(k, t_hi)
+    num, t = _min_f(k, t_hi)
+    return Fraction(num, 6 * t * k.denominator), t
 
 
 # ---------------------------------------------------------------------------
@@ -364,36 +363,3 @@ def np_bound(p: int, n: int) -> BoundReport:
                        "giulietti": giulietti_bound(k),
                        "refinement": refinement},
     )
-
-
-# ---------------------------------------------------------------------------
-# diagnostic for the domination constant
-
-
-def minimal_domination_constant(t0_max: int = 120) -> dict:
-    """Smallest lambda making 3(√2 u)^(2/3) - (103/19)(√2 u)^(1/3) + lambda
-    dominate vtilde on the checkpoint family u = k_{t0} and on the integers
-    u in [2, k_6).  Reports the sup alongside the two closed-form candidates
-    13/3 and (103/19)*sqrt(2) - 10/3, which agree to three decimals."""
-    required_lo = required_hi = Fraction(0)
-    witness = None
-    us = [k_threshold(t0) for t0 in range(6, t0_max + 1)]
-    us += [Fraction(u) for u in range(2, 25)]
-    for u in us:
-        base_lo, base_hi = w_interval(u)
-        # strip the constant: lambda must cover vtilde(u) - (W(u) - 13/3)
-        need_lo = vtilde(u) - (base_hi - Fraction(13, 3))
-        need_hi = vtilde(u) - (base_lo - Fraction(13, 3))
-        if need_hi > required_hi:
-            required_lo, required_hi, witness = need_lo, need_hi, u
-    cand_lo = Fraction(103 * _SQRT2, 19 * _SCALE) - Fraction(10, 3)
-    cand_hi = Fraction(103 * (_SQRT2 + 1), 19 * _SCALE) - Fraction(10, 3)
-    return {
-        "required_lambda_lo": required_lo,
-        "required_lambda_hi": required_hi,
-        "witness_u": witness,
-        "stated_constant": Fraction(13, 3),
-        "candidate_sqrt2_form_lo": cand_lo,
-        "candidate_sqrt2_form_hi": cand_hi,
-        "stated_dominates": required_hi <= Fraction(13, 3),
-    }

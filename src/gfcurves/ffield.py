@@ -24,11 +24,19 @@ from .errors import (
     ZeroInput,
 )
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981  # psi_13, OEIS A014233
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all n below 3.3e24."""
+    """Deterministic Miller-Rabin on the first 13 prime bases, exact below
+    psi_13 = 3317044064679887385961981, the least strong pseudoprime to all
+    of them (the first 12 are exact only below psi_12 ~ 3.2e23; J. Sorenson
+    and J. Webster, Math. Comp. 86 (2017)).  n >= psi_13 is refused with a
+    ValueError: no fixed base set is proven there."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality of {n} is undecided: the Miller-Rabin bases "
+                         f"2..41 are proven exact only below {_MR_BOUND}")
     if n < 2:
         return False
     for w in _MR_WITNESSES:

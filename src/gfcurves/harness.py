@@ -317,23 +317,23 @@ def figure1_tsv_lines(n_min: int, n_max: int):
 
 
 def vtable_rows(k_min: int = 2, k_max: int = 100):
-    """(k, V, Vtilde, W midpoint, giulietti, np, refinement) per integer k."""
+    """The CSV fields (k, V, Vtilde, W midpoint, giulietti, np, refinement)
+    per integer k, formatted from the integer kernels: V and Vtilde are
+    numerators over 6t and W's enclosure [lo, hi] is over _W_DEN.  The
+    refinement floor(Vtilde/2) is "-" outside the window 25 < k < 44."""
+    ratio, fixed, w_den = B.ratio, B.fixed, B._W_DEN
     for k in range(max(2, k_min), k_max + 1):
-        v, _ = B._min_f(k, k // 2 + 5)
-        vt = B.vtilde(k)
+        v, tv = B._min_f(k, k // 2 + 5)
+        vt, tvt = B._vtilde_num(k)
         w_lo, w_hi = B._w_num(k, 1)
-        ref = math.floor(vt / 2) if 25 < k < 44 else None
-        yield (k, v, vt, Fraction(w_lo + w_hi, 2 * B._W_DEN), B.giulietti_bound(k),
-               w_hi // (2 * B._W_DEN), ref)
+        yield (str(k), ratio(v, 6 * tv), ratio(vt, 6 * tvt), fixed(w_lo + w_hi, 12, 2 * w_den),
+               ratio(k + 1, 3), str(w_hi // (2 * w_den)),
+               str(vt // (12 * tvt)) if 25 < k < 44 else "-")
 
 
 def vtable_csv_lines(k_min: int = 2, k_max: int = 100):
     yield "k,V,Vtilde,W,giulietti,np_bound,refinement"
-    for (k, v, vt, w, gi, np_v, ref) in vtable_rows(k_min, k_max):
-        yield ",".join((
-            str(k), B.ratio(v), B.ratio(vt), B.fixed(w, 12), B.ratio(gi), str(np_v),
-            "-" if ref is None else str(ref),
-        ))
+    yield from map(",".join, vtable_rows(k_min, k_max))
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +375,12 @@ def verify_lemmas(u_grid: int = 10_000, t0_max: int = 60,
                      f"u in [2,300], t0 in [6,{t0_max}]: {sub_bad} disagreements"))
 
     # the ladder minimum against the walk of f_u up t in bounds._min_f, which
-    # knows no k_t: it stops where the strictly convex f_u stops falling
-    mism = sum(1 for u in range(2, brute_u + 1) if B.vtilde(u) != B._min_f(u, brute_t)[0])
+    # knows no k_t: it stops where the strictly convex f_u stops falling; both
+    # values are numerators over 6t, compared by cross-multiplying
+    mism = 0
+    for u in range(2, brute_u + 1):
+        (vt, tvt), (mn, tmn) = B._vtilde_num(u), B._min_f(u, brute_t)
+        mism += vt * tmn != mn * tvt
     out.append(Check("vtilde-equals-brute-min",
                      mism == 0, f"u in [2,{brute_u}], t in [6,{brute_t}]: {mism} mismatches"))
 
@@ -386,10 +390,10 @@ def verify_lemmas(u_grid: int = 10_000, t0_max: int = 60,
     out.append(Check("checkpoint-identity", not bad, f"t0 in [6,{t0_max}]: bad={bad}"))
 
     bad = 0
-    for u in range(2, brute_u + 1):  # hi - lo <= 1e-20 and lo >= vtilde(u)
+    for u in range(2, brute_u + 1):  # hi - lo <= 1e-20 and lo >= vtilde(u) = vt/(6t)
         lo, hi = B._w_num(u, 1)
-        vt = B.vtilde(u)
-        if (hi - lo) * 10**20 > B._W_DEN or lo * vt.denominator < vt.numerator * B._W_DEN:
+        vt, t = B._vtilde_num(u)
+        if (hi - lo) * 10**20 > B._W_DEN or lo * 6 * t < vt * B._W_DEN:
             bad += 1
     out.append(Check("w-dominates-vtilde",
                      bad == 0, f"u in [2,{brute_u}], margin 1e-20: {bad} failures"))

@@ -6,11 +6,29 @@ the same facts the long way: by enumerating the field, or by substituting a
 point or a series into the curve equation g(x, y) = a*x^n*y^n - x^n - y^n +
 b.  They share no code with the routes they check beyond the field and
 series arithmetic.
+
+The bound kernels work on integer numerators over fixed denominators.
+`w_interval` and `hw_interval` are their `Fraction` views, and
+`vtable_rows_fraction` is the k-table as `Fraction` rows, the route that
+preceded the integer fields of `harness.vtable_rows`.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
+from gfcurves.bounds import (
+    _SCALE,
+    _W_DEN,
+    _hw_num,
+    _w_num,
+    giulietti_bound,
+    v_of_k,
+    vtilde,
+)
 from gfcurves.curve import CurveParams
+from gfcurves.errors import DomainError
 from gfcurves.ffield import FieldCtx, _check_root_query
 from gfcurves.localexp import TruncatedSeries
 
@@ -61,3 +79,29 @@ def branch_residual(curve: CurveParams, series: TruncatedSeries) -> TruncatedSer
     yn = series.pow(curve.n)
     one = TruncatedSeries.constant(curve.ctx, curve.ctx.one, series.prec)
     return a * yn - one - tn * (yn - b)
+
+
+def w_interval(k) -> tuple[Fraction, Fraction]:
+    """Rational enclosure of W(k); k may be an int or a Fraction >= 0."""
+    k = Fraction(k)
+    if k < 0:
+        raise DomainError("k must be nonnegative")
+    lo, hi = _w_num(k.numerator, k.denominator)
+    return Fraction(lo, _W_DEN), Fraction(hi, _W_DEN)
+
+
+def hw_interval(q: int, g: int) -> tuple[Fraction, Fraction]:
+    """Rational enclosure of q + 1 + 2*g*sqrt(q)."""
+    lo = _hw_num(q, g)
+    return Fraction(lo, _SCALE), Fraction(lo + 2 * g, _SCALE)
+
+
+def vtable_rows_fraction(k_min: int, k_max: int):
+    """(k, V, Vtilde, W midpoint, giulietti, np, refinement) per integer k,
+    as `Fraction`s from the public bound functions and `w_interval`."""
+    for k in range(max(2, k_min), k_max + 1):
+        v, _ = v_of_k(k, k // 2 + 2)  # t_hi = min(n + 3, k//2 + 5) = k//2 + 5
+        vt = vtilde(k)
+        w_lo, w_hi = w_interval(k)
+        ref = math.floor(vt / 2) if 25 < k < 44 else None
+        yield (k, v, vt, (w_lo + w_hi) / 2, giulietti_bound(k), math.floor(w_hi / 2), ref)

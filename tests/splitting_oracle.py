@@ -87,12 +87,15 @@ def newton_lift(curve: CurveParams, kind: str, root, L: int) -> list:
 
 def min_splitting_degree(ctx: FieldCtx, c, n: int) -> int:
     """Smallest d with c an n-th power in F_{q^d} (equivalently: where
-    T^n - c has a root).  Always a divisor of n here since n | q-1."""
+    T^n - c has a root).  With z = c^((q-1)/n) in mu_n and q = 1 (mod n),
+    c^((q^d-1)/n) = z^((q^d-1)/(q-1)) = z^d, since (q^d-1)/(q-1) = 1 + q
+    + ... + q^(d-1) = d (mod n): d is the order of z, a divisor of n."""
     _check_root_query(ctx, c, n)
-    for d in range(1, n + 1):
-        if ctx.pow(c, (ctx.q**d - 1) // n) == ctx.one:
-            return d
-    raise AssertionError("splitting degree must divide n")
+    z = x = ctx.pow(c, (ctx.q - 1) // n)
+    d = 1
+    while x != ctx.one:
+        x, d = ctx.mul(x, z), d + 1
+    return d
 
 
 def _factor_binomial(p: int, n: int, c0: int, d: int) -> list[list[int]]:

@@ -18,6 +18,8 @@ from gfcurves.cli import main
 from gfcurves.curve import MAX_TABLE_Q
 from gfcurves.ffield import is_prime, make_field, nth_root_count
 
+from test_ffield import A014233
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -123,6 +125,22 @@ def test_orders_small_characteristic_rejected(capsys):
     assert "verified regime" in err
 
 
+@pytest.mark.parametrize("command", ["bounds", "orders"])
+def test_strong_pseudoprime_to_twelve_bases_exits_2(capsys, command):
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin at 2..37, and
+    # was taken for a prime before base 41 joined the test
+    argv = [command, "--p", "318665857834031151167461", "--n", "3", "--a", "2", "--b", "3"]
+    code, out, err = run(capsys, argv + (["--s", "2"] if command == "orders" else []))
+    assert (code, out, err) == (2, "", "error: 318665857834031151167461 is not prime\n")
+
+
+@pytest.mark.parametrize("p", [A014233[12], 2**127 - 1])
+def test_characteristic_at_or_above_psi_13_exits_2(capsys, p):
+    code, out, err = run(capsys, ["bounds", "--p", str(p), "--n", "3", "--a", "2", "--b", "3"])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: primality of {p} is undecided") and err.count("\n") == 1
+
+
 def test_orders_over_extension_base_field_without_a_root(capsys):
     # b is no cube in F_121 (1/a is one): the orders are geometric, so the
     # base-field series answers without a root of T^3 - b, at both kinds
@@ -139,23 +157,29 @@ def test_orders_over_extension_base_field_without_a_root(capsys):
 PRIME_POWER_FIELDS = [(p, m) for p in range(2, 401) if is_prime(p)
                       for m in range(1, 9) if p**m <= 400]
 COMPOSITE_FIELDS = [(p, m) for p in (4, 9, 15, 91, 221, 399) for m in (1, 2) if p**m <= 400]
+# large characteristics: the strong pseudoprimes of A014233 and Carmichael
+# numbers (exit 2), 2^61 - 1 (a prime, answered) and 2^127 - 1 (a prime
+# above psi_13, whose primality is refused)
+LARGE_CHARACTERISTICS = sorted(set(A014233)) + [561, 1105, 1729, 41041, 2**61 - 1, 2**127 - 1]
 
 
 def curve_args(draw):
     """n and the options --p, --m, --n, --a, --b of a curve over F_{p^m},
-    q <= 400, n < 25: mostly a field and n a divisor of q - 1, with a*b in
-    {0, 1}, unparsable elements and every other refusal among the draws."""
-    p, m = draw(st.sampled_from(PRIME_POWER_FIELDS * 8 + COMPOSITE_FIELDS))
+    q <= 400 or m = 1 and p large, n < 25: mostly a field and n a divisor
+    of q - 1, with a*b in {0, 1}, unparsable elements and every other
+    refusal among the draws."""
+    p, m = draw(st.sampled_from(PRIME_POWER_FIELDS * 8 + COMPOSITE_FIELDS
+                                + [(p, 1) for p in LARGE_CHARACTERISTICS]))
     q = p**m
     divisors = [d for d in range(2, 25) if (q - 1) % d == 0] or [2]
     n = draw(st.sampled_from(divisors * 12 + list(range(25))))
-    digits = st.lists(st.sampled_from(list(range(1, p)) * 3 + [-1, 0, p]),
+    digits = st.lists(st.sampled_from(list(range(1, min(p, 401))) * 3 + [-1, 0, p]),
                       min_size=1, max_size=m).map(lambda cs: ",".join(map(str, cs)))
     a = draw(digits)
     b = draw(st.sampled_from(["digits"] * 6 + ["zero", "inverse"]))
     if b == "zero":
         b = "0"
-    elif b == "inverse" and is_prime(p) and any(int(c) % p for c in a.split(",")):
+    elif b == "inverse" and (p, m) in PRIME_POWER_FIELDS and any(int(c) % p for c in a.split(",")):
         ctx = make_field(p, m)
         b = ctx.format_element(ctx.inv(ctx.parse_element(a)))
     else:
@@ -187,6 +211,10 @@ def run_in_process(argv):
 @example(["orders", "--p", "11", "--m", "2", "--n", "3", "--a", "1,1", "--b", "2,1",
           "--s", "2"])  # no root in F_{11^2}: answered from the base-field series
 @example(["orders", "--p", "13", "--n", "3", "--a", "2", "--b", "7", "--s", "2"])  # a*b = 1
+@example(["orders", "--p", "318665857834031151167461", "--n", "3", "--a", "2", "--b", "3",
+          "--s", "2"])  # psi_12, composite
+@example(["orders", "--p", str(2**61 - 1), "--n", "6", "--a", "2", "--b", "3", "--s", "4",
+          "--point", "infinite-branch"])
 def test_orders_keeps_the_exit_code_contract(argv):
     code, out, err = run_in_process(argv)
     assert (code == 0 and out.endswith("verdict: MATCH\n")) or (code == 2 and out == "")
@@ -204,10 +232,11 @@ def curve_query_argv(draw):
     if command != "chords":
         return [command, *curve_args(draw)[1]]
     p = draw(st.sampled_from([p for p, m in PRIME_POWER_FIELDS if m == 1] * 4
-                             + [p for p, m in COMPOSITE_FIELDS if m == 1]))
+                             + [p for p, m in COMPOSITE_FIELDS if m == 1]
+                             + LARGE_CHARACTERISTICS))
     divisors = [d for d in range(2, 25) if (p - 1) % d == 0] or [2]
     n = draw(st.sampled_from(divisors * 12 + list(range(25))))
-    residues = st.sampled_from(list(range(1, p)) * 3 + [0, -1, p, p + 1])
+    residues = st.sampled_from(list(range(1, min(p, 401))) * 3 + [0, -1, p, p + 1])
     px = draw(residues)
     if draw(st.integers(0, 6)) == 0 and math.gcd(px, p) == 1:
         py = pow(px, -1, p)
@@ -227,6 +256,8 @@ def curve_query_argv(draw):
 @example(["chords", "--p", "4194319", "--n", "2", "--px", "2", "--py", "3"])
 @example(["chords", "--p", "13", "--n", "3", "--px", "5", "--py", "8"])  # a vertex
 @example(["chords", "--p", "7", "--n", "2", "--px", "3", "--py", "6"])  # FAIL: exit 1
+@example(["bounds", "--p", str(2**127 - 1), "--n", "3", "--a", "2", "--b", "3"])  # undecided
+@example(["bounds", "--p", "561", "--n", "5", "--a", "2", "--b", "3"])  # a Carmichael number
 def test_curve_queries_keep_the_exit_code_contract(argv):
     code, out, err = run_in_process(argv)
     assert code in (0, 1, 2)

@@ -75,6 +75,63 @@ def test_composite_characteristic_rejected():
         make_field(4)
 
 
+# psi_1 .. psi_13 of OEIS A014233: the least strong pseudoprime to each of the
+# first i prime bases at once (Sorenson and Webster, Math. Comp. 86 (2017),
+# for psi_12 and psi_13)
+A014233 = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 341550071728321, 3825123056546413051,
+           3825123056546413051, 3825123056546413051, 318665857834031151167461,
+           3317044064679887385961981)
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+
+def strong_probable_prime(n, w):
+    """n passes the Miller-Rabin round to base w."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(w, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_is_prime_is_false_or_refused_on_every_strong_pseudoprime_of_a014233():
+    # each psi_i passes the first i bases and is composite: a later base, or
+    # a factor, witnesses it
+    assert 399165290221 * 798330580441 == A014233[11]
+    assert 1287836182261 * 2575672364521 == A014233[12]
+    for i, psi in enumerate(A014233, start=1):
+        assert all(strong_probable_prime(psi, w) for w in PRIME_BASES[:i])
+        assert not all(strong_probable_prime(psi, w) for w in PRIME_BASES)
+        if psi < ffield._MR_BOUND:
+            assert ffield.is_prime(psi) is False
+    # base 41 is the first to reject psi_12; psi_13 passes all 13 bases the
+    # test uses, so it and everything above it are refused, not answered
+    assert [w for w in PRIME_BASES if not strong_probable_prime(A014233[11], w)][0] == 41
+    assert ffield._MR_BOUND == A014233[12]
+    for n in (A014233[12], A014233[12] + 2, 2**127 - 1):
+        with pytest.raises(ValueError, match="undecided"):
+            ffield.is_prime(n)
+    with pytest.raises(ValueError, match="undecided"):
+        make_field(2**127 - 1)
+
+
+def test_is_prime_on_carmichael_numbers_and_large_primes():
+    for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265):
+        assert not ffield.is_prime(n)
+    # Mersenne primes, the largest primes below 2^64 and 2^79, and the
+    # largest prime below psi_13
+    for n in (2**31 - 1, 2**61 - 1, 2**64 - 59, 2**79 - 67, A014233[12] - 168):
+        assert ffield.is_prime(n)
+    assert not any(ffield.is_prime(n) for n in range(A014233[12] - 167, A014233[12]))
+    assert make_field(2**61 - 1).q == 2**61 - 1
+
+
 def test_reducible_modulus_rejected():
     # T^2 + 1 = (T+1)^2 mod 2
     with pytest.raises(ReducibleModulus):

@@ -30,7 +30,11 @@ the binomial series by Lucas' theorem; the `orders` pins over F_{11^2}
 a root of T^3 - b) from the base-field series once the refusal of such input
 was deleted, with the inflection answer checked against the dense pivots of
 the Newton lift over F_{11^6}, the splitting field holding F_{11^2} by the
-embedding of `tests/splitting_oracle.py`.
+embedding of `tests/splitting_oracle.py`; the vtable and `verify lemmas`
+hashes hold unchanged from the `Fraction` per row and per u (V, Vtilde,
+the W midpoint and (k+1)/3 of each k, and Vtilde in two of the lemma
+checks) that preceded the fields and comparisons on the numerators of the
+integer bound kernels.
 `verify prop41` exits 1 by design (the classical chord identity fails on the
 vertex tangents) and `chords` at P = (1, 6) over F_7 is its first
 counterexample.

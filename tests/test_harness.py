@@ -11,6 +11,7 @@ from gfcurves.chords import build_polygon
 from gfcurves.cli import main
 from gfcurves.curve import OrbitRow, count_points_fast, curve_cell, make_curve
 from gfcurves.ffield import make_field
+from brute_oracles import vtable_rows_fraction
 from test_chords import chord_count_grid
 
 
@@ -279,14 +280,33 @@ def test_float_cube_root_within_the_assumed_libm_error():
 
 def test_vtable_values():
     rows = {r[0]: r for r in H.vtable_rows(2, 60)}
-    k, v, vt, w, gi, np_v, ref = rows[25]
-    assert v == 18 and vt == 18 and gi == Fraction(26, 3) and ref is None
-    k, v, vt, w, gi, np_v, ref = rows[44]
-    assert gi == 15 and np_v == 14 and ref is None
-    k, v, vt, w, gi, np_v, ref = rows[26]
-    assert vt == Fraction(130, 7) and ref == 9
+    k, v, vt, w, gi, np_v, ref = rows["25"]
+    assert v == "18" and vt == "18" and gi == "26/3" and ref == "-"
+    k, v, vt, w, gi, np_v, ref = rows["44"]
+    assert gi == "15" and np_v == "14" and ref == "-"
+    k, v, vt, w, gi, np_v, ref = rows["26"]
+    assert vt == "130/7" and ref == "9"
     lines = list(H.vtable_csv_lines(2, 30))
     assert lines[0] == "k,V,Vtilde,W,giulietti,np_bound,refinement"
+    assert lines[1:] == [",".join(row) for row in H.vtable_rows(2, 30)]
+
+
+def test_vtable_fields_equal_fraction_rows():
+    # the fields formatted from the integer kernels against the Fraction rows
+    # that preceded them, formatted by ratio and fixed on the Fractions
+    want = [(str(k), B.ratio(v), B.ratio(vt), B.fixed(w, 12), B.ratio(gi), str(np_v),
+             "-" if ref is None else str(ref))
+            for (k, v, vt, w, gi, np_v, ref) in vtable_rows_fraction(2, 3000)]
+    assert list(H.vtable_rows(2, 3000)) == want
+
+
+def test_vtable_builds_no_fraction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the k-table built a Fraction")
+    monkeypatch.setattr(B, "Fraction", refuse)
+    monkeypatch.setattr(H, "Fraction", refuse)
+    lines = list(H.vtable_csv_lines(2, 300))
+    assert len(lines) == 300 and lines[-1].startswith("300,")
 
 
 # -- verify suites -----------------------------------------------------------------
