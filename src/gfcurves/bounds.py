@@ -20,6 +20,7 @@ Floors are applied once, at the outermost step.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from types import MappingProxyType
@@ -166,6 +167,13 @@ def sv_raw(q: int, n: int, s: int, n1: int, n2: int) -> dict:
             "raw": Fraction(raw3n, 3 * N)}
 
 
+@functools.lru_cache(maxsize=1)  # one curve's n - 2 degrees s are asked in a row
+def _root_counts(curve: CurveParams) -> tuple[int, int]:
+    """(n1, n2) = (#{y : y^n = b}, #{x : x^n = 1/a})."""
+    n, ctx = curve.n, curve.ctx
+    return nth_root_count(ctx, curve.b, n), nth_root_count(ctx, ctx.inv(curve.a), n)
+
+
 def sv_bound(curve: CurveParams, s: int) -> BoundReport:
     """The degree-s linear-series bound, exact rationals, floored once.
 
@@ -176,9 +184,7 @@ def sv_bound(curve: CurveParams, s: int) -> BoundReport:
     n, q, p = curve.n, curve.q, curve.p
     if not 2 <= s <= n - 1:
         raise InvalidS(f"s = {s} outside [2, {n - 1}]")
-    n1 = nth_root_count(curve.ctx, curve.b, n)
-    n2 = nth_root_count(curve.ctx, curve.ctx.inv(curve.a), n)
-    inter = sv_raw(q, n, s, n1, n2)
+    inter = sv_raw(q, n, s, *_root_counts(curve))
     applicable = inter["delta"] < p
     reasons = () if applicable else ("FrobeniusClassicalityUnverified",)
     return BoundReport(

@@ -18,21 +18,22 @@ at most two diagonal ones (c_u = u) in closed form.  The bulk sweeps use
 `orbit_counts`, which counts one curve per torus orbit of (a, b) from pair
 histograms over mu_k and is pinned to `count_points_fast` in the tests.
 
-Every field F_q has one index table, from a single walk over the powers of
-its smallest primitive element g: exp and log on encodings, and the Zech
-logarithm zech[i] = log(g^i + 1), all for one period.  Over F_{p^m} the walk
+Every field F_q has one index of two tables: log on encodings, from one walk
+over the powers of its smallest primitive element g, and the Zech logarithm
+zech[i] = log(g^i + 1) for one period, read off log.  Over F_{p^m} the walk
 multiplies out only (q-1)/(p-1) powers and scales them by F_p^*.  The class
 columns read log(a*u - 1) and log(u - b) off zech, and c_u is an n-th power
 exactly when n | log c_u, so they need no inversion.  Every n-th-power
-question reads the same index: the n-th powers are exp[0::n] and the n
-roots of v are exp[log v / n :: k]; no table is kept per degree n.  No index
-is built for q above `MAX_TABLE_Q` (`FieldTooLarge`).
+question reads the same index and g: mu_k is the powers of g^n and the n
+roots of v are g^(log v / n + j*k), j < n; no table is kept per degree n.
+No index is built for q above `MAX_TABLE_Q` (`FieldTooLarge`).
 """
 
 from __future__ import annotations
 
 import functools
 import json
+from itertools import islice
 from operator import sub
 from typing import NamedTuple
 
@@ -110,23 +111,22 @@ def check_table_size(q: int) -> None:
 
 
 @functools.cache
-def _index(ctx: FieldCtx) -> tuple[list, list, list]:
-    """(exp, log, zech) of F_q from one walk over the powers of its smallest
-    primitive element g: exp[i] = enc(g^i) for i < q-1, log[enc(g^i)] = i
-    (log[0] = -1) and the Zech logarithm zech[i] = log[enc(g^i + 1)] (-1 where
-    g^i = -1), for one period i < q-1.  Over F_{p^m} only the first
-    N = (q-1)/(p-1) powers are multiplied out: gamma = g^N is a constant that
-    generates F_p^*, so g^(i + jN) = gamma^j * g^i, and each later block of N
-    encodings is the previous one mapped through enc(x) -> enc(gamma * x).
-    Cached per field."""
+def _index(ctx: FieldCtx) -> tuple[list, list]:
+    """(log, zech) of F_q for its smallest primitive element g: log[enc(g^i)]
+    = i (log[0] = -1) and the Zech logarithm zech[i] = log[enc(g^i + 1)] (-1
+    where g^i = -1), for one period i < q-1.  One walk over the powers of g
+    writes log, and zech[log x] = log(x + 1) is read off log and its shift
+    by one, so no power of g is kept.  Over F_{p^m} only the first N =
+    (q-1)/(p-1) powers are multiplied out: gamma = g^N is a constant that
+    generates F_p^*, so g^(i + jN) = gamma^j * g^i, and each later block of
+    N encodings is the previous one mapped through enc(x) -> enc(gamma * x);
+    these encodings are a local of the build.  Cached per field."""
     check_table_size(ctx.q)
     q, p = ctx.q, ctx.p
     g = subgroup_generator(ctx, q - 1)
-    x = ctx.one
+    x, log = ctx.one, [-1] * q
     if ctx.m == 1:
-        exp, log = [0] * (q - 1), [-1] * q
         for i in range(q - 1):
-            exp[i] = x
             log[x] = i
             x = x * g % p
     else:
@@ -142,13 +142,15 @@ def _index(ctx: FieldCtx) -> tuple[list, list, list]:
             for _ in range(p - 2):
                 block = list(map(scale.__getitem__, block))
                 exp += block
-        log = [-1] * q
         for i, e in enumerate(exp):
             log[e] = i
     # enc(x + 1) is e + 1, or e + 1 - p when the constant digit of e is p - 1
     succ = log[1:] + log[:1]
     succ[p - 1::p] = log[::p]
-    return exp, log, list(map(succ.__getitem__, exp))
+    zech = [0] * (q - 1)  # zech[log x] = log(x + 1) for every x != 0
+    for i, z in zip(islice(log, 1, None), islice(succ, 1, None)):
+        zech[i] = z
+    return log, zech
 
 
 def _class_logs(ctx: FieldCtx, n: int, a: int, b: int) -> tuple[list, list]:
@@ -159,7 +161,7 @@ def _class_logs(ctx: FieldCtx, n: int, a: int, b: int) -> tuple[list, list]:
     c_u = (u - b)/(a*u - 1) has log c_u = log b + v - w.  The stride-n window
     of zech from s, zech[s::n] + zech[s % n:s:n], is the column zech[s % n::n]
     rotated by s // n."""
-    _, log, zech = _index(ctx)
+    log, zech = _index(ctx)
     order = ctx.q - 1
     h = order // 2 if ctx.p > 2 else 0
     sa, sb = (log[a] - h) % order, (-log[b] - h) % order
@@ -205,7 +207,7 @@ def curve_cell(ctx: FieldCtx, n: int, a: int, b: int) -> CurveCell:
     a*u^2 - 2u + b, u = (1 +- s)/a with s^2 = 1 - ab for odd p and u^2 = b/a
     for p = 2, which are nonzero and not exceptional: the diagonal classes
     are those with n | log u."""
-    _, log, zech = _index(ctx)
+    log, zech = _index(ctx)
     la, lb, order = log[a], log[b], ctx.q - 1
     w, v = _class_logs(ctx, n, a, b)
     t = -lb % n
@@ -236,7 +238,8 @@ def orbit_counts(ctx: FieldCtx, n: int) -> OrbitCounts:
     CurveCell of (r, c) is affine = n^2*hist + 2*n1, restricted =
     n^2*hist - n*D, tangency = D and refined = n^2*(hist - D); the rows keep
     hist and D, and each consumer reads the formula it needs."""
-    p, mu = ctx.p, _index(ctx)[0][::n]  # the histograms are sums: any order of mu_k
+    p, g = ctx.p, subgroup_generator(ctx, ctx.p - 1)
+    mu = [pow(g, n * j, p) for j in range((p - 1) // n)]  # any order: the histograms are sums
     coset = [None] * p
     reps, rows = [], []
     for r in range(1, p):
@@ -302,7 +305,7 @@ def count_points_fast(curve: CurveParams) -> CountReport:
     power (n2 = n) when n | log a."""
     ctx, n = curve.ctx, curve.n
     a, b = ctx.encode(curve.a), ctx.encode(curve.b)
-    log = _index(ctx)[1]
+    log = _index(ctx)[0]
     n1, n2 = (n if log[b] % n == 0 else 0), (n if log[a] % n == 0 else 0)
     cell = curve_cell(ctx, n, a, b)
     total = cell.affine_total
@@ -313,12 +316,12 @@ def special_points(curve: CurveParams) -> list[SpecialPoint]:
     """Rational inflections (xi,0), (0,xi) with xi^n = b, and rational
     tangent directions c with c^n = 1/a of the branches at infinity."""
     ctx, n = curve.ctx, curve.n
-    exp, log, _ = _index(ctx)
-    zero = ctx.zero
+    log, g, zero = _index(ctx)[0], subgroup_generator(ctx, ctx.q - 1), ctx.zero
 
-    def roots(v) -> list:  # x^n = v: exp[log v / n + j*k], j < n, in canonical order
+    def roots(v) -> list:  # x^n = v: g^(log v / n + j*k), j < n, in canonical order
         i, r = divmod(log[ctx.encode(v)], n)
-        return [] if r else [ctx.from_encoding(x) for x in sorted(exp[i::curve.k])]
+        return [] if r else sorted((ctx.pow(g, i + j * curve.k) for j in range(n)),
+                                   key=ctx.encode)
 
     out = []
     for xi in roots(curve.b):
@@ -346,7 +349,7 @@ def smoothness_scan(curve: CurveParams) -> SmoothnessReport:
     inventory for these parameters.
     """
     ctx, n = curve.ctx, curve.n
-    exp, log, _ = _index(ctx)
+    log = _index(ctx)[0]
     a, b, order = ctx.encode(curve.a), ctx.encode(curve.b), ctx.q - 1
     checked = n if log[b] % n == 0 else 0  # the x = 0 row
     for lu, w, v in zip(range(0, order, n), *_class_logs(ctx, n, a, b)):
@@ -356,7 +359,7 @@ def smoothness_scan(curve: CurveParams) -> SmoothnessReport:
         gx = v >= 0 and (log[a] + lc) % order == 0
         gy = v < 0 or (log[a] + lu) % order == 0
         if gx and gy:
-            raise SingularAffinePoint(
-                f"singular affine point with x^n = {ctx.from_encoding(exp[lu])} on {curve}")
+            u = ctx.pow(subgroup_generator(ctx, order), lu)
+            raise SingularAffinePoint(f"singular affine point with x^n = {u} on {curve}")
         checked += n if v < 0 else n * n
     return SmoothnessReport(points_checked=checked, clean=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 
 from .errors import (
     CompositeCharacteristic,
@@ -25,14 +26,18 @@ from .errors import (
 )
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3317044064679887385961981  # psi_13, OEIS A014233
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,  # A014233
+           341550071728321, 341550071728321, 3825123056546413051,
+           3825123056546413051, 3825123056546413051, 318665857834031151167461,
+           3317044064679887385961981)
+_MR_BOUND = _MR_PSI[-1]
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin on the first 13 prime bases, exact below
-    psi_13 = 3317044064679887385961981, the least strong pseudoprime to all
-    of them (the first 12 are exact only below psi_12 ~ 3.2e23; J. Sorenson
-    and J. Webster, Math. Comp. 86 (2017)).  n >= psi_13 is refused with a
+    """Trial division by the 13 bases, then deterministic Miller-Rabin on the
+    first t for the least t with n < psi_t, the least strong pseudoprime to
+    the first t prime bases (OEIS A014233; psi_12, psi_13: J. Sorenson and
+    J. Webster, Math. Comp. 86 (2017)).  n >= psi_13 is refused with a
     ValueError: no fixed base set is proven there."""
     if n >= _MR_BOUND:
         raise ValueError(f"primality of {n} is undecided: the Miller-Rabin bases "
@@ -46,7 +51,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for w in _MR_WITNESSES:
+    for w in _MR_WITNESSES[:bisect_right(_MR_PSI, n) + 1]:
         x = pow(w, d, n)
         if x in (1, n - 1):
             continue

@@ -29,6 +29,7 @@ from gfcurves.ffield import (
     _ptrim,
     _zip_pad,
     make_field,
+    subgroup_generator,
 )
 from gfcurves.localexp import (
     TruncatedSeries,
@@ -146,12 +147,12 @@ def _pquo_exact(f, g, p):
 
 def embedding(ctx: FieldCtx, K: FieldCtx):
     """The map iota: F_q -> K, sum c_i T^i -> sum c_i theta^i, for theta the
-    first root of the modulus of F_q among the copy exp[j (|K| - 1)/(q - 1)]
-    of F_q^* in K (any root gives a field embedding; m divides the degree of
-    K).  Over a prime base field iota is K.element."""
+    first root of the modulus of F_q among the copy g^(j (|K| - 1)/(q - 1)),
+    j < q - 1, of F_q^* in K, for g the primitive element of K (any root
+    gives a field embedding; m divides the degree of K).  Over a prime base
+    field iota is K.element."""
     if ctx.m == 1:
         return K.element
-    exp = _index(K)[0]
 
     def value(poly, x):  # Horner, highest coefficient first
         acc = K.zero
@@ -159,9 +160,9 @@ def embedding(ctx: FieldCtx, K: FieldCtx):
             acc = K.add(K.mul(acc, x), K.element(c))
         return acc
 
-    step = (K.q - 1) // (ctx.q - 1)
-    theta = next(x for x in map(K.from_encoding, exp[::step])
-                 if K.is_zero(value(ctx.modulus, x)))
+    h, theta = K.pow(subgroup_generator(K, K.q - 1), (K.q - 1) // (ctx.q - 1)), K.one
+    while not K.is_zero(value(ctx.modulus, theta)):
+        theta = K.mul(theta, h)
     return lambda a: value(a, theta)
 
 
@@ -174,16 +175,15 @@ def nth_root_extension(ctx: FieldCtx, c, n: int):
     the returned context is F_p[T]/(h) for the canonically smallest
     irreducible factor h of T^n - c, and the root is the class of T; over
     F_{p^m} it is the canonical F_{p^(m*d)}, holding F_q by `embedding`, and
-    the root is exp[log(c) / n] from its index.
+    the root is g^(log(c) / n) from its index, for g the primitive element.
     """
     d = min_splitting_degree(ctx, c, n)
     if ctx.m != 1:
         if d == 1:
             return ctx, nth_roots(ctx, c, n)[0]
         K = make_field(ctx.p, ctx.m * d)
-        exp, log, _ = _index(K)
         image = embedding(ctx, K)(c)
-        root = K.from_encoding(exp[log[K.encode(image)] // n])
+        root = K.pow(subgroup_generator(K, K.q - 1), _index(K)[0][K.encode(image)] // n)
         if K.pow(root, n) != image:
             raise AssertionError("the index of the splitting field yields no root")
         return K, root

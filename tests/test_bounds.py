@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from decimal import Decimal, getcontext
@@ -29,7 +30,7 @@ from gfcurves.curve import make_curve
 from gfcurves.errors import DomainError, EmptyFeasibleSet, InvalidS
 from gfcurves.ffield import make_field
 
-from brute_oracles import hw_interval, w_interval
+from brute_oracles import hw_interval, nth_root_count_brute, w_interval
 
 
 def w_decimal(k, prec=50):
@@ -311,6 +312,20 @@ def test_sv_bound_classicality_flag():
     rep = sv_bound(curve, 3)  # delta = 20 >= 11
     assert not rep.applicable
     assert rep.reasons == ("FrobeniusClassicalityUnverified",)
+
+
+def test_sv_bounds_of_one_curve_count_the_roots_once(monkeypatch):
+    # the n - 2 degrees s of one curve share n1 and n2; the next curve asks anew
+    calls, count = [], B.nth_root_count
+    monkeypatch.setattr(B, "nth_root_count", lambda *args: calls.append(args) or count(*args))
+    B._root_counts.cache_clear()
+    ctx = make_field(61)
+    for a, b, roots in ((3, 3, (6, 6)), (4, 5, (0, 0))):
+        curve = make_curve(ctx, 6, a, b)
+        assert roots == (nth_root_count_brute(ctx, b, 6), nth_root_count_brute(ctx, ctx.inv(a), 6))
+        assert {(r.intermediates["n1"], r.intermediates["n2"])
+                for r in map(functools.partial(sv_bound, curve), range(2, 6))} == {roots}
+    assert len(calls) == 4
 
 
 def test_sv_bound_value_reproducible_from_intermediates():

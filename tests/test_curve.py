@@ -1,5 +1,6 @@
 import functools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -15,7 +16,8 @@ from gfcurves.curve import (
     smoothness_scan,
     special_points,
 )
-from gfcurves.errors import DegenerateParams, DegreeTooSmall, IncompatibleOrder
+from gfcurves.errors import (DegenerateParams, DegreeTooSmall, IncompatibleOrder,
+                             SingularAffinePoint)
 from gfcurves.ffield import make_field, subgroup_generator
 from gfcurves.harness import admissible_degrees, primes_up_to, scan_task
 from brute_oracles import equation_value
@@ -318,11 +320,11 @@ def test_extension_tables_equal_enumeration_to_400():
 def test_index_and_zech_tables_match_field_arithmetic(field):
     ctx = make_field(*field)
     q, one = ctx.q, ctx.one
-    exp, log, zech = C._index(ctx)
-    assert sorted(exp) == list(range(1, q)) and log[0] == -1
+    log, zech = C._index(ctx)
+    assert sorted(log) == list(range(-1, q - 1)) and log[0] == -1
     g, x = subgroup_generator(ctx, q - 1), one
-    for i, e in enumerate(exp):
-        assert e == ctx.encode(x) and log[e] == i
+    for i in range(q - 1):  # the powers of g, multiplied out one by one
+        assert log[ctx.encode(x)] == i
         assert zech[i] == log[ctx.encode(ctx.add(x, one))]
         x = ctx.mul(x, g)
     # g^i + 1 = 0 only at g^i = -1: i = (q-1)/2 for odd q, i = 0 for even q
@@ -362,7 +364,7 @@ def test_count_points_fast_equals_double_loop(case):
 def per_class_cell(ctx, n, a, b):
     """Oracle: the per-class loop that `curve_cell` ran before its bulk count,
     over the Zech windows of two periods, by encodings."""
-    _, log, zech = C._index(ctx)
+    log, zech = C._index(ctx)
     order = ctx.q - 1
     h = order // 2 if ctx.p > 2 else 0
     sa, sb, zech = (log[a] - h) % order, (-log[b] - h) % order, zech * 2
@@ -390,7 +392,7 @@ def test_curve_cell_equals_per_class_loop_on_extension_fields():
     assert fields == [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (5, 2), (7, 2)]
     for p, m in fields:
         ctx = make_field(p, m)
-        q, log = ctx.q, C._index(ctx)[1]
+        q, log = ctx.q, C._index(ctx)[0]
         for n in range(2, q):
             if (q - 1) % n:
                 continue
@@ -417,6 +419,23 @@ def test_index_walk_runs_once_per_prime(monkeypatch):
             smoothness_scan(curve)
     orbit_counts(ctx, 24)
     assert walks == [2833, 343]  # no table per degree n
+
+
+def test_cached_index_retains_at_most_56_bytes_per_element():
+    # log holds a list slot and an int object per element (8 + 32 bytes),
+    # zech a slot that shares log's ints: about 48 bytes; a third O(q) table
+    # of encodings, with int objects of its own, would make it about 88
+    ctx = make_field(29077)
+    subgroup_generator(ctx, ctx.q - 1)  # cached with the field, not the index
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = C._index.__wrapped__(ctx)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert [len(t) for t in index] == [ctx.q, ctx.q - 1]
+    assert retained <= 56 * ctx.q
 
 
 # -- smoothness -------------------------------------------------------------------
@@ -468,6 +487,20 @@ def test_smoothness_scan_extension_field():
     rep = smoothness_scan(curve)
     assert rep.clean
     assert rep.points_checked == count_points_fast(curve).affine_total
+
+
+def test_smoothness_scan_names_the_class_of_a_singular_point(monkeypatch):
+    # no valid curve has one: forge the class columns so that the class
+    # u = g^(j*n), j = 2, has a*u = 1 and a*c_u = 1, and read u off the message
+    ctx, n, j = make_field(13), 2, 2
+    g, log = subgroup_generator(ctx, 12), C._index(ctx)[0]
+    a, b = ctx.pow(g, -j * n), 5  # log c_u = log b + v - w = j*n for v = 0
+    column = [-1] * j
+    monkeypatch.setattr(C, "_class_logs",
+                        lambda *_: (column + [(log[b] - j * n) % 12], column + [0]))
+    with pytest.raises(SingularAffinePoint, match=r"x\^n = 3 on"):
+        smoothness_scan(make_curve(ctx, n, a, b))
+    assert ctx.pow(g, j * n) == 3
 
 
 @pytest.mark.parametrize("p,m", [(p, m) for p, m, q in prime_powers(49) if q > 2])

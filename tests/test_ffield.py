@@ -16,6 +16,7 @@ from gfcurves.ffield import (
     nth_root_count,
     subgroup_generator,
 )
+from gfcurves.harness import primes_up_to
 from brute_oracles import nth_root_count_brute, nth_roots
 from splitting_oracle import embedding, min_splitting_degree, nth_root_extension
 
@@ -119,6 +120,11 @@ def test_is_prime_is_false_or_refused_on_every_strong_pseudoprime_of_a014233():
             ffield.is_prime(n)
     with pytest.raises(ValueError, match="undecided"):
         make_field(2**127 - 1)
+
+
+def test_is_prime_equals_sieve_below_200000():
+    # bases 2 (n < psi_1 = 2047) and 2, 3 (n < psi_2 = 1373653) only
+    assert [n for n in range(200_000) if ffield.is_prime(n)] == primes_up_to(199_999)
 
 
 def test_is_prime_on_carmichael_numbers_and_large_primes():
@@ -241,12 +247,12 @@ def test_inverse_fermat_vs_euclid_agree():
         for a in ctx.nonzero_elements():
             assert ctx.inv(a) == ctx.pow(a, ctx.q - 2)
     # m = 1 uses Fermat; compare against the batch Euclid-style recurrence
-    # and against the inverse read off the discrete-log index, exp[-log a]
+    # and against the inverse read off the discrete-log index, g^(-log a)
     for p in (13, 31):
         ctx = make_field(p)
-        table, (exp, log, _) = inverse_recurrence(p), _index(ctx)
+        table, (log, _), g = inverse_recurrence(p), _index(ctx), subgroup_generator(ctx, p - 1)
         for a in range(1, p):
-            assert ctx.inv(a) == table[a] == exp[-log[a]]
+            assert ctx.inv(a) == table[a] == pow(g, p - 1 - log[a], p)
 
 
 def test_element_encoding_roundtrip():
