@@ -8,22 +8,23 @@ smoothness check of the affine curve.
 Two counting routes are provided.  `count_points` is the plain exhaustive
 double loop over F_q x F_q.  `count_points_fast` collapses the loop over the
 n-th power classes: writing u = x^n, the equation becomes
-y^n = (u - b)/(a*u - 1), so each of the (q-1)/n nonzero classes contributes
-n * #roots.  Both are exact; the test suite pins them equal.  The per-curve
-counts (`count_points_fast`, `curve_cell`) and `smoothness_scan`, which
-decides the gradient per class, read the two columns of `_class_logs`.
-`curve_cell` counts the classes with an n-th-power c_u in one C-level pass
-over them and settles the two exceptional classes (a*u = 1, u = b) and the
-at most two diagonal ones (c_u = u) in closed form.  The bulk sweeps use
-`orbit_counts`, which counts one curve per torus orbit of (a, b) from pair
-histograms over mu_k and is pinned to `count_points_fast` in the tests.
+y^n = c_u = (u - b)/(a*u - 1), so each of the (q-1)/n nonzero classes
+contributes n * #roots.  Both are exact; the test suite pins them equal.
+The per-curve counts (`count_points_fast`, `curve_cell`) rest on the
+cyclotomic-number identity (1 - a*u)(1 - a*c_u) = 1 - ab, which makes the
+class count one set of logs met with its own reflection.
+`smoothness_scan`, which decides the gradient per class, reads the two
+columns of `_class_logs`.  The bulk sweeps use `orbit_counts`, which counts
+one curve per torus orbit of (a, b) from pair histograms over mu_k and is
+pinned to `count_points_fast` in the tests.
 
 Every field F_q has one index of two tables: log on encodings, from one walk
 over the powers of its smallest primitive element g, and the Zech logarithm
-zech[i] = log(g^i + 1) for one period, read off log.  Over F_{p^m} the walk
-multiplies out only (q-1)/(p-1) powers and scales them by F_p^*.  The class
-columns read log(a*u - 1) and log(u - b) off zech, and c_u is an n-th power
-exactly when n | log c_u, so they need no inversion.  Every n-th-power
+zech[i] = log(g^i + 1) for one period, read off log.  Over F_{p^m}, p odd,
+the walk multiplies out only (q-1)/(p-1) powers and scales them by F_p^*;
+over F_{2^m} it steps x -> g*x by XOR of per-byte tables.  Logs of
+1 - a*u, a*u - 1 and u - b are read off zech, and c_u is an n-th power
+exactly when n | log c_u, so nothing is inverted.  Every n-th-power
 question reads the same index and g: mu_k is the powers of g^n and the n
 roots of v are g^(log v / n + j*k), j < n; no table is kept per degree n.
 No index is built for q above `MAX_TABLE_Q` (`FieldTooLarge`).
@@ -34,7 +35,6 @@ from __future__ import annotations
 import functools
 import json
 from itertools import islice
-from operator import sub
 from typing import NamedTuple
 
 from .errors import (DegenerateParams, DegreeTooSmall, FieldTooLarge, IncompatibleOrder,
@@ -120,7 +120,10 @@ def _index(ctx: FieldCtx) -> tuple[list, list]:
     (q-1)/(p-1) powers are multiplied out: gamma = g^N is a constant that
     generates F_p^*, so g^(i + jN) = gamma^j * g^i, and each later block of
     N encodings is the previous one mapped through enc(x) -> enc(gamma * x);
-    these encodings are a local of the build.  Cached per field."""
+    these encodings are a local of the build.  Over F_{2^m} there is no
+    F_p^* to scale by, and x -> g*x is F_2-linear on encodings, so each step
+    is enc(g*x) = XOR over the bytes j of enc(x) of t_j[byte j], with t_j
+    spanned by the m encodings enc(g*T^i).  Cached per field."""
     check_table_size(ctx.q)
     q, p = ctx.q, ctx.p
     g = subgroup_generator(ctx, q - 1)
@@ -129,19 +132,27 @@ def _index(ctx: FieldCtx) -> tuple[list, list]:
         for i in range(q - 1):
             log[x] = i
             x = x * g % p
+    elif p == 2:  # t[j][v] = enc(g * y) for enc(y) = v << 8j
+        t = [[0], [0], [0]]  # m <= 22 by MAX_TABLE_Q: three bytes
+        for i in range(ctx.m):
+            c = ctx.encode(ctx.mul(g, ctx.element([0] * i + [1])))  # enc(g * T^i)
+            t[i // 8] += [e ^ c for e in t[i // 8]]
+        (t0, t1, t2), e = t, 1
+        for i in range(q - 1):
+            log[e] = i
+            e = t0[e & 255] ^ t1[e >> 8 & 255] ^ t2[e >> 16]
     else:
         block = []
         for _ in range((q - 1) // (p - 1)):
             block.append(ctx.encode(x))
             x = ctx.mul(x, g)
         exp = block[:]
-        if p > 2:  # x = gamma; scale[e] = enc(gamma * y) for e = enc(y), digit by digit
-            scale = [0]
-            for t in range(ctx.m):
-                scale = [e + d * x[0] % p * p**t for d in range(p) for e in scale]
-            for _ in range(p - 2):
-                block = list(map(scale.__getitem__, block))
-                exp += block
+        scale = [0]  # x = gamma; scale[e] = enc(gamma * y) for e = enc(y), digit by digit
+        for t in range(ctx.m):
+            scale = [e + d * x[0] % p * p**t for d in range(p) for e in scale]
+        for _ in range(p - 2):
+            block = list(map(scale.__getitem__, block))
+            exp += block
         for i, e in enumerate(exp):
             log[e] = i
     # enc(x + 1) is e + 1, or e + 1 - p when the constant digit of e is p - 1
@@ -199,29 +210,43 @@ class OrbitCounts(NamedTuple):
 
 def curve_cell(ctx: FieldCtx, n: int, a: int, b: int) -> CurveCell:
     """The orbit counts of one curve (a, b), a*b != 1, given by encodings.
-    Each class u has n^2 points with x^n = u when n | log c_u, c_u =
-    (u - b)/(a*u - 1): one C-level pass over the columns of `_class_logs`
-    counts them, with the two -1 entries corrected in closed form: u = 1/a
-    (w = -1, j = -log a / n) has no point, and u = b (v = -1, j = log b / n)
-    has n1 points y = 0, as many as the x = 0 row.  c_u = u on the roots of
-    a*u^2 - 2u + b, u = (1 +- s)/a with s^2 = 1 - ab for odd p and u^2 = b/a
-    for p = 2, which are nonzero and not exceptional: the diagonal classes
-    are those with n | log u."""
+
+    A class u in mu_k with a*u != 1 has n^2 points with x^n = u when c_u =
+    (u - b)/(a*u - 1) is in mu_k; u = b (c_u = 0) has the n1 points y = 0.
+    As (1 - a*u)(1 - a*c_u) = 1 - ab and v -> 1 - a*v is one to one, c_u is
+    in mu_k exactly when ls - l is in L = {log(1 - a*v) : v in mu_k, a*v != 1}
+    for l = log(1 - a*u), ls = log(1 - ab).  L is the column
+    zech[(log a + h) % n::n], h = log(-1), less its -1 (u = 1/a, when
+    n | log a), and 0 is not in L (u = b), so no class needs a correction.
+    With one byte per log, ind[l] = [l in L], hits = #{l in L : ind[ls - l]}
+    is read one of two ways: for n <= 32 as the popcount of one big-int AND
+    of ind with ind reversed and rotated by ls + 1, O(q) byte work in C;
+    for larger n, where k is small, as k reads ind[ls - l], which beat the
+    AND from about n = 40 on at every q timed (941 to 55441).
+
+    c_u = u on the roots of a*u^2 - 2u + b, that is (1 - a*u)^2 = 1 - ab:
+    the diagonal classes have l = ls/2 or ls/2 + h for odd p (none when ls
+    is odd) and l = ls * 2^-1 = ls * q/2 mod q - 1 for p = 2."""
     log, zech = _index(ctx)
     la, lb, order = log[a], log[b], ctx.q - 1
-    w, v = _class_logs(ctx, n, a, b)
-    t = -lb % n
-    hits = list(map(n.__rmod__, map(sub, v, w))).count(t)
-    for j in -la % order, lb:  # the slots of u = 1/a and u = b
-        if j % n == 0 and (v[j // n] - w[j // n]) % n == t:
-            hits -= 1
+    h = order // 2 if ctx.p > 2 else 0  # log(-1)
+    ls = zech[(la + lb + h) % order]  # log(1 - ab)
+    logs = zech[(la + h) % n::n]  # log(1 - a*u), u in mu_k
+    if la % n == 0:
+        del logs[h // n]  # zech[h] = -1: u = 1/a
+    ind = bytearray(order)
+    for lv in logs:
+        ind[lv] = 1
+    if n <= 32:  # bit 8l of the AND is ind[l] & ind[(ls - l) % order]
+        d = ls + 1
+        hits = (int.from_bytes(ind, "little")
+                & int.from_bytes(ind[d:] + ind[:d], "big")).bit_count()
+    else:  # a negative index wraps mod q - 1
+        hits = sum(map(ind.__getitem__, map(ls.__sub__, logs)))
     if ctx.p == 2:
-        diag = int((lb - la) % n == 0)  # log u = (lb - la)/2 and 2 is a unit mod n
+        diag = ind[ls * (ctx.q // 2) % order]
     else:
-        h = order // 2  # log(-1)
-        ls = zech[(la + lb + h) % order]  # log(1 - ab)
-        diag = 0 if ls % 2 else sum((z - la) % n == 0 for z in
-                                    (zech[ls // 2], zech[(ls // 2 + h) % order]))
+        diag = 0 if ls % 2 else ind[ls // 2] + ind[ls // 2 + h]
     n1 = n if lb % n == 0 else 0  # the x = 0 row has y^n = b
     return CurveCell(n * n * hits + 2 * n1, n * n * hits - n * diag, diag,
                      n * n * (hits - diag))

@@ -247,10 +247,6 @@ class FieldCtx:
         for e in range(self.q):
             yield self.from_encoding(e)
 
-    def nonzero_elements(self):
-        for e in range(1, self.q):
-            yield self.from_encoding(e)
-
     # -- arithmetic ---------------------------------------------------------
 
     def is_zero(self, a) -> bool:
@@ -330,13 +326,7 @@ class FieldCtx:
             e >>= 1
         return r
 
-    # -- rendering -----------------------------------------------------------
-
-    def format_element(self, a) -> str:
-        """Prime-field: decimal residue.  Extension: "c0,c1,...,c(m-1)"."""
-        if self.m == 1:
-            return str(a)
-        return ",".join(str(c) for c in a)
+    # -- parsing -------------------------------------------------------------
 
     def parse_element(self, s: str):
         parts = [int(t) for t in s.split(",")]

@@ -495,10 +495,6 @@ class ChordSweep(_ChordSweep):
         return list(_expand(self.violating))
 
     @functools.cached_property
-    def diagonal_violations(self) -> list:
-        return [rec for rec in self.violations if rec[2] == rec[3]]
-
-    @functools.cached_property
     def decomposition_failures(self) -> list:  # (p, n, a, b)
         return [rec[:4] for rec in _expand(self.off_decomposition)]
 

@@ -11,6 +11,10 @@ The bound kernels work on integer numerators over fixed denominators.
 `w_interval` and `hw_interval` are their `Fraction` views, and
 `vtable_rows_fraction` is the k-table as `Fraction` rows, the route that
 preceded the integer fields of `harness.vtable_rows`.
+
+Three small views that only the tests read live here too: the nonzero
+elements of a field, the CLI spelling of an element and the diagonal
+violations of a prop41 sweep.
 """
 
 from __future__ import annotations
@@ -31,6 +35,22 @@ from gfcurves.curve import CurveParams
 from gfcurves.errors import DomainError
 from gfcurves.ffield import FieldCtx, _check_root_query
 from gfcurves.localexp import TruncatedSeries
+
+
+def nonzero_elements(ctx: FieldCtx):
+    """The q - 1 nonzero elements of F_q in canonical (encoding) order."""
+    return map(ctx.from_encoding, range(1, ctx.q))
+
+
+def format_element(ctx: FieldCtx, a) -> str:
+    """The CLI spelling of an element, which `FieldCtx.parse_element` reads:
+    the residue over F_p, "c0,c1,...,c(m-1)" over F_{p^m}."""
+    return str(a) if ctx.m == 1 else ",".join(map(str, a))
+
+
+def diagonal_violations(sweep) -> list:
+    """The records of `ChordSweep.violations` on the diagonal a = b."""
+    return [rec for rec in sweep.violations if rec[2] == rec[3]]
 
 
 def nth_root_count_brute(ctx: FieldCtx, c, n: int) -> int:

@@ -317,6 +317,7 @@ def test_extension_tables_equal_enumeration_to_400():
 @example((31, 2))  # 29 scalings of a 32-long walk
 @example((61, 2))
 @example((5, 3, (4, 1, 0, 1)))  # not the canonical modulus (1, 1, 0, 1)
+@example((2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1)))  # x^8+x^4+x^3+x^2+1, not the canonical one
 def test_index_and_zech_tables_match_field_arithmetic(field):
     ctx = make_field(*field)
     q, one = ctx.q, ctx.one
@@ -400,6 +401,20 @@ def test_curve_cell_equals_per_class_loop_on_extension_fields():
                 for b in range(1, q):
                     if (log[a] + log[b]) % (q - 1):  # a*b != 1
                         assert C.curve_cell(ctx, n, a, b) == per_class_cell(ctx, n, a, b)
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 8, 51), (2, 8, 85), (3, 4, 40)])
+def test_curve_cell_equals_per_class_loop_past_the_cut(p, m, n):
+    # the q <= 64 pin above has n > 32 only at k = 1 (F_49, n = 48 and F_64,
+    # n = 63); these reach the k reads of ind[ls - l] at k = 5, 3 and 2, for
+    # p = 2 and odd p
+    ctx = make_field(p, m)
+    q, log = ctx.q, C._index(ctx)[0]
+    assert n > 32 and (q - 1) // n >= 2
+    for a in range(1, q):
+        for b in range(1, q):
+            if (log[a] + log[b]) % (q - 1):  # a*b != 1
+                assert C.curve_cell(ctx, n, a, b) == per_class_cell(ctx, n, a, b)
 
 
 def test_index_walk_runs_once_per_prime(monkeypatch):

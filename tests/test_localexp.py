@@ -30,7 +30,7 @@ from gfcurves.localexp import (
     order_sequence,
     tangent_line_branch_intersections,
 )
-from brute_oracles import branch_residual, inflection_residual, nth_roots
+from brute_oracles import branch_residual, inflection_residual, nonzero_elements, nth_roots
 from splitting_oracle import embedding, full_matrix_pivots, newton_lift, site
 
 
@@ -141,7 +141,7 @@ def test_expansions_in_small_characteristic(p, m):
     # every degree n | q - 1, at L = 2np + 3 > n(p - 1): the series divides
     # by no k, so it holds where k reaches p; checked on the curve equation
     ctx = make_field(p, m)
-    firsts = list(ctx.nonzero_elements())[:3]
+    firsts = list(nonzero_elements(ctx))[:3]
     checked = 0
     for n in (n for n in range(2, ctx.q) if (ctx.q - 1) % n == 0):
         L = 2 * n * p + 3

@@ -5,7 +5,8 @@ mu_k = (F_p^*)^n and per c, from pair histograms, and every (a, b) reads the
 columns hist and D of its row at c = b*s with a = r*s.  These tests pin the
 counts the documented formulas give from those columns to `count_points_fast`
 and to the per-curve class pass `curve_cell` at every (a, b) for p <= 61, pin
-`curve_cell` to the inverse-table pass that it replaced, and check the
+`curve_cell` to the inverse-table pass that it replaced, on both sides of
+its cut in n, and check the
 invariance it rests on with the brute double loop `count_points`
 and the chord count `chords_through`.
 """
@@ -93,6 +94,19 @@ def test_curve_cell_equals_inverse_table_pass_to_61():
                 for b in range(1, p):
                     if a * b % p != 1:
                         assert curve_cell(ctx, n, a, b) == oracle(a, b)
+
+
+def test_curve_cell_equals_inverse_table_pass_on_both_sides_of_the_cut():
+    # every admissible n to 61 is at most 30, on the big-int AND side of the
+    # cut at n = 32; these reach the side that reads ind[ls - l] with k >= 2,
+    # and p = 97 pins both sides of the cut at one field
+    for p, n in (67, 33), (73, 36), (97, 32), (97, 48):
+        assert (p - 1) // n >= 2
+        ctx, oracle = make_field(p), inverse_table_cells(p, n)
+        for a in range(1, p):
+            for b in range(1, p):
+                if a * b % p != 1:
+                    assert curve_cell(ctx, n, a, b) == oracle(a, b)
 
 
 @st.composite
