@@ -169,9 +169,10 @@ def sv_raw(q: int, n: int, s: int, n1: int, n2: int) -> dict:
 
 @functools.lru_cache(maxsize=1)  # one curve's n - 2 degrees s are asked in a row
 def _root_counts(curve: CurveParams) -> tuple[int, int]:
-    """(n1, n2) = (#{y : y^n = b}, #{x : x^n = 1/a})."""
+    """(n1, n2) = (#{y : y^n = b}, #{x : x^n = 1/a}); 1/a is an n-th power
+    exactly when a is, so n2 asks no inverse."""
     n, ctx = curve.n, curve.ctx
-    return nth_root_count(ctx, curve.b, n), nth_root_count(ctx, ctx.inv(curve.a), n)
+    return nth_root_count(ctx, curve.b, n), nth_root_count(ctx, curve.a, n)
 
 
 def sv_bound(curve: CurveParams, s: int) -> BoundReport:

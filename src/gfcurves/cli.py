@@ -38,8 +38,8 @@ _CURVE = {
 # The grammar, declared once: per subcommand its help line and its arguments in help
 # order as add_argument keywords; None: the global options, given before the subcommand.
 _GRAMMAR = {
-    None: (None, {"--format": {"choices": ("csv", "json", "tsv"), "help":
-                               "output format where the subcommand supports a choice"},
+    None: (None, {"--format": {"choices": ("csv", "json"),
+                               "help": "output format of count (default: json)"},
                   "--jobs": {"type": int, "default": 1},
                   "--seed": {"type": int, "help": "reserved; all behavior is deterministic"}}),
     "count": ("point counts for one curve", _CURVE),

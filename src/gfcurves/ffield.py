@@ -10,6 +10,17 @@ The canonical ordering of elements is by integer encoding
 sum(c_i * p**i); the canonical modulus of F_{p^m} is the monic irreducible
 whose non-leading coefficients have the smallest encoding.  All derived
 output is therefore reproducible byte for byte.
+
+`FieldCtx.mul` is the one product modulo a modulus.  The inverse is Fermat's
+a^(q-2), and, as the reduction rows hold for any monic f, Rabin's test (M. O.
+Rabin, SIAM J. Comput. 9, 1980) runs in the ring R = F_p[T]/(f), deg f = m:
+f is irreducible iff T^(p^m) = T in R and h = T^(p^(m/r)) - T has
+h^(p^m - 1) = 1 for every prime r | m.  Once T^(p^m) = T, f divides the
+squarefree T^(p^m) - T, so R is a product of fields F_{p^d}, d | m, and
+h^(p^m - 1) = 1 exactly when h is a unit of R, that is when gcd(h, f) = 1.
+The unit test alone decides (a factor of degree d < m passes it only when
+p^(v_p(m)+1) | d, and such degrees cannot sum to m); T^(p^m) = T is the
+cheaper first filter, which rejects most reducible f.
 """
 
 from __future__ import annotations
@@ -79,97 +90,26 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# dense polynomial arithmetic over F_p (little-endian int lists, no trailing 0)
-
 def _ptrim(f: list[int]) -> list[int]:
     while f and f[-1] == 0:
         f.pop()
     return f
 
 
-def _pdivmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of f by a monic g."""
-    rem, dg = f[:], len(g) - 1
-    quo = [0] * max(len(f) - dg, 0)
-    for off in range(len(quo) - 1, -1, -1):
-        c = quo[off] = rem.pop()
-        if c:
-            for i in range(dg):
-                rem[off + i] = (rem[off + i] - c * g[i]) % p
-    return quo, _ptrim(rem)
-
-
-def _pmod(f: list[int], g: list[int], p: int) -> list[int]:
-    """Remainder of f by g (g monic)."""
-    return _pdivmod(f, g, p)[1]
-
-
-def _pmul(f: list[int], g: list[int], p: int) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _ptrim(out)
-
-
-def _pmulmod(f, g, mod, p):
-    return _pmod(_pmul(f, g, p), mod, p)
-
-
-def _ppowmod(f, e: int, mod, p):
-    r = [1]
-    f = _pmod(f[:], mod, p)
-    while e:
-        if e & 1:
-            r = _pmulmod(r, f, mod, p)
-        f = _pmulmod(f, f, mod, p)
-        e >>= 1
-    return r
-
-
-def _pgcd(f, g, p):
-    """Monic gcd."""
-    f, g = _ptrim(f[:]), _ptrim(g[:])
-    while g:
-        lead_inv = pow(g[-1], p - 2, p)
-        gm = [c * lead_inv % p for c in g]
-        f, g = g, _pmod(f, gm, p)
-    if f:
-        lead_inv = pow(f[-1], p - 2, p)
-        f = [c * lead_inv % p for c in f]
-    return f
-
-
 def poly_is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin test: x^(p^d) = x mod f, and gcd(x^(p^(d/r)) - x, f) = 1."""
+    """Rabin's test for a monic f of degree m in the ring F_p[T]/(f): T^(p^m)
+    = T, and T^(p^(m/r)) - T is a unit for every prime r | m."""
     f = _ptrim(f[:])
-    d = len(f) - 1
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    x = [0, 1]
-    frob = [x[:]]  # frob[i] = x^(p^i) mod f
-    cur = x[:]
-    for _ in range(d):
-        cur = _ppowmod(cur, p, f, p)
-        frob.append(cur)
-    if _ptrim([(a - b) % p for a, b in _zip_pad(frob[d], x)]):
-        return False
-    for r in prime_factors(d):
-        diff = [(a - b) % p for a, b in _zip_pad(frob[d // r], x)]
-        if len(_pgcd(diff, f, p)) - 1 != 0:
-            return False
-    return True
-
-
-def _zip_pad(a: list[int], b: list[int]):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
+    m = len(f) - 1
+    if m < 2:
+        return m == 1
+    ring = FieldCtx(p, m, tuple(f))
+    frob = [ring.element([0, 1])]  # frob[i] = T^(p^i)
+    for _ in range(m):
+        frob.append(ring.pow(frob[-1], p))
+    return frob[m] == frob[0] and all(
+        ring.pow(ring.sub(frob[m // r], frob[0]), ring.q - 1) == ring.one
+        for r in prime_factors(m))
 
 
 def _poly_encoding(lower: tuple[int, ...], p: int) -> int:
@@ -183,9 +123,6 @@ def _digits(e: int, p: int, m: int) -> list[int]:
         e, r = divmod(e, p)
         out.append(r)
     return out
-
-
-# ---------------------------------------------------------------------------
 
 
 class FieldCtx:
@@ -289,28 +226,7 @@ class FieldCtx:
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
-        if self.m == 1:
-            return pow(a, self.p - 2, self.p)  # Fermat
-        return self._inv_euclid(a)
-
-    def _inv_euclid(self, a):
-        """Extended Euclid on the polynomial representation (m > 1)."""
-        p = self.p
-        r0, r1 = list(self.modulus), _ptrim(list(a))
-        s0, s1 = [], [1]
-        while r1:
-            lead_inv = pow(r1[-1], p - 2, p)
-            quo, rem = _pdivmod(r0, [c * lead_inv % p for c in r1], p)
-            quo = [c * lead_inv % p for c in quo]
-            r0, r1 = r1, rem
-            s0, s1 = s1, _ptrim([(x - y) % p
-                                 for x, y in _zip_pad(s0, _pmul(quo, s1, p))])
-        # r0 = gcd (a unit since the modulus is irreducible)
-        c_inv = pow(r0[0], p - 2, p)
-        s0 = [c * c_inv % p for c in s0]
-        s0 = _pmod(s0, list(self.modulus), p)
-        s0 += [0] * (self.m - len(s0))
-        return tuple(s0)
+        return self.pow(a, self.q - 2)  # Fermat: a^(q-1) = 1
 
     def pow(self, a, e: int):
         if e < 0:

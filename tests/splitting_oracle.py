@@ -13,6 +13,12 @@ h of T^n - c.  Over F_q, q = p^m, it is K = F_{p^(m*d)} with its canonical
 modulus, and F_q enters K by the embedding sum c_i T^i -> sum c_i theta^i
 for a root theta in K of the modulus of F_q; the root of T^n - c is read
 off the discrete-log index of K.
+
+The dense polynomial arithmetic over F_p on int lists (`_pmul`, `_pdivmod`,
+`_pgcd`, `_ppowmod`) and the extended Euclid inverse `inv_euclid` live here
+too: the package reduces products only in `FieldCtx.mul`, and these
+kernels, which share none of its code, are the oracle of that ring
+arithmetic.
 """
 
 from __future__ import annotations
@@ -22,12 +28,8 @@ from gfcurves.ffield import (
     FieldCtx,
     _check_root_query,
     _digits,
-    _pdivmod,
-    _pgcd,
     _poly_encoding,
-    _ppowmod,
     _ptrim,
-    _zip_pad,
     make_field,
     subgroup_generator,
 )
@@ -40,6 +42,95 @@ from gfcurves.localexp import (
 )
 
 from brute_oracles import nth_roots
+
+# ---------------------------------------------------------------------------
+# dense polynomial arithmetic over F_p (little-endian int lists, no trailing 0)
+
+
+def _pdivmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by a monic g."""
+    rem, dg = f[:], len(g) - 1
+    quo = [0] * max(len(f) - dg, 0)
+    for off in range(len(quo) - 1, -1, -1):
+        c = quo[off] = rem.pop()
+        if c:
+            for i in range(dg):
+                rem[off + i] = (rem[off + i] - c * g[i]) % p
+    return quo, _ptrim(rem)
+
+
+def _pmod(f: list[int], g: list[int], p: int) -> list[int]:
+    """Remainder of f by g (g monic)."""
+    return _pdivmod(f, g, p)[1]
+
+
+def _pmul(f: list[int], g: list[int], p: int) -> list[int]:
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] = (out[i + j] + a * b) % p
+    return _ptrim(out)
+
+
+def _pmulmod(f, g, mod, p):
+    return _pmod(_pmul(f, g, p), mod, p)
+
+
+def _ppowmod(f, e: int, mod, p):
+    r = [1]
+    f = _pmod(f[:], mod, p)
+    while e:
+        if e & 1:
+            r = _pmulmod(r, f, mod, p)
+        f = _pmulmod(f, f, mod, p)
+        e >>= 1
+    return r
+
+
+def _pgcd(f, g, p):
+    """Monic gcd."""
+    f, g = _ptrim(f[:]), _ptrim(g[:])
+    while g:
+        lead_inv = pow(g[-1], p - 2, p)
+        gm = [c * lead_inv % p for c in g]
+        f, g = g, _pmod(f, gm, p)
+    if f:
+        lead_inv = pow(f[-1], p - 2, p)
+        f = [c * lead_inv % p for c in f]
+    return f
+
+
+def _zip_pad(a: list[int], b: list[int]):
+    n = max(len(a), len(b))
+    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
+
+
+def inv_euclid(ctx: FieldCtx, a):
+    """The inverse of a nonzero a in F_{p^m}, m > 1, by extended Euclid on
+    its polynomial representation."""
+    p = ctx.p
+    r0, r1 = list(ctx.modulus), _ptrim(list(a))
+    s0, s1 = [], [1]
+    while r1:
+        lead_inv = pow(r1[-1], p - 2, p)
+        quo, rem = _pdivmod(r0, [c * lead_inv % p for c in r1], p)
+        quo = [c * lead_inv % p for c in quo]
+        r0, r1 = r1, rem
+        s0, s1 = s1, _ptrim([(x - y) % p
+                             for x, y in _zip_pad(s0, _pmul(quo, s1, p))])
+    # r0 = gcd (a unit since the modulus is irreducible)
+    c_inv = pow(r0[0], p - 2, p)
+    s0 = [c * c_inv % p for c in s0]
+    s0 = _pmod(s0, list(ctx.modulus), p)
+    s0 += [0] * (ctx.m - len(s0))
+    return tuple(s0)
+
+
+# ---------------------------------------------------------------------------
+
 
 # T^n - c with n | p-1 has all its roots proportional by rational n-th roots
 # of unity, so its irreducible factors over F_p share one degree d and a

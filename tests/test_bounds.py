@@ -1,4 +1,7 @@
+import contextlib
 import functools
+import hashlib
+import io
 import math
 import random
 from decimal import Decimal, getcontext
@@ -7,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from gfcurves import bounds as B
+from gfcurves import cli
 from gfcurves import harness as H
 from gfcurves.bounds import (
     f_u,
@@ -28,9 +32,9 @@ from gfcurves.bounds import (
 )
 from gfcurves.curve import make_curve
 from gfcurves.errors import DomainError, EmptyFeasibleSet, InvalidS
-from gfcurves.ffield import make_field
+from gfcurves.ffield import FieldCtx, make_field
 
-from brute_oracles import hw_interval, nth_root_count_brute, w_interval
+from brute_oracles import hw_interval, nonzero_elements, nth_root_count_brute, w_interval
 
 
 def w_decimal(k, prec=50):
@@ -326,6 +330,32 @@ def test_sv_bounds_of_one_curve_count_the_roots_once(monkeypatch):
         assert {(r.intermediates["n1"], r.intermediates["n2"])
                 for r in map(functools.partial(sv_bound, curve), range(2, 6))} == {roots}
     assert len(calls) == 4
+
+
+def test_n2_counts_the_roots_of_the_inverse_without_an_inverse():
+    # 1/a is an n-th power exactly when a is: n2 = #{x : x^n = 1/a} over F_{3^4}
+    # for every a and every n | 80
+    ctx = make_field(3, 4)
+    for a in nonzero_elements(ctx):
+        b = next(b for b in nonzero_elements(ctx) if ctx.mul(a, b) != ctx.one)
+        for n in (n for n in range(2, 81) if 80 % n == 0):
+            assert B._root_counts(make_curve(ctx, n, a, b))[1] \
+                == nth_root_count_brute(ctx, ctx.inv(a), n)
+
+
+def test_bounds_over_an_extension_field_ask_no_inverse(monkeypatch):
+    # the bytes of `bounds` over F_{3^4} as computed with 1/a, now without it
+    def refuse(self, a):
+        raise AssertionError("bounds asked for an inverse")
+
+    B._root_counts.cache_clear()
+    monkeypatch.setattr(FieldCtx, "inv", refuse)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(["bounds", "--p", "3", "--m", "4", "--n", "5", "--a", "2",
+                         "--b", "1,2"]) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() \
+        == "beeb62157412669d90a0c92f875191dc502f9ea9241ea3682ec3ddb24cbcc2cd"
 
 
 def test_sv_bound_value_reproducible_from_intermediates():

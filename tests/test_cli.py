@@ -47,6 +47,14 @@ def test_count_csv(capsys):
     assert row.split(",")[0] == "18"
 
 
+def test_format_tsv_is_a_usage_error(capsys):
+    # no subcommand writes TSV on request: both parse routes refuse the choice
+    argv = ["--format", "tsv", "count", "--p", "13", "--n", "3", "--a", "6", "--b", "2"]
+    assert cli._plain_parse(argv) is None
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "") and "invalid choice: 'tsv'" in err
+
+
 def test_count_extension_field(capsys):
     code, out, _ = run(capsys, ["count", "--p", "3", "--m", "2", "--n", "2",
                                 "--a", "1,1", "--b", "0,1"])

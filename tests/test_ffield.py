@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,15 @@ from gfcurves.ffield import (
 )
 from gfcurves.harness import primes_up_to
 from brute_oracles import format_element, nonzero_elements, nth_root_count_brute, nth_roots
-from splitting_oracle import embedding, min_splitting_degree, nth_root_extension
+from splitting_oracle import (
+    _pdivmod,
+    _pmul,
+    _zip_pad,
+    embedding,
+    inv_euclid,
+    min_splitting_degree,
+    nth_root_extension,
+)
 
 
 def inverse_recurrence(p):
@@ -183,6 +193,46 @@ def test_canonical_modulus_is_irreducible_by_brute_force(p, m):
         assert not ffield.poly_is_irreducible(lower + [1], p)
 
 
+def moebius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+def monic_polynomials(p, m):
+    """Every monic polynomial of degree m over F_p, little-endian."""
+    for enc in range(p**m):
+        lower, e = [], enc
+        for _ in range(m):
+            e, c = divmod(e, p)
+            lower.append(c)
+        yield tuple(lower + [1])
+
+
+@pytest.mark.parametrize("p,m_max", [(2, 8), (3, 5), (5, 4), (7, 3), (11, 3)])
+def test_poly_is_irreducible_on_every_monic_polynomial(p, m_max):
+    # the irreducibles of degree m are the monic polynomials that are no
+    # product of an irreducible of degree d <= m/2 with a monic polynomial of
+    # degree m - d (the products taken by the list kernel of the oracle), and
+    # there are (1/m) sum_{d | m} mu(d) p^(m/d) of them (Gauss)
+    irreducible = {}
+    for m in range(1, m_max + 1):
+        reducible = {tuple(_pmul(list(g), list(h), p))
+                     for d in range(1, m // 2 + 1)
+                     for g in irreducible[d] for h in monic_polynomials(p, m - d)}
+        irreducible[m] = [f for f in monic_polynomials(p, m) if f not in reducible]
+        assert [f for f in monic_polynomials(p, m)
+                if ffield.poly_is_irreducible(list(f), p)] == irreducible[m]
+        gauss = sum(moebius(d) * p ** (m // d) for d in range(1, m + 1) if m % d == 0)
+        assert len(irreducible[m]) * m == gauss
+
+
 # -- field axioms ------------------------------------------------------------
 
 
@@ -241,12 +291,20 @@ def test_field_axioms_random_extension_fields(case):
 
 
 def test_inverse_fermat_vs_euclid_agree():
-    # m > 1 uses extended Euclid; compare against Fermat exponentiation
+    # the inverse is Fermat's a^(q-2) for every m; for m > 1 compare it with
+    # extended Euclid on the polynomial representation, on every nonzero
+    # element of four small fields and 200 seeded elements of two large ones
     for (p, m) in [(3, 2), (5, 2), (2, 4), (7, 2)]:
         ctx = make_field(p, m)
         for a in nonzero_elements(ctx):
-            assert ctx.inv(a) == ctx.pow(a, ctx.q - 2)
-    # m = 1 uses Fermat; compare against the batch Euclid-style recurrence
+            assert ctx.inv(a) == inv_euclid(ctx, a)
+    rng = random.Random(24)
+    for (p, m) in [(2, 16), (3, 10)]:
+        ctx = make_field(p, m)
+        for e in (rng.randrange(1, ctx.q) for _ in range(200)):
+            a = ctx.from_encoding(e)
+            assert ctx.inv(a) == inv_euclid(ctx, a)
+    # over F_p compare against the batch Euclid-style recurrence
     # and against the inverse read off the discrete-log index, g^(-log a)
     for p in (13, 31):
         ctx = make_field(p)
@@ -466,9 +524,9 @@ def test_rational_root_from_linear_factors_is_smallest_root():
 def test_pdivmod_is_euclidean_division(p, f, g):
     f = [c % p for c in f]
     g = [c % p for c in g] + [1]
-    quo, rem = ffield._pdivmod(f, g, p)
+    quo, rem = _pdivmod(f, g, p)
     assert len(rem) < len(g) and (not rem or rem[-1])
-    recomposed = [(x + y) % p for x, y in ffield._zip_pad(ffield._pmul(quo, g, p), rem)]
+    recomposed = [(x + y) % p for x, y in _zip_pad(_pmul(quo, g, p), rem)]
     assert ffield._ptrim(recomposed) == ffield._ptrim(f[:])
 
 

@@ -141,9 +141,10 @@ DEMOS = {
 }
 
 # the help text, pinned from the per-subcommand add_argument calls that
-# preceded the grammar table; argparse wraps it at the terminal width
+# preceded the grammar table (the top-level text since `--format` lost its
+# `tsv` choice); argparse wraps it at the terminal width
 HELP = [
-    ([], "cf412cd42bc79466f328d5a380e84e556fb37488282b5404d15448c69d9befb1"),
+    ([], "f2c0529e32fd942a7528e85f97d9d873982aeb6a89a21a01b2f1b0e38209ea0e"),
     (["count"], "564ce855a04b743c58f8b8a5b7aeeee4071ef6612560f6f0d480b72305358563"),
     (["bounds"], "f4c7224906703f7b526f0845589c1dbbd0414ac73b96ddb08ddcbc5fd46cf0e5"),
     (["orders"], "325ac9f5e7e1e004c563334bd8e07cc89babe6f5033d9d1127efb945281746ad"),
