@@ -40,7 +40,7 @@ class BoundReport(NamedTuple):
     def to_jsonable(self) -> dict:
         inter = {}
         for key, v in self.intermediates.items():
-            if isinstance(v, Fraction):
+            if type(v) is Fraction:
                 if v.denominator == 1:
                     inter[key] = int(v)
                 elif v.denominator <= 10**9:

@@ -67,7 +67,7 @@ def build_polygon(ctx: FieldCtx, k: int) -> Polygon:
         raise IncompatibleOrder(f"{k} does not divide p-1 = {ctx.p - 1}")
     p = ctx.p
     g = subgroup_generator(ctx, k)
-    ginv = pow(g, p - 2, p)
+    ginv = pow(g, -1, p)
     verts = []
     x, y = 1, 1
     for _ in range(k):
@@ -83,7 +83,7 @@ def _line_through(p: int, a: tuple, b: tuple) -> tuple:
     v = (x2 - x1) % p
     w = (x1 * y2 - x2 * y1) % p
     lead = u if u else (v if v else w)
-    scale = pow(lead, p - 2, p)
+    scale = pow(lead, -1, p)
     return (u * scale % p, v * scale % p, w * scale % p)
 
 
@@ -106,7 +106,7 @@ def chords_through(poly: Polygon, point: tuple) -> int:
     ends = 0
     for t in mu:
         if d := (t * b - 1) % p:
-            t2 = (t - a) * pow(d, p - 2, p) % p
+            t2 = (t - a) * pow(d, -1, p) % p
             ends += t2 != t and t2 in mu
     return ends // 2
 

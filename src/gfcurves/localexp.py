@@ -8,21 +8,24 @@ y^n * (a - t^n) = 1 - b t^n.
 Both equations read U^n * (A0 + An t^n) = B0 + Bn t^n, so the branch is
 U = root * G(t^n)^(1/n) with G(s) = (1 + beta s)/(1 + alpha s), alpha =
 An/A0 and beta = Bn/B0, and every power U^i = root^i * G(t^n)^(i/n).  The
-series G^r = (1 + beta s)^r * (1 + alpha s)^(-r) is a product of two
-binomial series.  For r = i/n with p not dividing n, r is a p-adic integer,
-and binom(r, k) mod p is the product of binom(r_j, k_j) over the base-p
-digits of r and k (E. Lucas, Amer. J. Math. 1, 1878), so the coefficients
-are exact over F_q at every precision.
+series G^(1/n) = (1 + beta s)^(1/n) * (1 + alpha s)^(-1/n) is a product of
+two binomial series.  For r = i/n with p not dividing n, r is a p-adic
+integer, and binom(r, k) mod p is the product of binom(r_j, k_j) over the
+base-p digits of r and k (E. Lucas, Amer. J. Math. 1, 1878), so the
+coefficients are exact over F_q at every precision.  They are taken at
+s -> A0*B0*s, alpha' = An*B0 and beta' = Bn*A0, which asks no inverse.
 
 Order sequences of the degree-s series are the pivot columns of the
 coefficient matrix of the shifted monomial expansions t^e * x^i * y^j: the
 set of columns where the rank grows equals the set of vanishing orders
-achievable by linear combinations.  The factor root^i scales a whole row, so
-the pivots do not depend on the root and no root, rational or not, is ever
-built; and the row of x^i y^j lives on the columns of one residue mod n, one
-residue per j, so the matrix splits into s blocks of at most s rows.  The
-contact orders of the tangent lines come from the first nonzero coefficient
-of G^(1/n) past the constant.
+achievable by linear combinations.  Scaling a row by root^i, or a column by
+(A0*B0)^k, moves no pivot, so no root, rational or not, is ever built.  The
+row of x^i y^j lives on the columns of one residue mod n, one per j, so
+block j holds G^(i/n), i <= min(s-1, s-j), cut to its width; with
+leading-column pivots a cut row reduces to the cut of its full reduced row,
+so one fraction-free elimination of all s rows gives every block's pivots.
+The contact orders of the tangent lines come from the first nonzero
+coefficient of G^(1/n) past the constant.
 """
 
 from __future__ import annotations
@@ -191,16 +194,17 @@ _NOT_A_ROOT = {"inflection": (NotAnInflection, "xi^n != b"),
 
 
 def _expand(curve: CurveParams, kind: str, root, L: int | None) -> TruncatedSeries:
-    """The series U = root * F_1(t^n) with U^n * A = B, to L terms; the root
-    must solve root^n * A(0) = B(0)."""
+    """The series U = root * F_1(t^n / (A0*B0)) with U^n * A = B, to L terms;
+    the root must solve root^n * A(0) = B(0)."""
     ctx, n = curve.ctx, curve.n
     if L is None:
         L = n + 2
     if L < n + 2:
         raise PrecisionTooLow(f"L = {L} < n + 2 = {n + 2}")
-    U = [ctx.zero] * L
-    U[::n] = [ctx.mul(root, f) for f in _root_powers(curve, kind, root, -(-L // n), 1)[1]]
     A, B = _coefficients(curve, kind, L)
+    u, U = ctx.inv(ctx.mul(A[0], B[0])), [ctx.zero] * L
+    U[::n] = [ctx.mul(ctx.mul(root, f), ctx.pow(u, m))
+              for m, f in enumerate(_root_powers(curve, kind, root, -(-L // n), 1)[1])]
     res = [ctx.sub(x, y) for x, y in zip(_mul_trunc(ctx, _pow_trunc(ctx, U, n, L), A, L), B)]
     if any(not ctx.is_zero(v) for v in res):
         raise AssertionError("the branch series fails to cancel the residual")
@@ -242,32 +246,32 @@ def _binomials(p: int, num: int, den: int, count: int) -> list[int]:
 
 
 def _root_powers(curve: CurveParams, kind: str, root, count: int, top: int) -> list[list]:
-    """[F_0, .., F_top], each to `count` terms, with U^i = root^i * F_i(t^n)
-    on the branch of `kind` for any root of T^n = B0/A0 (a given root must
-    be one): F_i = (1 + beta s)^r * (1 + alpha s)^(-r), r = i/n."""
-    ctx, n = curve.ctx, curve.n
+    """[F_0, .., F_top], each to `count` terms, with U^i = root^i * F_i(t^n /
+    (A0*B0)) on the branch of `kind` for any root of T^n = B0/A0 (a given root
+    must be one): F_i = F_1^i, F_1 = (1 + beta' s)^(1/n) (1 + alpha' s)^(-1/n)."""
+    ctx, n, p = curve.ctx, curve.n, curve.p
     A, B = _coefficients(curve, kind, n + 1)
     if root is not None and ctx.mul(ctx.pow(root, n), A[0]) != B[0]:
         error, message = _NOT_A_ROOT[kind]
         raise error(message)
-    alpha, beta = ctx.mul(A[n], ctx.inv(A[0])), ctx.mul(B[n], ctx.inv(B[0]))
-    a_pow, b_pow = [ctx.one], [ctx.one]
-    for _ in range(count - 1):
-        a_pow.append(ctx.mul(a_pow[-1], alpha))
-        b_pow.append(ctx.mul(b_pow[-1], beta))
 
-    def series(i, powers):
-        return [ctx.mul(ctx.element(c), v)
-                for c, v in zip(_binomials(ctx.p, i, n, count), powers)]
+    def series(i, x):  # binom(i/n, k) * x^k
+        cs = _binomials(p, i, n, count)
+        if ctx.m == 1:
+            return [c * pow(x, k, p) % p for k, c in enumerate(cs)]
+        return [ctx.mul(ctx.element(c), ctx.pow(x, k)) for k, c in enumerate(cs)]
 
-    return [_mul_trunc(ctx, series(i, b_pow), series(-i, a_pow), count)
-            for i in range(top + 1)]
+    f = _mul_trunc(ctx, series(1, ctx.mul(B[n], A[0])), series(-1, ctx.mul(A[n], B[0])), count)
+    rows = [[ctx.one] + [ctx.zero] * (count - 1), f]
+    while len(rows) <= top:
+        rows.append(_mul_trunc(ctx, rows[-1], f, count))
+    return rows
 
 
 def _contact_gap(curve: CurveParams, kind: str, root=None) -> int:
     """v(U - root) on the branch of `kind`, for any root (a given one must
-    be a root): U - root = root * (F_1(t^n) - 1), so the valuation is
-    n * min{m >= 1 : f_m != 0}, read to the default precision n + 2 of the
+    be a root): U - root = root * (F_1(t^n / (A0*B0)) - 1), so the valuation
+    is n * min{m >= 1 : f_m != 0}, read to the default precision n + 2 of the
     expansions, which reaches m = 1."""
     n = curve.n
     f = _root_powers(curve, kind, root, -(-(n + 2) // n), 1)[1]
@@ -353,22 +357,22 @@ def branch_top_order(n: int, s: int) -> int:
     return (s - 1) * (n + 1)
 
 
-def _pivot_columns(ctx: FieldCtx, rows: list[list]) -> list[int]:
-    """Columns where the rank of the stacked rows increases."""
-    pivots: dict[int, list] = {}
-    for row in rows:
-        r = list(row)
-        for col in sorted(pivots):
-            c = r[col]
-            if not ctx.is_zero(c):
+def _leads(ctx: FieldCtx, rows: list[list]) -> list[int]:
+    """The lead column of each row after fraction-free elimination against the
+    rows before it, r <- d * r - c * pivot; len(row) if it reduces to zero."""
+    p, pivots, leads = ctx.p, {}, []
+    for r in rows:
+        col = 0
+        while col < len(r) and (ctx.is_zero(r[col]) or col in pivots):
+            if not ctx.is_zero(c := r[col]):
                 pr = pivots[col]
-                r = [ctx.sub(x, ctx.mul(c, y)) for x, y in zip(r, pr)]
-        lead = next((i for i, v in enumerate(r) if not ctx.is_zero(v)), None)
-        if lead is None:
-            continue
-        inv = ctx.inv(r[lead])
-        pivots[lead] = [ctx.mul(inv, v) for v in r]
-    return sorted(pivots)
+                d = pr[col]
+                r = ([(d * x - c * y) % p for x, y in zip(r, pr)] if ctx.m == 1 else
+                     [ctx.sub(ctx.mul(d, x), ctx.mul(c, y)) for x, y in zip(r, pr)])
+            col += 1
+        pivots[col] = r  # a zero row files itself under len(r), past every column
+        leads.append(col)
+    return leads
 
 
 def order_sequence(curve: CurveParams, point, s: int) -> OrderSequence:
@@ -406,15 +410,11 @@ def order_sequence(curve: CurveParams, point, s: int) -> OrderSequence:
 def _order_pivots(curve: CurveParams, kind: str, root, s: int, L: int) -> list[int]:
     """Pivot columns below L of the monomials x^i y^j, i, j < s, i + j <= s,
     one block per j.  x = x(t), y = t at (xi, 0) puts x^i y^j = root^i *
-    F_i(t^n) * t^j on the columns n*m + j; x = 1/t, y = y(t) at P1, over the
-    symmetric index set, puts it on n*m - j, raised by s - 1 to start at 0.
-    The scale root^i leaves the pivots of a row alone, so it is dropped."""
-    ctx, n = curve.ctx, curve.n
-    powers = _root_powers(curve, kind, root, -(-L // n), s - 1)
-    cols = []
-    for j in range(s):
-        base = j if kind == "inflection" else s - 1 - j
-        width = -(-(L - base) // n)
-        block = [powers[i][:width] for i in range(min(s - 1, s - j) + 1)]
-        cols += [n * m + base for m in _pivot_columns(ctx, block)]
-    return sorted(cols)
+    F_i(t^n / (A0*B0)) * t^j on the columns n*m + j; x = 1/t, y = y(t) at P1,
+    over the symmetric index set, puts it on n*m - j, raised by s - 1.  Block
+    j holds F_0 .. F_min(s-1, s-j), and its pivots are their leads below L."""
+    n = curve.n
+    leads = _leads(curve.ctx, _root_powers(curve, kind, root, -(-L // n), s - 1))
+    bases = range(s) if kind == "inflection" else range(s - 1, -1, -1)
+    return sorted(n * m + base for j, base in enumerate(bases)
+                  for m in leads[:min(s, s - j + 1)] if n * m + base < L)

@@ -1,12 +1,16 @@
-"""The Newton lift, splitting extensions and the full-matrix pivot route,
-kept as test oracles.
+"""The Newton lift, splitting extensions, the full-matrix pivot route and the
+per-block pivot route, kept as test oracles.
 
 The package computes the branch series, the order sequences and the contact
 orders over the base field from the binomial series of the branch.  The
 route that preceded it lifted the branch by Newton doubling on the smallest
 extension holding a root of T^n - c and read the orders off the pivots of
 one dense coefficient matrix.  This file is the home of that lift and of
-that route, so that the tests can pin the binomial series to them.
+that route, so that the tests can pin the binomial series to them.  The
+package finds the pivots of all s blocks of that matrix from one
+fraction-free elimination of s rows; `block_pivots` is the route it
+replaced, which eliminates each block on its own, with an inverse per pivot,
+on rows built from the true alpha = An/A0 and beta = Bn/B0.
 
 Over a prime base field the splitting extension is F_p[T]/(h) for a factor
 h of T^n - c.  Over F_q, q = p^m, it is K = F_{p^(m*d)} with its canonical
@@ -35,9 +39,9 @@ from gfcurves.ffield import (
 )
 from gfcurves.localexp import (
     TruncatedSeries,
+    _binomials,
     _coefficients,
     _mul_trunc,
-    _pivot_columns,
     _pow_trunc,
 )
 
@@ -300,6 +304,57 @@ def site(curve: CurveParams, kind: str):
         iota = embedding(ctx, ctx2)
         curve = make_curve(ctx2, n, iota(curve.a), iota(curve.b))
     return curve, root
+
+
+def _pivot_columns(ctx: FieldCtx, rows: list[list]) -> list[int]:
+    """Columns where the rank of the stacked rows increases."""
+    pivots: dict[int, list] = {}
+    for row in rows:
+        r = list(row)
+        for col in sorted(pivots):
+            c = r[col]
+            if not ctx.is_zero(c):
+                pr = pivots[col]
+                r = [ctx.sub(x, ctx.mul(c, y)) for x, y in zip(r, pr)]
+        lead = next((i for i, v in enumerate(r) if not ctx.is_zero(v)), None)
+        if lead is None:
+            continue
+        inv = ctx.inv(r[lead])
+        pivots[lead] = [ctx.mul(inv, v) for v in r]
+    return sorted(pivots)
+
+
+def binomial_rows(curve: CurveParams, kind: str, count: int, top: int) -> list[list]:
+    """[F_0, .., F_top] to `count` terms, F_i = (1 + beta s)^(i/n) *
+    (1 + alpha s)^(-i/n) with alpha = An/A0 and beta = Bn/B0, each from its
+    own pair of binomial series."""
+    ctx, n = curve.ctx, curve.n
+    A, B = _coefficients(curve, kind, n + 1)
+    alpha, beta = ctx.mul(A[n], ctx.inv(A[0])), ctx.mul(B[n], ctx.inv(B[0]))
+
+    def series(i, x):
+        return [ctx.mul(ctx.element(c), ctx.pow(x, k))
+                for k, c in enumerate(_binomials(ctx.p, i, n, count))]
+
+    return [_mul_trunc(ctx, series(i, beta), series(-i, alpha), count)
+            for i in range(top + 1)]
+
+
+def block_pivots(curve: CurveParams, kind: str, s: int, L: int, powers=None) -> list[int]:
+    """The pivot columns below L of `localexp._order_pivots`, one elimination
+    per block: block j stacks F_0 .. F_min(s-1, s-j) cut to its width and
+    puts its pivots on the columns n*m + j (inflection) or n*m + s - 1 - j.
+    The rows F_i are `powers`, by default the binomial rows of the curve."""
+    n = curve.n
+    if powers is None:
+        powers = binomial_rows(curve, kind, -(-L // n), s - 1)
+    cols = []
+    for j in range(s):
+        base = j if kind == "inflection" else s - 1 - j
+        width = -(-(L - base) // n)
+        block = [powers[i][:width] for i in range(min(s - 1, s - j) + 1)]
+        cols += [n * m + base for m in _pivot_columns(curve.ctx, block)]
+    return sorted(cols)
 
 
 def full_matrix_pivots(curve: CurveParams, kind: str, s: int, L: int) -> list[int]:

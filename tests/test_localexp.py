@@ -1,10 +1,14 @@
+import contextlib
+import hashlib
+import io
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfcurves import localexp
+from gfcurves import cli, localexp
 from gfcurves.curve import SpecialPoint, make_curve, special_points
 from gfcurves.harness import _class_representatives, primes_up_to
 from gfcurves.errors import (
@@ -14,7 +18,7 @@ from gfcurves.errors import (
     PrecisionTooLow,
     SmallCharacteristic,
 )
-from gfcurves.ffield import is_prime, make_field, nth_root_count
+from gfcurves.ffield import FieldCtx, is_prime, make_field, nth_root_count
 from gfcurves.localexp import (
     TruncatedSeries,
     branch_contact_order,
@@ -31,7 +35,14 @@ from gfcurves.localexp import (
     tangent_line_branch_intersections,
 )
 from brute_oracles import branch_residual, inflection_residual, nonzero_elements, nth_roots
-from splitting_oracle import embedding, full_matrix_pivots, newton_lift, site
+from splitting_oracle import (
+    binomial_rows,
+    block_pivots,
+    embedding,
+    full_matrix_pivots,
+    newton_lift,
+    site,
+)
 
 
 # -- series ring ---------------------------------------------------------------
@@ -302,26 +313,32 @@ def binomial_cases(draw):
     return make_curve(make_field(p), n, a, b), kind, L
 
 
-@settings(max_examples=120, deadline=None, database=None)
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
 @given(binomial_cases())
 def test_binomial_series_equals_newton_lift_at_splitting_site(case):
     # U = root * G(t^n)^(1/n): the base-field binomial series, carried to the
     # site and scaled by its root, is the Newton lift there, coefficient by
-    # coefficient
+    # coefficient; the package's rows take s -> A0*B0*s, so their coefficient
+    # m carries (A0*B0)^m.  The draw is fixed, so the test's time is too
     curve, kind, L = case
-    n = curve.n
+    n, p = curve.n, curve.p
     work, root = site(curve, kind)
     ctx = work.ctx
-    series = localexp._root_powers(curve, kind, None, -(-L // n), 1)[1]
-    expected = [ctx.zero] * L
-    for m, f in enumerate(series):
-        expected[n * m] = ctx.mul(root, ctx.element(f))
-    assert newton_lift(work, kind, root, L) == expected
+    lift = newton_lift(work, kind, root, L)
+    A, B = localexp._coefficients(curve, kind, n + 1)
+    u = pow(A[0] * B[0], -1, p)
+    for series, scale in ((binomial_rows(curve, kind, -(-L // n), 1)[1], 1),
+                          (localexp._root_powers(curve, kind, None, -(-L // n), 1)[1], u)):
+        expected = [ctx.zero] * L
+        for m, f in enumerate(series):
+            expected[n * m] = ctx.mul(root, ctx.element(f * pow(scale, m, p)))
+        assert lift == expected
 
 
 def test_block_pivots_equal_full_matrix_pivots_on_verify_orders_cases():
-    # every (p, n, s, curve, kind) case of `verify orders`: the s blocks over
-    # F_p give the pivots of the dense matrix of the lift on the splitting field
+    # every (p, n, s, curve, kind) case of `verify orders`: the one elimination
+    # over F_p gives the pivots of the dense matrix of the lift on the
+    # splitting field, and those of the per-block route at L and at 2L
     cases = 0
     for p in primes_up_to(100):
         for n in (3, 4, 5, 6, 7):
@@ -337,6 +354,9 @@ def test_block_pivots_equal_full_matrix_pivots_on_verify_orders_cases():
                         cases += 1
                         assert (localexp._order_pivots(curve, kind, None, s, L)
                                 == full_matrix_pivots(curve, kind, s, L))
+                        for L2 in (L, 2 * L):
+                            assert (localexp._order_pivots(curve, kind, None, s, L2)
+                                    == block_pivots(curve, kind, s, L2))
     assert cases == 672
 
 
@@ -358,24 +378,75 @@ def _no_root_curve(p, n):
 def test_extension_base_field_without_a_root_equals_the_embedded_lift():
     # F_{p^2} with no root of T^n - c: the splitting field is K = F_{p^4},
     # q^2 <= 279,841, holding F_{p^2} by iota.  The base-field pivots are
-    # those of the dense matrix of the Newton lift over K, and the base-field
-    # series F_1, mapped through iota and scaled by the root, is that lift
+    # those of the dense matrix of the Newton lift over K and of the per-block
+    # route at L and 2L, and the base-field series F_1, its coefficient m
+    # divided by (A0*B0)^m, mapped through iota and scaled by the root, is
+    # that lift
     cases = 0
     for p, n in [(13, 4), (19, 4), (19, 6), (19, 8), (23, 4), (23, 8)]:
         curve = _no_root_curve(p, n)
+        F = curve.ctx
         for kind in ("inflection", "infinite-branch"):
             work, root = site(curve, kind)
-            iota, K = embedding(curve.ctx, work.ctx), work.ctx
-            assert K.q == curve.ctx.q ** 2
+            iota, K = embedding(F, work.ctx), work.ctx
+            assert K.q == F.q ** 2
+            A, B = localexp._coefficients(curve, kind, n + 1)
+            u = F.inv(F.mul(A[0], B[0]))
             for s in range(2, n):
                 if p <= s * (n + 1):
                     continue
                 L = s * (n + 1) + 2
                 assert (localexp._order_pivots(curve, kind, None, s, L)
                         == full_matrix_pivots(curve, kind, s, L))
+                for L2 in (L, 2 * L):
+                    assert (localexp._order_pivots(curve, kind, None, s, L2)
+                            == block_pivots(curve, kind, s, L2))
                 expected = [K.zero] * L
                 for m, f in enumerate(localexp._root_powers(curve, kind, None, -(-L // n), 1)[1]):
-                    expected[n * m] = K.mul(root, iota(f))
+                    expected[n * m] = K.mul(root, iota(F.mul(f, F.pow(u, m))))
                 assert newton_lift(work, kind, root, L) == expected
                 cases += 1
     assert cases == 16
+
+
+def test_one_elimination_equals_the_per_block_route_on_arbitrary_rows(monkeypatch):
+    # a cut row reduces to the cut of its full reduced row for any rows.  On a
+    # curve the leads are always 0 .. s-1 (span{F_1^i : i <= t} is span{u^k :
+    # k <= t}, u = F_1 - 1 of valuation 1), so the width cut never acts and
+    # both kinds share their leads there; sparse random rows, one set per
+    # kind, make the leads jump past a block's width and differ by kind
+    rng = random.Random(25)
+    rows = {}
+    monkeypatch.setattr(localexp, "_root_powers", lambda curve, kind, *_: rows[kind])
+    cases = 0
+    for ctx, n_values in ((make_field(13), (3, 4, 6)), (make_field(2, 4), (3, 5)),
+                          (make_field(3, 2), (4, 8))):
+        elements = list(ctx.elements())
+        for n in n_values:
+            curve = make_curve(ctx, n, elements[2], elements[3])
+            for s in range(2, min(n, 6)):
+                for L in (s * (n + 1) + 2, 2 * (s * (n + 1) + 2)):
+                    for _ in range(20):
+                        for kind in ("inflection", "infinite-branch"):
+                            rows[kind] = [[rng.choice(elements) if rng.random() < 0.4
+                                           else ctx.zero for _ in range(-(-L // n))]
+                                          for _ in range(s)]
+                            cases += 1
+                            assert (localexp._order_pivots(curve, kind, None, s, L)
+                                    == block_pivots(curve, kind, s, L, rows[kind]))
+    assert cases == 1360
+
+def test_orders_over_an_extension_field_ask_no_inverse(monkeypatch):
+    # the bytes of `orders` over F_{11^2}, at both special points, as computed
+    # with the inverses of the per-block route, now without one
+    def refuse(self, a):
+        raise AssertionError("orders asked for an inverse")
+
+    monkeypatch.setattr(FieldCtx, "inv", refuse)
+    for point in ("inflection", "infinite-branch"):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(["orders", "--p", "11", "--m", "2", "--n", "3", "--a", "1,1",
+                             "--b", "2,1", "--s", "2", "--point", point]) == 0
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() \
+            == "b2c87a8e8df89f1aae3a452739c6c9056c5115fb52aea8edc915046ae97bdb0e"
