@@ -1,6 +1,8 @@
 import functools
+import gc
 import json
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -316,6 +318,7 @@ def test_extension_tables_equal_enumeration_to_400():
 @example((5, 3))
 @example((31, 2))  # 29 scalings of a 32-long walk
 @example((61, 2))
+@example((131071, 1))  # 2^17 - 1: logs above 65535 and the -1 entries need signed 32 bits
 @example((5, 3, (4, 1, 0, 1)))  # not the canonical modulus (1, 1, 0, 1)
 @example((2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1)))  # x^8+x^4+x^3+x^2+1, not the canonical one
 def test_index_and_zech_tables_match_field_arithmetic(field):
@@ -436,10 +439,11 @@ def test_index_walk_runs_once_per_prime(monkeypatch):
     assert walks == [2833, 343]  # no table per degree n
 
 
-def test_cached_index_retains_at_most_56_bytes_per_element():
-    # log holds a list slot and an int object per element (8 + 32 bytes),
-    # zech a slot that shares log's ints: about 48 bytes; a third O(q) table
-    # of encodings, with int objects of its own, would make it about 88
+def test_cached_index_retains_at_most_9_bytes_per_element():
+    # log and zech are packed into arrays of 4-byte C ints: 8 bytes per
+    # element; the lists they are built in (a slot and an int object per
+    # element, about 48 bytes) or a 64-bit typecode would exceed 9; and a
+    # collection visits every slot of a list, but of an array only its type
     ctx = make_field(29077)
     subgroup_generator(ctx, ctx.q - 1)  # cached with the field, not the index
     tracemalloc.start()
@@ -450,7 +454,8 @@ def test_cached_index_retains_at_most_56_bytes_per_element():
     finally:
         tracemalloc.stop()
     assert [len(t) for t in index] == [ctx.q, ctx.q - 1]
-    assert retained <= 56 * ctx.q
+    assert retained <= 9 * ctx.q
+    assert [gc.get_referents(t) for t in index] == [[array]] * 2
 
 
 # -- smoothness -------------------------------------------------------------------
