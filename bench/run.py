@@ -24,6 +24,12 @@ the only choice is the bytecode state.
   in half the time of one that compiles, so both sides are kept alike.
 - A fixed stdlib loop (3 M multiply-mod steps) is timed before and after
   the set: numbers from sessions whose calibrations differ do not compare.
+  A short slice of the same loop (SLICE_STEPS steps) is timed before every
+  pair and recorded with it.  Each CLI row also gets `wall_scaled`: every
+  wall time times the median slice of all rows of the session, divided by
+  its own pair's slice, so a drift of the host's speed between rows does
+  not read as a change.  `head_faster` compares raw times: within a pair
+  the scaling cancels.
 - Tier-1 (`python -m pytest -q`) runs once per checkout, for its wall time
   and passed count.
 - `perfbench/run.py --workload queries` runs QUERY_SECONDS at a time in
@@ -80,6 +86,7 @@ PINS = {
 }
 
 PAIRS = 5  # timed runs per checkout and CLI row
+SLICE_STEPS = 300_000  # calibration steps timed before every pair
 QUERY_SEEDS = (1, 2)
 QUERY_PAIRS = 10
 QUERY_SECONDS = 12
@@ -144,12 +151,12 @@ def spawn(cmd, cwd: Path) -> dict:
             "exit": proc.returncode, "sha256": digest.hexdigest(), "bytes": size}
 
 
-def calibrate(repeats: int = 3) -> list:
-    """Seconds of a fixed stdlib loop, 3 M multiply-mod steps, per repeat."""
+def calibrate(repeats: int = 3, steps: int = 3_000_000) -> list:
+    """Seconds of a fixed stdlib loop, `steps` multiply-mod steps, per repeat."""
     times = []
     for _ in range(repeats):
         t0, x = perf_counter(), 1
-        for _ in range(3_000_000):
+        for _ in range(steps):
             x = x * 48271 % 2147483647
         times.append(perf_counter() - t0)
     return times
@@ -161,14 +168,21 @@ def spread(values) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def alternate(sides: dict, pairs: int, run) -> dict:
-    """side -> list of run(side) results over `pairs` rounds, the side that
-    goes first alternating from round to round."""
-    names, out = list(sides), {name: [] for name in sides}
+def scaled(walls, slices, reference: float) -> list:
+    """Each wall time times reference / the calibration slice of its pair."""
+    return [w * reference / c for w, c in zip(walls, slices)]
+
+
+def alternate(sides: dict, pairs: int, run) -> tuple[dict, list]:
+    """(side -> list of run(side) results, slices) over `pairs` rounds, the
+    side that goes first alternating from round to round; slices[i] is the
+    calibration slice timed just before round i."""
+    names, out, slices = list(sides), {name: [] for name in sides}, []
     for i in range(pairs):
+        slices.append(calibrate(1, SLICE_STEPS)[0])
         for name in (names if i % 2 == 0 else names[::-1]):
             out[name].append(run(name))
-    return out
+    return out, slices
 
 
 def time_rows(sides: dict, bytecode: str, pins: dict) -> list:
@@ -183,10 +197,10 @@ def time_rows(sides: dict, bytecode: str, pins: dict) -> list:
 
         for name in sides:  # the untimed warm-up
             run(name)
-        runs = alternate(sides, PAIRS, run)
+        runs, slices = alternate(sides, PAIRS, run)
         expect = pins.get(key)
         row = {"argv": list(argv), "pinned": None if expect is None else
-               {"exit": expect[0], "sha256": expect[1]}}
+               {"exit": expect[0], "sha256": expect[1]}, "slice_s": slices}
         for name, rs in runs.items():
             outputs = {(r["exit"], r["sha256"]) for r in rs}
             row[name] = {"wall_s": [r["wall_s"] for r in rs],
@@ -203,6 +217,10 @@ def time_rows(sides: dict, bytecode: str, pins: dict) -> list:
         print(f"# {key}: " + ", ".join(
             f"{name} {row[name]['wall']['median']:.3f} s {row[name]['peak_rss']['median']:.1f} MiB"
             f" pin={row[name]['matches_pin']}" for name in sides), file=sys.stderr)
+    reference = statistics.median(c for row in rows for c in row["slice_s"])
+    for row in rows:
+        for name in sides:
+            row[name]["wall_scaled"] = spread(scaled(row[name]["wall_s"], row["slice_s"], reference))
     return rows
 
 
@@ -240,8 +258,9 @@ def queries(sides: dict, bytecode: str) -> list:
             return {"correct": result["correct"], "failed": result["failed"],
                     **{k: result["metrics"][k]["value"] for k in QUERY_METRICS}}
 
-        runs = alternate(sides, QUERY_PAIRS, run)
-        entry = {"seed": seed, "seconds": QUERY_SECONDS, "runs": runs, "metrics": {}}
+        runs, slices = alternate(sides, QUERY_PAIRS, run)
+        entry = {"seed": seed, "seconds": QUERY_SECONDS, "runs": runs, "slice_s": slices,
+                 "metrics": {}}
         for k in QUERY_METRICS:
             m = {name: spread([r[k] for r in rs]) for name, rs in runs.items()}
             if len(sides) == 2:

@@ -1,10 +1,10 @@
-"""Order sequences at the special points, two ways.
+"""Order sequences at the special points, and the tangent contacts.
 
-The pivot route expands every coordinate monomial x^i y^j of the degree-s
-map as a series in the local parameter and reads the achievable vanishing
-orders off the rank profile of the coefficient matrix.  The closed forms
-predict {i + jn} at inflections and {i + j(n+1) - 1} minus two values at
-the branches over infinity; the two routes must agree.
+The closed forms are {i + jn} at inflections and {i + j(n+1) - 1} minus two
+values at the branches over infinity.  order_sequence returns them once its
+certificate holds: the coefficient f_1 = +-(ab - 1)/n of the branch series
+is nonzero, so every power of the series adds exactly one new vanishing
+order.  The expected column recomputes the closed forms directly.
 """
 
 from gfcurves import (

@@ -402,11 +402,11 @@ def verify_lemmas(u_grid: int = 10_000, t0_max: int = 60,
 
 def verify_orders(p_max: int = 100, n_values=(3, 4, 5, 6, 7),
                   per_class: int = 2) -> list[Check]:
-    """Pivot-computed order sequences against the closed forms, plus the
-    tangent-contact inventory, on the full admissible grid.  The contact
-    orders are n * min{m >= 1 : f_m != 0} on the binomial series F_1 of the
-    branch, so the inventory confirms that f_1 = (beta - alpha)/n is nonzero;
-    the tests pin that series to the Newton lift on the splitting field."""
+    """The order sequences against the closed forms, plus the tangent-contact
+    inventory, on the full admissible grid.  order_sequence returns the closed
+    form on its certificate f_1 != 0, so the first check confirms f_1 != 0 and
+    the top-order and order-sum identities; it computes no rank.  The contact
+    orders are n * min{m >= 1 : f_m != 0} on the same binomial series F_1."""
     out = []
     seq_bad, mult_bad, cases = [], [], 0
     for p in primes_up_to(p_max):

@@ -15,15 +15,16 @@ base-p digits of r and k (E. Lucas, Amer. J. Math. 1, 1878), so the
 coefficients are exact over F_q at every precision.  They are taken at
 s -> A0*B0*s, alpha' = An*B0 and beta' = Bn*A0, which asks no inverse.
 
-Order sequences of the degree-s series are the pivot columns of the
-coefficient matrix of the shifted monomial expansions t^e * x^i * y^j: the
-set of columns where the rank grows equals the set of vanishing orders
-achievable by linear combinations.  Scaling a row by root^i, or a column by
-(A0*B0)^k, moves no pivot, so no root, rational or not, is ever built.  The
-row of x^i y^j lives on the columns of one residue mod n, one per j, so
-block j holds G^(i/n), i <= min(s-1, s-j), cut to its width; with
-leading-column pivots a cut row reduces to the cut of its full reduced row,
-so one fraction-free elimination of all s rows gives every block's pivots.
+The degree-s order sequence at a special point is the set of vanishing
+orders of the linear combinations of the monomials x^i y^j, i, j < s,
+i + j <= s; the row of x^i y^j is root^i * F_1^i(t^n / (A0*B0)) * t^(+-j).
+Here F_1 = 1 + f_1 s + ..., f_1 = (beta' - alpha')/n = +-(ab - 1)/n, which
+is nonzero on every curve (ab != 1, and p does not divide n).  The matrix of
+binom(i, k) is unitriangular, so span{F_1^i : i <= t} = span{(F_1 - 1)^k :
+k <= t}, and (F_1 - 1)^k has valuation exactly k: the orders are the closed
+forms {i + jn} at an inflection and {i + j(n+1) - 1} less two values over
+P1 (Stohr-Voloch, Proc. LMS 52, 1986).  So order_sequence checks the
+certificate f_1 != 0 and returns the closed form; no rank is computed.
 The contact orders of the tangent lines come from the first nonzero
 coefficient of G^(1/n) past the constant.
 """
@@ -204,7 +205,7 @@ def _expand(curve: CurveParams, kind: str, root, L: int | None) -> TruncatedSeri
     A, B = _coefficients(curve, kind, L)
     u, U = ctx.inv(ctx.mul(A[0], B[0])), [ctx.zero] * L
     U[::n] = [ctx.mul(ctx.mul(root, f), ctx.pow(u, m))
-              for m, f in enumerate(_root_powers(curve, kind, root, -(-L // n), 1)[1])]
+              for m, f in enumerate(_branch_series(curve, kind, root, -(-L // n)))]
     res = [ctx.sub(x, y) for x, y in zip(_mul_trunc(ctx, _pow_trunc(ctx, U, n, L), A, L), B)]
     if any(not ctx.is_zero(v) for v in res):
         raise AssertionError("the branch series fails to cancel the residual")
@@ -245,10 +246,10 @@ def _binomials(p: int, num: int, den: int, count: int) -> list[int]:
     return out
 
 
-def _root_powers(curve: CurveParams, kind: str, root, count: int, top: int) -> list[list]:
-    """[F_0, .., F_top], each to `count` terms, with U^i = root^i * F_i(t^n /
-    (A0*B0)) on the branch of `kind` for any root of T^n = B0/A0 (a given root
-    must be one): F_i = F_1^i, F_1 = (1 + beta' s)^(1/n) (1 + alpha' s)^(-1/n)."""
+def _branch_series(curve: CurveParams, kind: str, root, count: int) -> list:
+    """F_1 to `count` terms, with U = root * F_1(t^n / (A0*B0)) on the branch
+    of `kind` for any root of T^n = B0/A0 (a given root must be one):
+    F_1 = (1 + beta' s)^(1/n) (1 + alpha' s)^(-1/n)."""
     ctx, n, p = curve.ctx, curve.n, curve.p
     A, B = _coefficients(curve, kind, n + 1)
     if root is not None and ctx.mul(ctx.pow(root, n), A[0]) != B[0]:
@@ -261,11 +262,7 @@ def _root_powers(curve: CurveParams, kind: str, root, count: int, top: int) -> l
             return [c * pow(x, k, p) % p for k, c in enumerate(cs)]
         return [ctx.mul(ctx.element(c), ctx.pow(x, k)) for k, c in enumerate(cs)]
 
-    f = _mul_trunc(ctx, series(1, ctx.mul(B[n], A[0])), series(-1, ctx.mul(A[n], B[0])), count)
-    rows = [[ctx.one] + [ctx.zero] * (count - 1), f]
-    while len(rows) <= top:
-        rows.append(_mul_trunc(ctx, rows[-1], f, count))
-    return rows
+    return _mul_trunc(ctx, series(1, ctx.mul(B[n], A[0])), series(-1, ctx.mul(A[n], B[0])), count)
 
 
 def _contact_gap(curve: CurveParams, kind: str, root=None) -> int:
@@ -274,7 +271,7 @@ def _contact_gap(curve: CurveParams, kind: str, root=None) -> int:
     is n * min{m >= 1 : f_m != 0}, read to the default precision n + 2 of the
     expansions, which reaches m = 1."""
     n = curve.n
-    f = _root_powers(curve, kind, root, -(-(n + 2) // n), 1)[1]
+    f = _branch_series(curve, kind, root, -(-(n + 2) // n))
     m = next((m for m in range(1, len(f)) if not curve.ctx.is_zero(f[m])), None)
     if m is None:
         raise PrecisionTooLow("the branch equals its tangent to full precision")
@@ -357,26 +354,8 @@ def branch_top_order(n: int, s: int) -> int:
     return (s - 1) * (n + 1)
 
 
-def _leads(ctx: FieldCtx, rows: list[list]) -> list[int]:
-    """The lead column of each row after fraction-free elimination against the
-    rows before it, r <- d * r - c * pivot; len(row) if it reduces to zero."""
-    p, pivots, leads = ctx.p, {}, []
-    for r in rows:
-        col = 0
-        while col < len(r) and (ctx.is_zero(r[col]) or col in pivots):
-            if not ctx.is_zero(c := r[col]):
-                pr = pivots[col]
-                d = pr[col]
-                r = ([(d * x - c * y) % p for x, y in zip(r, pr)] if ctx.m == 1 else
-                     [ctx.sub(ctx.mul(d, x), ctx.mul(c, y)) for x, y in zip(r, pr)])
-            col += 1
-        pivots[col] = r  # a zero row files itself under len(r), past every column
-        leads.append(col)
-    return leads
-
-
 def order_sequence(curve: CurveParams, point, s: int) -> OrderSequence:
-    """The degree-s order sequence at a special point, by rank pivots.
+    """The degree-s order sequence at a special point, from its certificate.
 
     `point` is either a SpecialPoint from curve.special_points or one of the
     kind strings "inflection" / "infinite-branch"; the orders do not depend
@@ -397,24 +376,8 @@ def order_sequence(curve: CurveParams, point, s: int) -> OrderSequence:
     else:
         raise ValueError(f"not a special-point handle: {point!r}")
 
-    need = (s + 2) * (s + 1) // 2 - 2
-    L = s * (n + 1) + 2
-    for attempt in range(2):
-        cols = _order_pivots(curve, kind, root, s, L)
-        if len(cols) >= need:
-            return OrderSequence(tuple(cols[:need]), s, kind)
-        L *= 2
-    raise PrecisionTooLow(f"fewer than {need} pivots found at precision {L // 2}")
-
-
-def _order_pivots(curve: CurveParams, kind: str, root, s: int, L: int) -> list[int]:
-    """Pivot columns below L of the monomials x^i y^j, i, j < s, i + j <= s,
-    one block per j.  x = x(t), y = t at (xi, 0) puts x^i y^j = root^i *
-    F_i(t^n / (A0*B0)) * t^j on the columns n*m + j; x = 1/t, y = y(t) at P1,
-    over the symmetric index set, puts it on n*m - j, raised by s - 1.  Block
-    j holds F_0 .. F_min(s-1, s-j), and its pivots are their leads below L."""
-    n = curve.n
-    leads = _leads(curve.ctx, _root_powers(curve, kind, root, -(-L // n), s - 1))
-    bases = range(s) if kind == "inflection" else range(s - 1, -1, -1)
-    return sorted(n * m + base for j, base in enumerate(bases)
-                  for m in leads[:min(s, s - j + 1)] if n * m + base < L)
+    # f_1 != 0 is the certificate (module docstring); _contact_gap reads it,
+    # refuses a wrong root, and raises PrecisionTooLow when f_1 is zero
+    _contact_gap(curve, kind, root)
+    orders = inflection_orders(n, s) if kind == "inflection" else branch_orders(n, s)
+    return OrderSequence(orders, s, kind)

@@ -7,10 +7,11 @@ route that preceded it lifted the branch by Newton doubling on the smallest
 extension holding a root of T^n - c and read the orders off the pivots of
 one dense coefficient matrix.  This file is the home of that lift and of
 that route, so that the tests can pin the binomial series to them.  The
-package finds the pivots of all s blocks of that matrix from one
-fraction-free elimination of s rows; `block_pivots` is the route it
-replaced, which eliminates each block on its own, with an inverse per pivot,
-on rows built from the true alpha = An/A0 and beta = Bn/B0.
+package computes no rank: it returns the closed-form order sequence on its
+certificate f_1 != 0.  The tests pin that answer to the pivots of the dense
+matrix and to `block_pivots`, which eliminates each block of that matrix on
+its own, with an inverse per pivot, on rows built from the true alpha =
+An/A0 and beta = Bn/B0.
 
 Over a prime base field the splitting extension is F_p[T]/(h) for a factor
 h of T^n - c.  Over F_q, q = p^m, it is K = F_{p^(m*d)} with its canonical
@@ -340,14 +341,13 @@ def binomial_rows(curve: CurveParams, kind: str, count: int, top: int) -> list[l
             for i in range(top + 1)]
 
 
-def block_pivots(curve: CurveParams, kind: str, s: int, L: int, powers=None) -> list[int]:
-    """The pivot columns below L of `localexp._order_pivots`, one elimination
-    per block: block j stacks F_0 .. F_min(s-1, s-j) cut to its width and
-    puts its pivots on the columns n*m + j (inflection) or n*m + s - 1 - j.
-    The rows F_i are `powers`, by default the binomial rows of the curve."""
+def block_pivots(curve: CurveParams, kind: str, s: int, L: int) -> list[int]:
+    """The pivot columns below L of the monomials x^i y^j, one elimination
+    per block: block j stacks the binomial rows F_0 .. F_min(s-1, s-j) cut
+    to its width and puts its pivots on the columns n*m + j (inflection) or
+    n*m + s - 1 - j."""
     n = curve.n
-    if powers is None:
-        powers = binomial_rows(curve, kind, -(-L // n), s - 1)
+    powers = binomial_rows(curve, kind, -(-L // n), s - 1)
     cols = []
     for j in range(s):
         base = j if kind == "inflection" else s - 1 - j

@@ -18,3 +18,9 @@ def test_bench_reads_the_golden_digests_and_pins_every_row():
     rows = {" ".join(argv) for argv in bench.ROWS}
     assert rows <= golden.keys() | bench.PINS.keys()
     assert not bench.PINS.keys() & golden.keys()  # one pin per row
+
+
+def test_wall_times_scale_by_their_pair_slice():
+    # a pair timed while the host ran at half speed (slice 0.5 s against the
+    # session's 0.25 s) reads half its wall time; the others are unchanged
+    assert bench.scaled([1.0, 3.0, 0.5], [0.25, 0.5, 0.25], 0.25) == [1.0, 1.5, 0.5]

@@ -1,7 +1,6 @@
 import contextlib
 import hashlib
 import io
-import random
 from fractions import Fraction
 
 import pytest
@@ -328,7 +327,7 @@ def test_binomial_series_equals_newton_lift_at_splitting_site(case):
     A, B = localexp._coefficients(curve, kind, n + 1)
     u = pow(A[0] * B[0], -1, p)
     for series, scale in ((binomial_rows(curve, kind, -(-L // n), 1)[1], 1),
-                          (localexp._root_powers(curve, kind, None, -(-L // n), 1)[1], u)):
+                          (localexp._branch_series(curve, kind, None, -(-L // n)), u)):
         expected = [ctx.zero] * L
         for m, f in enumerate(series):
             expected[n * m] = ctx.mul(root, ctx.element(f * pow(scale, m, p)))
@@ -336,9 +335,10 @@ def test_binomial_series_equals_newton_lift_at_splitting_site(case):
 
 
 def test_block_pivots_equal_full_matrix_pivots_on_verify_orders_cases():
-    # every (p, n, s, curve, kind) case of `verify orders`: the one elimination
-    # over F_p gives the pivots of the dense matrix of the lift on the
-    # splitting field, and those of the per-block route at L and at 2L
+    # every (p, n, s, curve, kind) case of `verify orders`: the closed form
+    # that `order_sequence` returns on its certificate is the pivots of the
+    # dense matrix of the lift on the splitting field, and those of the
+    # per-block elimination of the binomial rows at L and at 2L
     cases = 0
     for p in primes_up_to(100):
         for n in (3, 4, 5, 6, 7):
@@ -352,11 +352,10 @@ def test_block_pivots_equal_full_matrix_pivots_on_verify_orders_cases():
                     L = s * (n + 1) + 2
                     for kind in ("inflection", "infinite-branch"):
                         cases += 1
-                        assert (localexp._order_pivots(curve, kind, None, s, L)
-                                == full_matrix_pivots(curve, kind, s, L))
+                        orders = order_sequence(curve, kind, s).orders
+                        assert orders == tuple(full_matrix_pivots(curve, kind, s, L))
                         for L2 in (L, 2 * L):
-                            assert (localexp._order_pivots(curve, kind, None, s, L2)
-                                    == block_pivots(curve, kind, s, L2))
+                            assert orders == tuple(block_pivots(curve, kind, s, L2))
     assert cases == 672
 
 
@@ -377,11 +376,11 @@ def _no_root_curve(p, n):
 
 def test_extension_base_field_without_a_root_equals_the_embedded_lift():
     # F_{p^2} with no root of T^n - c: the splitting field is K = F_{p^4},
-    # q^2 <= 279,841, holding F_{p^2} by iota.  The base-field pivots are
-    # those of the dense matrix of the Newton lift over K and of the per-block
-    # route at L and 2L, and the base-field series F_1, its coefficient m
-    # divided by (A0*B0)^m, mapped through iota and scaled by the root, is
-    # that lift
+    # q^2 <= 279,841, holding F_{p^2} by iota.  The base-field orders are the
+    # pivots of the dense matrix of the Newton lift over K and of the
+    # per-block elimination at L and 2L, and the base-field series F_1, its
+    # coefficient m divided by (A0*B0)^m, mapped through iota and scaled by
+    # the root, is that lift
     cases = 0
     for p, n in [(13, 4), (19, 4), (19, 6), (19, 8), (23, 4), (23, 8)]:
         curve = _no_root_curve(p, n)
@@ -396,45 +395,36 @@ def test_extension_base_field_without_a_root_equals_the_embedded_lift():
                 if p <= s * (n + 1):
                     continue
                 L = s * (n + 1) + 2
-                assert (localexp._order_pivots(curve, kind, None, s, L)
-                        == full_matrix_pivots(curve, kind, s, L))
+                orders = order_sequence(curve, kind, s).orders
+                assert orders == tuple(full_matrix_pivots(curve, kind, s, L))
                 for L2 in (L, 2 * L):
-                    assert (localexp._order_pivots(curve, kind, None, s, L2)
-                            == block_pivots(curve, kind, s, L2))
+                    assert orders == tuple(block_pivots(curve, kind, s, L2))
                 expected = [K.zero] * L
-                for m, f in enumerate(localexp._root_powers(curve, kind, None, -(-L // n), 1)[1]):
+                for m, f in enumerate(localexp._branch_series(curve, kind, None, -(-L // n))):
                     expected[n * m] = K.mul(root, iota(F.mul(f, F.pow(u, m))))
                 assert newton_lift(work, kind, root, L) == expected
                 cases += 1
     assert cases == 16
 
 
-def test_one_elimination_equals_the_per_block_route_on_arbitrary_rows(monkeypatch):
-    # a cut row reduces to the cut of its full reduced row for any rows.  On a
-    # curve the leads are always 0 .. s-1 (span{F_1^i : i <= t} is span{u^k :
-    # k <= t}, u = F_1 - 1 of valuation 1), so the width cut never acts and
-    # both kinds share their leads there; sparse random rows, one set per
-    # kind, make the leads jump past a block's width and differ by kind
-    rng = random.Random(25)
-    rows = {}
-    monkeypatch.setattr(localexp, "_root_powers", lambda curve, kind, *_: rows[kind])
-    cases = 0
-    for ctx, n_values in ((make_field(13), (3, 4, 6)), (make_field(2, 4), (3, 5)),
-                          (make_field(3, 2), (4, 8))):
-        elements = list(ctx.elements())
-        for n in n_values:
-            curve = make_curve(ctx, n, elements[2], elements[3])
-            for s in range(2, min(n, 6)):
-                for L in (s * (n + 1) + 2, 2 * (s * (n + 1) + 2)):
-                    for _ in range(20):
-                        for kind in ("inflection", "infinite-branch"):
-                            rows[kind] = [[rng.choice(elements) if rng.random() < 0.4
-                                           else ctx.zero for _ in range(-(-L // n))]
-                                          for _ in range(s)]
-                            cases += 1
-                            assert (localexp._order_pivots(curve, kind, None, s, L)
-                                    == block_pivots(curve, kind, s, L, rows[kind]))
-    assert cases == 1360
+def test_order_sequence_rests_on_its_certificate(monkeypatch):
+    # the closed form is returned only on f_1 != 0: a series forged to
+    # F_1 = 1 + 0*s + s^2 is refused at both kinds, and `orders` exits 2
+    # with nothing on stdout
+    curve = make_curve(make_field(31), 5, 2, 3)
+    ctx = curve.ctx
+    monkeypatch.setattr(localexp, "_branch_series", lambda curve, kind, root, count:
+                        [ctx.one, ctx.zero] + [ctx.one] * (count - 2))
+    for kind in ("inflection", "infinite-branch"):
+        with pytest.raises(PrecisionTooLow):
+            order_sequence(curve, kind, 2)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(["orders", "--p", "31", "--n", "5", "--a", "2", "--b", "3",
+                             "--s", "2", "--point", kind]) == 2
+        assert out.getvalue() == ""
+        assert "Traceback" not in err.getvalue()
+
 
 def test_orders_over_an_extension_field_ask_no_inverse(monkeypatch):
     # the bytes of `orders` over F_{11^2}, at both special points, as computed
