@@ -24,18 +24,22 @@ the only choice is the bytecode state.
   in half the time of one that compiles, so both sides are kept alike.
 - A fixed stdlib loop (3 M multiply-mod steps) is timed before and after
   the set: numbers from sessions whose calibrations differ do not compare.
-  A short slice of the same loop (SLICE_STEPS steps) is timed before every
-  pair and recorded with it.  Each CLI row also gets `wall_scaled`: every
-  wall time times the median slice of all rows of the session, divided by
-  its own pair's slice, so a drift of the host's speed between rows does
-  not read as a change.  `head_faster` compares raw times: within a pair
-  the scaling cancels.
+  Before every pair, three back-to-back slices of the same loop
+  (SLICE_STEPS steps each) are timed and the best is recorded with the
+  pair: one slice alone was as noisy as the sub-second rows it scales.
+  Each CLI row also gets `wall_scaled`: every wall time times the median
+  slice of all rows of the session, divided by its own pair's slice, so a
+  drift of the host's speed between rows does not read as a change.  The
+  primary read is `head_faster`, on raw times within each pair, where the
+  two sides ran back to back and the scaling cancels; `wall_scaled` is a
+  secondary view across pairs.
 - Tier-1 (`python -m pytest -q`) runs once per checkout, for its wall time
   and passed count.
-- `perfbench/run.py --workload queries` runs QUERY_SECONDS at a time in
-  QUERY_PAIRS alternating pairs per seed of QUERY_SEEDS, each checkout with
-  its own perfbench, and every end-to-end metric is recorded per run with
-  the medians, quartiles and the pairs head won (lower is better for all).
+- `perfbench/run.py` runs each workload of PERF_WORKLOADS (all three of
+  BENCHMARK.json) PERF_SECONDS at a time in PERF_PAIRS alternating pairs
+  per seed of PERF_SEEDS, each checkout with its own perfbench, and every
+  end-to-end metric is recorded per run with the medians, quartiles and
+  the pairs head won (lower is better for all).
 """
 
 from __future__ import annotations
@@ -87,10 +91,11 @@ PINS = {
 
 PAIRS = 5  # timed runs per checkout and CLI row
 SLICE_STEPS = 300_000  # calibration steps timed before every pair
-QUERY_SEEDS = (1, 2)
-QUERY_PAIRS = 10
-QUERY_SECONDS = 12
-QUERY_METRICS = ("round_s", "setup_s", "peak_rss_mb", "latency_p50_ms", "latency_tail_ms")
+PERF_WORKLOADS = ("sweep", "bounds-grid", "queries")
+PERF_SEEDS = (1, 2)
+PERF_PAIRS = 10
+PERF_SECONDS = 12
+PERF_METRICS = ("round_s", "setup_s", "peak_rss_mb", "latency_p50_ms", "latency_tail_ms")
 
 
 def golden(checkout: Path) -> dict:
@@ -176,10 +181,10 @@ def scaled(walls, slices, reference: float) -> list:
 def alternate(sides: dict, pairs: int, run) -> tuple[dict, list]:
     """(side -> list of run(side) results, slices) over `pairs` rounds, the
     side that goes first alternating from round to round; slices[i] is the
-    calibration slice timed just before round i."""
+    best of three calibration slices timed just before round i."""
     names, out, slices = list(sides), {name: [] for name in sides}, []
     for i in range(pairs):
-        slices.append(calibrate(1, SLICE_STEPS)[0])
+        slices.append(min(calibrate(3, SLICE_STEPS)))
         for name in (names if i % 2 == 0 else names[::-1]):
             out[name].append(run(name))
     return out, slices
@@ -242,33 +247,35 @@ def tier1(checkout: Path, bytecode: str) -> dict:
             "passed": counts.get("passed", 0), "failed": counts.get("failed", 0)}
 
 
-def queries(sides: dict, bytecode: str) -> list:
-    out = []
-    for seed in QUERY_SEEDS:
-        def run(name):
-            set_bytecode(sides[name], bytecode)
-            cmd = [sys.executable, "perfbench/run.py", "--workload", "queries",
-                   "--seed", str(seed), "--seconds", str(QUERY_SECONDS), "--trace", "0"]
-            done = subprocess.run(cmd, cwd=sides[name], capture_output=True, text=True,
-                                  env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
-            if done.returncode != 0:
-                raise RuntimeError(f"perfbench in {sides[name]} exited {done.returncode}:"
-                                   f" {done.stderr.strip()[-500:]}")
-            result = json.loads(done.stdout.strip().splitlines()[-1])
-            return {"correct": result["correct"], "failed": result["failed"],
-                    **{k: result["metrics"][k]["value"] for k in QUERY_METRICS}}
+def perfbench(sides: dict, bytecode: str) -> list:
+    return [perfbench_pairs(sides, bytecode, workload, seed)
+            for workload in PERF_WORKLOADS for seed in PERF_SEEDS]
 
-        runs, slices = alternate(sides, QUERY_PAIRS, run)
-        entry = {"seed": seed, "seconds": QUERY_SECONDS, "runs": runs, "slice_s": slices,
-                 "metrics": {}}
-        for k in QUERY_METRICS:
-            m = {name: spread([r[k] for r in rs]) for name, rs in runs.items()}
-            if len(sides) == 2:
-                m["head_better"] = sum(h[k] < b[k] for b, h in zip(runs["base"], runs["head"]))
-            entry["metrics"][k] = m
-        out.append(entry)
-        print(f"# queries seed {seed}: " + json.dumps(entry["metrics"]), file=sys.stderr)
-    return out
+
+def perfbench_pairs(sides: dict, bytecode: str, workload: str, seed: int) -> dict:
+    def run(name):
+        set_bytecode(sides[name], bytecode)
+        cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+               "--seed", str(seed), "--seconds", str(PERF_SECONDS), "--trace", "0"]
+        done = subprocess.run(cmd, cwd=sides[name], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+        if done.returncode != 0:
+            raise RuntimeError(f"perfbench in {sides[name]} exited {done.returncode}:"
+                               f" {done.stderr.strip()[-500:]}")
+        result = json.loads(done.stdout.strip().splitlines()[-1])
+        return {"correct": result["correct"], "failed": result["failed"],
+                **{k: result["metrics"][k]["value"] for k in PERF_METRICS}}
+
+    runs, slices = alternate(sides, PERF_PAIRS, run)
+    entry = {"workload": workload, "seed": seed, "seconds": PERF_SECONDS, "runs": runs,
+             "slice_s": slices, "metrics": {}}
+    for k in PERF_METRICS:
+        m = {name: spread([r[k] for r in rs]) for name, rs in runs.items()}
+        if len(sides) == 2:
+            m["head_better"] = sum(h[k] < b[k] for b, h in zip(runs["base"], runs["head"]))
+        entry["metrics"][k] = m
+    print(f"# {workload} seed {seed}: " + json.dumps(entry["metrics"]), file=sys.stderr)
+    return entry
 
 
 def main(argv=None) -> int:
@@ -296,14 +303,14 @@ def main(argv=None) -> int:
         "calibration_s": {"before": calibrate()},
     }
     report["rows"] = time_rows(sides, args.bytecode, pins)
-    report["queries"] = queries(sides, args.bytecode)
+    report["perfbench"] = perfbench(sides, args.bytecode)
     report["tier1"] = {name: tier1(path, args.bytecode) for name, path in sides.items()}
     report["calibration_s"]["after"] = calibrate()
     out = args.out or ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     bad = [" ".join(r["argv"]) for r in report["rows"]
            if any(r[n]["matches_pin"] is False or not r[n]["stable"] for n in sides)]
-    bad += [f"queries seed {e['seed']} ({n})" for e in report["queries"]
+    bad += [f"{e['workload']} seed {e['seed']} ({n})" for e in report["perfbench"]
             for n, rs in e["runs"].items() if not all(r["correct"] for r in rs)]
     print(f"wrote {out}" + (f"; wrong outputs: {bad}" if bad else ""))
     return 1 if bad else 0

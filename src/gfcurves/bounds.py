@@ -83,7 +83,13 @@ def ratio(x, den: int = 1) -> str:
 
 
 def floor_kth_root(x: int, k: int) -> int:
-    """Largest r with r**k <= x, by integer Newton iteration."""
+    """Largest r with r**k <= x, by integer Newton iteration.
+
+    The step N(r) = ((k-1)*r + x // r**(k-1)) // k is the floor of the mean
+    of k-1 copies of r and x/r**(k-1), so N(r) >= floor(x^(1/k)) for every
+    r > 0 by AM-GM, and N(r) < r while r**k > x.  So after the first step
+    the iterates fall to floor(x^(1/k)) and stop at it, the first r with
+    N(r) >= r."""
     if x < 0 or k < 1:
         raise DomainError("floor_kth_root needs x >= 0, k >= 1")
     if x < 2 or k == 1:
@@ -92,17 +98,12 @@ def floor_kth_root(x: int, k: int) -> int:
         r = int(x ** (1.0 / k)) + 1
     else:
         r = 1 << ((x.bit_length() + k - 1) // k)
-    # one Newton step from any r > 0 lands at or above the root (convexity),
-    # and from there the steps decrease to it
     r = ((k - 1) * r + x // r ** (k - 1)) // k
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
         if nr >= r:
-            break
+            return r
         r = nr
-    while r**k > x:
-        r -= 1
-    return r
 
 
 _SCALE = 10**30
@@ -113,11 +114,21 @@ _SQRT2 = math.isqrt(2 * _SCALE**2)  # sqrt(2) in [_SQRT2, _SQRT2 + 1] / _SCALE
 def _w_num(num: int, den: int) -> tuple[int, int]:
     """Numerators over _W_DEN of the enclosure of W(num/den), num/den >= 0.
 
-    With c1lo = floor(cbrt(sqrt2lo * k)) and c1hi = floor(cbrt(sqrt2hi * k)) + 1
-    on the scale 10^30, W lies in
-    [3*c1lo^2 - (103/19)*c1hi + 13/3, 3*c1hi^2 - (103/19)*c1lo + 13/3]."""
-    c1lo = floor_kth_root(_SQRT2 * num * _SCALE**2 // den, 3)
-    c1hi = floor_kth_root((_SQRT2 + 1) * num * _SCALE**2 // den, 3) + 1
+    With c1lo = floor(cbrt(R_lo)) and c1hi = floor(cbrt(R_hi)) + 1, where
+    R_lo <= R_hi are floor(sqrt2lo * 10^60 * num/den) and the same with sqrt2hi,
+    W lies in [3*c1lo^2 - (103/19)*c1hi + 13/3, 3*c1hi^2 - (103/19)*c1lo + 13/3]
+    on the scale 10^30.  For c = c1lo + 1 and d = ceil((R_hi - R_lo)/(3c^2)),
+    (c + d)^3 >= c^3 + 3c^2*d > R_hi, so Newton steps from c + d fall to
+    floor(cbrt(R_hi)) (see floor_kth_root): one or two, as c + d exceeds
+    cbrt(R_hi) by about 2 at most (the mean-value theorem)."""
+    m = num * _SCALE**2
+    r_lo, r_hi = _SQRT2 * m // den, (_SQRT2 + 1) * m // den
+    c1lo = floor_kth_root(r_lo, 3)
+    c = c1lo + 1
+    r = c - (r_lo - r_hi) // (3 * c * c)  # c + d
+    while r * r * r > r_hi:
+        r = (2 * r + r_hi // (r * r)) // 3
+    c1hi = r + 1
     const = 247 * _SCALE**2
     return (171 * c1lo * c1lo - 309 * c1hi * _SCALE + const,
             171 * c1hi * c1hi - 309 * c1lo * _SCALE + const)
@@ -150,10 +161,9 @@ def hasse_weil(q: int, g: int) -> BoundReport:
 # the per-degree-s bound
 
 
-def sv_raw(q: int, n: int, s: int, n1: int, n2: int) -> dict:
-    """The degree-s bound and its ingredients as exact rationals, from the
-    field size, curve degree and the two root counts alone; gamma and raw
-    are built once, from the integers 3*gamma and 3N*raw."""
+def _sv_ints(q: int, n: int, s: int, n1: int, n2: int) -> tuple[int, ...]:
+    """(N, delta, alpha, beta, 3*gamma, 3N*raw) of the degree-s bound, all
+    integers: the scan floors raw as 3N*raw // (3N), with no Fraction."""
     N = (s + 2) * (s + 1) // 2 - 3
     delta = 2 * n * (s - 1)
     alpha = 1 + (s - 1) * n - N
@@ -162,6 +172,14 @@ def sv_raw(q: int, n: int, s: int, n1: int, n2: int) -> dict:
         + (s * (2 * n + 3) - 3) * (N + 3)
     raw3n = 3 * N * (N - 1) * (n * n - 2 * n) + 3 * delta * (q + N) \
         - 2 * (3 * n1 * alpha + 3 * n2 * beta + n * gamma3)
+    return N, delta, alpha, beta, gamma3, raw3n
+
+
+def sv_raw(q: int, n: int, s: int, n1: int, n2: int) -> dict:
+    """The degree-s bound and its ingredients as exact rationals, from the
+    field size, curve degree and the two root counts alone; gamma and raw
+    are built once, from the integers 3*gamma and 3N*raw of `_sv_ints`."""
+    N, delta, alpha, beta, gamma3, raw3n = _sv_ints(q, n, s, n1, n2)
     return {"s": s, "N": N, "delta": delta, "alpha": alpha, "beta": beta,
             "gamma": Fraction(gamma3, 3), "n1": n1, "n2": n2,
             "raw": Fraction(raw3n, 3 * N)}
@@ -223,10 +241,11 @@ def _min_f(u, t_hi: int) -> tuple[int, int]:
     f_u(t) >= f_u(t-1): every later t is larger still, so the stop decides
     the minimum over all of [6, t_hi], and on a tie (possible only between
     the two integers at the turn) it keeps t-1."""
-    u_num, u_den = u.numerator, u.denominator
-    best_n, best_t = _f_num(6, u_num, u_den), 6
+    u_den = u.denominator
+    off = 24 * (u.numerator + 3 * u_den)  # _f_num(t) = (3t^2 - 23t + 26)*t*u_den + off
+    best_n, best_t = off - 24 * u_den, 6  # (3*36 - 138 + 26)*6 = -24 at t = 6
     for t in range(7, t_hi + 1):
-        num = _f_num(t, u_num, u_den)
+        num = (3 * t * t - 23 * t + 26) * t * u_den + off
         if num * best_t >= best_n * t:
             break
         best_n, best_t = num, t

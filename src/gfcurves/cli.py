@@ -150,6 +150,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_orders(args) -> int:
+    """Print the orders, the closed form and the verdict.  `order_sequence`
+    returns the closed form itself once its certificate f_1 != 0 holds, so
+    the verdict is always MATCH; the only failure is PrecisionTooLow (exit 2)."""
     curve = _make_curve(args)
     seq = LE.order_sequence(curve, args.point, args.s)
     if args.point == "inflection":
@@ -221,8 +224,7 @@ def cmd_vtable(args) -> int:
         print("vtable requires 2 <= --k-min <= --k-max", file=sys.stderr)
         return 2
     from . import harness as H
-    for line in H.vtable_csv_lines(args.k_min, args.k_max):
-        print(line)
+    sys.stdout.write("".join(line + "\n" for line in H.vtable_csv_lines(args.k_min, args.k_max)))
     return 0
 
 

@@ -119,7 +119,9 @@ def _index(ctx: FieldCtx) -> tuple[array, array]:
     = i (log[0] = -1) and the Zech logarithm zech[i] = log[enc(g^i + 1)] (-1
     where g^i = -1), for one period i < q-1.  One walk over the powers of g
     writes log, and zech[log x] = log(x + 1) is read off log and its shift
-    by one, so no power of g is kept.  Over F_{p^m} only the first N =
+    by one, so no power of g is kept.  Over F_p the walk covers half the
+    period: g^(i + h) = -g^i for h = (p-1)/2, so each step writes log[x] = i
+    and log[p - x] = i + h.  Over F_{p^m} only the first N =
     (q-1)/(p-1) powers are multiplied out: gamma = g^N is a constant that
     generates F_p^*, so g^(i + jN) = gamma^j * g^i, and each later block of
     N encodings is the previous one mapped through enc(x) -> enc(gamma * x);
@@ -135,8 +137,11 @@ def _index(ctx: FieldCtx) -> tuple[array, array]:
     g = subgroup_generator(ctx, q - 1)
     x, log = ctx.one, [-1] * q
     if ctx.m == 1:
-        for i in range(q - 1):
+        h = (q - 1) // 2
+        log[1] = 0  # over F_2, h = 0 and the walk is empty
+        for i in range(h):
             log[x] = i
+            log[p - x] = i + h
             x = x * g % p
     elif p == 2:  # t[j][v] = enc(g * y) for enc(y) = v << 8j
         t = [[0], [0], [0]]  # m <= 22 by MAX_TABLE_Q: three bytes

@@ -102,13 +102,16 @@ def scan_task(p: int, n: int, sample: int | None):
     hw = B.hasse_weil(p, (n - 1) ** 2).value
     w_val = B.w_scalar_value(p, n)
     applicable_s = [s for s in range(2, n) if 2 * n * (s - 1) < p]
-    sv_best = {}
+    flags = "hw" + ("+sv" if applicable_s else "") + ("+w" if w_val is not None else "")
+    w_col = "-" if w_val is None else w_val
+    sv_best, columns = {}, {}  # per (n1, n2): (sv, sv_s) and the CSV columns hw .. flags
     for n1 in (0, n):
         for n2 in (0, n):
-            cands = [(math.floor(B.sv_raw(p, n, s, n1, n2)["raw"]), s)
-                     for s in applicable_s]
-            sv_best[(n1, n2)] = min(cands) if cands else (None, None)
-    flags = "hw" + ("+sv" if applicable_s else "") + ("+w" if w_val is not None else "")
+            cands = [(raw3n // (3 * N), s) for s in applicable_s
+                     for N, *_, raw3n in [B._sv_ints(p, n, s, n1, n2)]]
+            best = sv_best[(n1, n2)] = min(cands) if cands else (None, None)
+            sv_cols = "{},{}".format(*best) if cands else "-,-"
+            columns[(n1, n2)] = f"{hw},{sv_cols},{w_col},{flags}"
     shared: dict[tuple[int, int, int], _ScanTail] = {}
 
     def tail(total: int, n1: int, n2: int) -> _ScanTail:
@@ -119,8 +122,8 @@ def scan_task(p: int, n: int, sample: int | None):
             violation = (model > hw or (sv is not None and model > sv)
                          or (w_val is not None and model > w_val))
             fields = (k, total, model, hw, sv, sv_s, w_val, flags, violation)
-            csv = ",".join("-" if v is None else str(v) for v in fields[:7])
-            shared[key] = _ScanTail(fields, f"{csv},{flags},{int(violation)}")
+            csv = f"{k},{total},{model},{columns[(n1, n2)]},{int(violation)}"
+            shared[key] = _ScanTail(fields, csv)
         return shared[key]
 
     orbits = orbit_counts(ctx, n)
@@ -404,8 +407,10 @@ def verify_orders(p_max: int = 100, n_values=(3, 4, 5, 6, 7),
                   per_class: int = 2) -> list[Check]:
     """The order sequences against the closed forms, plus the tangent-contact
     inventory, on the full admissible grid.  order_sequence returns the closed
-    form on its certificate f_1 != 0, so the first check confirms f_1 != 0 and
-    the top-order and order-sum identities; it computes no rank.  The contact
+    form itself on its certificate f_1 != 0, so the comparison in the first
+    check cannot fail: what the check confirms is f_1 != 0 (order_sequence
+    raises PrecisionTooLow otherwise, the only failure left) and the
+    top-order and order-sum identities; it computes no rank.  The contact
     orders are n * min{m >= 1 : f_m != 0} on the same binomial series F_1."""
     out = []
     seq_bad, mult_bad, cases = [], [], 0

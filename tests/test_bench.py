@@ -2,6 +2,7 @@
 and the digests it reads from this directory are the golden ones."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 from test_golden import GOLDEN
@@ -24,3 +25,10 @@ def test_wall_times_scale_by_their_pair_slice():
     # a pair timed while the host ran at half speed (slice 0.5 s against the
     # session's 0.25 s) reads half its wall time; the others are unchanged
     assert bench.scaled([1.0, 3.0, 0.5], [0.25, 0.5, 0.25], 0.25) == [1.0, 1.5, 0.5]
+
+
+def test_bench_runs_the_benchmark_workloads():
+    # every perfbench workload the writer times is one BENCHMARK.json declares
+    declared = json.loads((bench.ROOT / "BENCHMARK.json").read_text())["workloads"]
+    assert set(bench.PERF_WORKLOADS) <= {w["name"] for w in declared}
+    assert len(set(bench.PERF_WORKLOADS)) == len(bench.PERF_WORKLOADS)

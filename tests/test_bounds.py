@@ -130,7 +130,19 @@ def _figure1_ks(n_max):
 
 
 def test_integer_kernel_equals_fraction_route_on_integer_k():
-    for k in list(range(2, 2001)) + [Fraction(7, 2), Fraction(100, 3), Fraction(145, 3)]:
+    # the two-root Fraction route against the one-root kernel, whose Newton
+    # seed for floor(cbrt(R_hi)) sits a gap of about (num/den)^(1/3)/4 above
+    # floor(cbrt(R_lo)): k up to 10^24 and fractions with large den.  At
+    # k = y^3/(_SQRT2 + e) the radicand R_lo (e = 0) or R_hi (e = 1) is the
+    # cube (10^20 y)^3 exactly, where flooring num*10^60/den before the
+    # product with sqrt(2) would move the root; random draws never land there
+    rnd = random.Random(28)
+    large = [rnd.randrange(2, 10 ** rnd.randrange(4, 25)) for _ in range(300)] + [10**24]
+    fracs = [Fraction(den * rnd.randrange(2, 10 ** rnd.randrange(1, 20)) + rnd.randrange(den), den)
+             for den in (rnd.randrange(2, 10 ** rnd.randrange(2, 40)) for _ in range(300))]
+    cubes = [Fraction(y**3, B._SQRT2 + e) for y in (2 * 10**10, 3**25, 10**12 + 7) for e in (0, 1)]
+    for k in list(range(2, 2001)) + [Fraction(7, 2), Fraction(100, 3), Fraction(145, 3)] \
+            + large + fracs + cubes:
         lo, hi = w_interval_fraction(k)
         assert w_interval(k) == (lo, hi)
         assert np_bound_value(k) == math.floor(hi / 2)
@@ -394,6 +406,8 @@ def test_sv_raw_equals_fraction_formula_on_grid():
                         got = sv_raw(q, n, s, n1, n2)
                         want = sv_raw_fractions(q, n, s, n1, n2)
                         assert list(got) == list(want)
+                        N, *_, raw3n = B._sv_ints(q, n, s, n1, n2)  # the scan's floor
+                        assert raw3n // (3 * N) == math.floor(got["raw"])
                         for key in want:
                             assert got[key] == want[key], (q, n, s, n1, n2, key)
                             assert type(got[key]) is type(want[key])
