@@ -10,8 +10,10 @@ the only choice is the bytecode state.
 
 - Each row of ROWS is one `python -m gfcurves.cli` process, run in the
   checkout with `src` on PYTHONPATH: one untimed warm-up per checkout, then
-  PAIRS timed runs per checkout, alternating base and head (base first
-  in even pairs), or one checkout alone when `--base` is not given.  Per run
+  PAIRS (10) timed runs per checkout, alternating base and head (base first
+  in even pairs), or one checkout alone when `--base` is not given.  With
+  five pairs the sub-second rows read noise: `figure1 3..30` had head
+  faster in 2 of 5 pairs with the two sides equal in-process.  Per run
   it records the wall time (`perf_counter` around the process), the peak
   RSS from `os.wait4` (of that process only: the `--jobs` workers are not
   counted), the exit code and the sha256 of stdout.  The digest and exit
@@ -89,7 +91,7 @@ PINS = {
         (0, "b491e29c396c71b06e15ce6eea73f429c47e9a32be2e71907e2e8ce289b14b84"),
 }
 
-PAIRS = 5  # timed runs per checkout and CLI row
+PAIRS = 10  # timed runs per checkout and CLI row: five did not resolve the sub-second rows
 SLICE_STEPS = 300_000  # calibration steps timed before every pair
 PERF_WORKLOADS = ("sweep", "bounds-grid", "queries")
 PERF_SEEDS = (1, 2)

@@ -61,13 +61,12 @@ class BoundReport(NamedTuple):
 def fixed(x, digits: int, den: int = 1) -> str:
     """x/den rounded half-even to `digits` decimals, e.g. "-0.125000" for 6;
     x is an int or a Fraction, den a positive int."""
-    den *= x.denominator
-    units, rem = divmod(x.numerator * 10**digits, den)
+    scale, den = 10**digits, den * x.denominator
+    units, rem = divmod(x.numerator * scale, den)
     if 2 * rem > den or (2 * rem == den and units & 1):
         units += 1
-    sign = "-" if units < 0 else ""
-    whole, frac = divmod(abs(units), 10**digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    whole, frac = divmod(abs(units), scale)
+    return f"{'-' if units < 0 else ''}{whole}.{str(frac).zfill(digits)}"
 
 
 def ratio(x, den: int = 1) -> str:

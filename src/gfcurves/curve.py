@@ -2,8 +2,8 @@
 
 Validated parameters, exact point counts on the affine curve and on the
 nonsingular model, the inventory of special points (inflections on the axes
-and rational branches over the two singular points at infinity), and a
-smoothness check of the affine curve.
+and rational branches over the two singular points at infinity), and the
+smoothness of the affine curve.
 
 Two counting routes are provided.  `count_points` is the plain exhaustive
 double loop over F_q x F_q.  `count_points_fast` collapses the loop over the
@@ -13,8 +13,8 @@ contributes n * #roots.  Both are exact; the test suite pins them equal.
 The per-curve counts (`count_points_fast`, `curve_cell`) rest on the
 cyclotomic-number identity (1 - a*u)(1 - a*c_u) = 1 - ab, which makes the
 class count one set of logs met with its own reflection.
-`smoothness_scan`, which decides the gradient per class, reads the two
-columns of `_class_logs`.  The bulk sweeps use `orbit_counts`, which counts
+`smoothness_scan` counts the same cell: no affine point is singular, by
+the proof in its docstring.  The bulk sweeps use `orbit_counts`, which counts
 one curve per torus orbit of (a, b) from pair histograms over mu_k and is
 pinned to `count_points_fast` in the tests.
 
@@ -40,8 +40,7 @@ from array import array
 from itertools import islice
 from typing import NamedTuple
 
-from .errors import (DegenerateParams, DegreeTooSmall, FieldTooLarge, IncompatibleOrder,
-                     SingularAffinePoint)
+from .errors import DegenerateParams, DegreeTooSmall, FieldTooLarge, IncompatibleOrder
 from .ffield import FieldCtx, nth_root_count, subgroup_generator
 
 
@@ -192,21 +191,6 @@ def _packed(table: list) -> array:
         out.frombytes(_CHUNK.pack(*table[s:s + 1024]))
     out.fromlist(table[full:])
     return out
-
-
-def _class_logs(ctx: FieldCtx, n: int, a: int, b: int) -> tuple[array, array]:
-    """(w, v) over the nonzero n-th powers u = g^(j*n), j < (q-1)/n, for the
-    encodings a and b.  With h = log(-1), log(a*u - 1) = h + w[j] for
-    w[j] = zech[log a + j*n - h] (w = -1: a*u = 1) and log(u - b) =
-    log(-b) + v[j] for v[j] = zech[j*n - log(-b)] (v = -1: u = b), so
-    c_u = (u - b)/(a*u - 1) has log c_u = log b + v - w.  The stride-n window
-    of zech from s, zech[s::n] + zech[s % n:s:n], is the column zech[s % n::n]
-    rotated by s // n."""
-    log, zech = _index(ctx)
-    order = ctx.q - 1
-    h = order // 2 if ctx.p > 2 else 0
-    sa, sb = (log[a] - h) % order, (-log[b] - h) % order
-    return zech[sa::n] + zech[sa % n:sa:n], zech[sb::n] + zech[sb % n:sb:n]
 
 
 # ---------------------------------------------------------------------------
@@ -394,27 +378,15 @@ class SmoothnessReport(NamedTuple):
 
 
 def smoothness_scan(curve: CurveParams) -> SmoothnessReport:
-    """Check (g_X, g_Y) != (0,0) at every affine rational point, per class.
+    """Every affine rational point is smooth, by proof; points_checked is
+    their number, the `curve_cell` count.
 
     g_X = n*x^(n-1)*(a*y^n - 1) and g_Y = n*y^(n-1)*(a*x^n - 1) with n a
-    unit.  On x = 0, y^n = b != 0 and g_Y != 0.  The points with x^n = u
-    have y^n = c_u, so g_X = 0 iff a*c_u = 1 and g_Y = 0 iff c_u = 0 or
-    a*u = 1; each is decided on logarithms for the whole class.  A violation
-    raises SingularAffinePoint since it would falsify the curve's smoothness
-    inventory for these parameters.
+    unit.  On x = 0, y^n = b != 0, so y != 0 and g_Y = -n*y^(n-1) != 0;
+    on y = 0, g_X != 0 likewise.  Off the axes both vanish only where
+    x^n = y^n = 1/a, and there g = 1/a - 2/a + b = b - 1/a, which is zero
+    only if a*b = 1, which `make_curve` rejects.
     """
-    ctx, n = curve.ctx, curve.n
-    log = _index(ctx)[0]
-    a, b, order = ctx.encode(curve.a), ctx.encode(curve.b), ctx.q - 1
-    checked = n if log[b] % n == 0 else 0  # the x = 0 row
-    for lu, w, v in zip(range(0, order, n), *_class_logs(ctx, n, a, b)):
-        lc = log[b] + v - w  # log c_u when v >= 0
-        if w < 0 or (v >= 0 and lc % n):
-            continue  # no point with x^n = u
-        gx = v >= 0 and (log[a] + lc) % order == 0
-        gy = v < 0 or (log[a] + lu) % order == 0
-        if gx and gy:
-            u = ctx.pow(subgroup_generator(ctx, order), lu)
-            raise SingularAffinePoint(f"singular affine point with x^n = {u} on {curve}")
-        checked += n if v < 0 else n * n
-    return SmoothnessReport(points_checked=checked, clean=True)
+    ctx = curve.ctx
+    cell = curve_cell(ctx, curve.n, ctx.encode(curve.a), ctx.encode(curve.b))
+    return SmoothnessReport(cell.affine_total, True)

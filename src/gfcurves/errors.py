@@ -30,14 +30,6 @@ class DegreeTooSmall(ValueError):
     """Curve degree parameter n < 2."""
 
 
-class SingularAffinePoint(AssertionError):
-    """An affine rational point with vanishing gradient was found.
-
-    This would falsify the curve's smoothness inventory, so it is an
-    assertion failure rather than a recoverable state.
-    """
-
-
 class PrecisionTooLow(ValueError):
     """A series precision too small for the requested expansion."""
 

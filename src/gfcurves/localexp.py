@@ -176,18 +176,14 @@ class TruncatedSeries:
 # branch expansions
 
 
-def _coefficients(curve: CurveParams, kind: str, L: int) -> tuple[list, list]:
-    """(A, B), dense to L terms, with U^n * A = B on the branch of `kind`:
-    x^n (a t^n - 1) = t^n - b at an inflection, y^n (a - t^n) = 1 - b t^n
-    over P1."""
-    ctx, n, one = curve.ctx, curve.n, curve.ctx.one
+def _coefficients(curve: CurveParams, kind: str) -> tuple:
+    """(A0, An, B0, Bn) with U^n * (A0 + An t^n) = B0 + Bn t^n on the branch
+    of `kind`: x^n (a t^n - 1) = t^n - b at an inflection, y^n (a - t^n) =
+    1 - b t^n over P1."""
+    ctx, one = curve.ctx, curve.ctx.one
     if kind == "inflection":
-        a0, an, b0, bn = ctx.neg(one), curve.a, ctx.neg(curve.b), one
-    else:
-        a0, an, b0, bn = curve.a, ctx.neg(one), one, ctx.neg(curve.b)
-    A, B = [a0] + [ctx.zero] * (L - 1), [b0] + [ctx.zero] * (L - 1)
-    A[n], B[n] = an, bn
-    return A, B
+        return ctx.neg(one), curve.a, ctx.neg(curve.b), one
+    return curve.a, ctx.neg(one), one, ctx.neg(curve.b)
 
 
 _NOT_A_ROOT = {"inflection": (NotAnInflection, "xi^n != b"),
@@ -195,20 +191,18 @@ _NOT_A_ROOT = {"inflection": (NotAnInflection, "xi^n != b"),
 
 
 def _expand(curve: CurveParams, kind: str, root, L: int | None) -> TruncatedSeries:
-    """The series U = root * F_1(t^n / (A0*B0)) with U^n * A = B, to L terms;
-    the root must solve root^n * A(0) = B(0)."""
+    """The series U = root * F_1(t^n / (A0*B0)) with U^n * (A0 + An t^n) =
+    B0 + Bn t^n, to L terms; the root must solve root^n * A0 = B0.  U solves
+    the equation by construction (module docstring), so no residual is taken."""
     ctx, n = curve.ctx, curve.n
     if L is None:
         L = n + 2
     if L < n + 2:
         raise PrecisionTooLow(f"L = {L} < n + 2 = {n + 2}")
-    A, B = _coefficients(curve, kind, L)
-    u, U = ctx.inv(ctx.mul(A[0], B[0])), [ctx.zero] * L
+    a0, _, b0, _ = _coefficients(curve, kind)
+    u, U = ctx.inv(ctx.mul(a0, b0)), [ctx.zero] * L
     U[::n] = [ctx.mul(ctx.mul(root, f), ctx.pow(u, m))
               for m, f in enumerate(_branch_series(curve, kind, root, -(-L // n)))]
-    res = [ctx.sub(x, y) for x, y in zip(_mul_trunc(ctx, _pow_trunc(ctx, U, n, L), A, L), B)]
-    if any(not ctx.is_zero(v) for v in res):
-        raise AssertionError("the branch series fails to cancel the residual")
     return TruncatedSeries(ctx, 0, U)
 
 
@@ -251,8 +245,8 @@ def _branch_series(curve: CurveParams, kind: str, root, count: int) -> list:
     of `kind` for any root of T^n = B0/A0 (a given root must be one):
     F_1 = (1 + beta' s)^(1/n) (1 + alpha' s)^(-1/n)."""
     ctx, n, p = curve.ctx, curve.n, curve.p
-    A, B = _coefficients(curve, kind, n + 1)
-    if root is not None and ctx.mul(ctx.pow(root, n), A[0]) != B[0]:
+    a0, an, b0, bn = _coefficients(curve, kind)
+    if root is not None and ctx.mul(ctx.pow(root, n), a0) != b0:
         error, message = _NOT_A_ROOT[kind]
         raise error(message)
 
@@ -262,7 +256,7 @@ def _branch_series(curve: CurveParams, kind: str, root, count: int) -> list:
             return [c * pow(x, k, p) % p for k, c in enumerate(cs)]
         return [ctx.mul(ctx.element(c), ctx.pow(x, k)) for k, c in enumerate(cs)]
 
-    return _mul_trunc(ctx, series(1, ctx.mul(B[n], A[0])), series(-1, ctx.mul(A[n], B[0])), count)
+    return _mul_trunc(ctx, series(1, ctx.mul(bn, a0)), series(-1, ctx.mul(an, b0)), count)
 
 
 def _contact_gap(curve: CurveParams, kind: str, root=None) -> int:

@@ -177,9 +177,13 @@ def _solve_unit_power(ctx: FieldCtx, A: list, B: list, n: int, u0, L: int) -> li
 
 
 def newton_lift(curve: CurveParams, kind: str, root, L: int) -> list:
-    """The branch of `kind` through `root`, to L terms, by Newton doubling."""
-    A, B = _coefficients(curve, kind, L)
-    return _solve_unit_power(curve.ctx, A, B, curve.n, root, L)
+    """The branch of `kind` through `root`, to L > n terms, by Newton doubling
+    on the dense A = A0 + An t^n and B = B0 + Bn t^n."""
+    ctx, n = curve.ctx, curve.n
+    a0, an, b0, bn = _coefficients(curve, kind)
+    A, B = [a0] + [ctx.zero] * (L - 1), [b0] + [ctx.zero] * (L - 1)
+    A[n], B[n] = an, bn
+    return _solve_unit_power(ctx, A, B, n, root, L)
 
 
 def min_splitting_degree(ctx: FieldCtx, c, n: int) -> int:
@@ -330,8 +334,8 @@ def binomial_rows(curve: CurveParams, kind: str, count: int, top: int) -> list[l
     (1 + alpha s)^(-i/n) with alpha = An/A0 and beta = Bn/B0, each from its
     own pair of binomial series."""
     ctx, n = curve.ctx, curve.n
-    A, B = _coefficients(curve, kind, n + 1)
-    alpha, beta = ctx.mul(A[n], ctx.inv(A[0])), ctx.mul(B[n], ctx.inv(B[0]))
+    a0, an, b0, bn = _coefficients(curve, kind)
+    alpha, beta = ctx.mul(an, ctx.inv(a0)), ctx.mul(bn, ctx.inv(b0))
 
     def series(i, x):
         return [ctx.mul(ctx.element(c), ctx.pow(x, k))

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -224,6 +225,8 @@ def run_in_process(argv):
           "--s", "2"])  # psi_12, composite
 @example(["orders", "--p", str(2**61 - 1), "--n", "6", "--a", "2", "--b", "3", "--s", "4",
           "--point", "infinite-branch"])
+@example(["orders", "--p", "100000000000000000039", "--n", "33333333333333333346", "--a", "2",
+          "--b", "3", "--s", "2"])  # n past the C index range: no list of length n
 def test_orders_keeps_the_exit_code_contract(argv):
     code, out, err = run_in_process(argv)
     assert (code == 0 and out.endswith("verdict: MATCH\n")) or (code == 2 and out == "")
@@ -397,6 +400,32 @@ def test_vtable_output(capsys):
     row44 = next(line for line in lines if line.startswith("44,"))
     fields = row44.split(",")
     assert fields[4] == "15" and fields[5] == "14"
+
+
+class _Writes(io.StringIO):
+    """A stdout that records the number of lines in each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines = []
+
+    def write(self, text):
+        self.lines.append(text.count("\n"))
+        return super().write(text)
+
+
+def test_vtable_writes_bounded_blocks():
+    # a 5-row chunk and its header go out in one write; 3000 lines go out in
+    # blocks of at most VTABLE_BLOCK lines, with the golden bytes
+    small, large = _Writes(), _Writes()
+    with contextlib.redirect_stdout(small):
+        assert main(["vtable", "--k-min", "2", "--k-max", "6"]) == 0
+    with contextlib.redirect_stdout(large):
+        assert main(["vtable", "--k-min", "2", "--k-max", "3000"]) == 0
+    assert small.lines == [6]
+    assert sum(large.lines) == 3000 and max(large.lines) == cli.VTABLE_BLOCK < 3000
+    assert (hashlib.sha256(large.getvalue().encode()).hexdigest()
+            == "fa6c2b3587644c39e34a4a66a9ecd671361f959787df181de74a1f0a792252b4")
 
 
 GARBAGE = ["", "x", "3.5", "1e3", "-", "--", "0x10", "٣"]

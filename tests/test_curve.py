@@ -18,8 +18,7 @@ from gfcurves.curve import (
     smoothness_scan,
     special_points,
 )
-from gfcurves.errors import (DegenerateParams, DegreeTooSmall, IncompatibleOrder,
-                             SingularAffinePoint)
+from gfcurves.errors import DegenerateParams, DegreeTooSmall, IncompatibleOrder
 from gfcurves.ffield import make_field, subgroup_generator
 from gfcurves.harness import admissible_degrees, primes_up_to, scan_task
 from brute_oracles import equation_value
@@ -509,25 +508,11 @@ def test_smoothness_scan_extension_field():
     assert rep.points_checked == count_points_fast(curve).affine_total
 
 
-def test_smoothness_scan_names_the_class_of_a_singular_point(monkeypatch):
-    # no valid curve has one: forge the class columns so that the class
-    # u = g^(j*n), j = 2, has a*u = 1 and a*c_u = 1, and read u off the message
-    ctx, n, j = make_field(13), 2, 2
-    g, log = subgroup_generator(ctx, 12), C._index(ctx)[0]
-    a, b = ctx.pow(g, -j * n), 5  # log c_u = log b + v - w = j*n for v = 0
-    column = [-1] * j
-    monkeypatch.setattr(C, "_class_logs",
-                        lambda *_: (column + [(log[b] - j * n) % 12], column + [0]))
-    with pytest.raises(SingularAffinePoint, match=r"x\^n = 3 on"):
-        smoothness_scan(make_curve(ctx, n, a, b))
-    assert ctx.pow(g, j * n) == 3
-
-
 @pytest.mark.parametrize("p,m", [(p, m) for p, m, q in prime_powers(49) if q > 2])
 def test_affine_points_equal_brute_force_solution_set(p, m):
-    # every valid (a, b) over F_q, q <= 49: the per-class smoothness scan
-    # checks as many affine points as the brute solution set holds, and none
-    # of them is singular
+    # every valid (a, b) over F_q, q <= 49: smoothness_scan reports as many
+    # affine points as the brute solution set holds, and none of them is
+    # singular
     ctx = make_field(p, m)
     q = ctx.q
     for n in range(2, q):

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -262,6 +263,22 @@ def test_order_sequence_symmetric_between_axes_and_centers():
         assert len(seqs) == 1  # every site of one kind gives one sequence
 
 
+def test_order_sequence_memory_does_not_grow_with_n():
+    # the branch equation is four coefficients: one dense list of its n + 1
+    # terms would take 80 MB at n = 10^7
+    n = 10**7
+    curve = make_curve(make_field(3 * n + 1), n, 2, 3)
+    tracemalloc.start()
+    try:
+        seqs = [order_sequence(curve, kind, 2).orders
+                for kind in ("inflection", "infinite-branch")]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seqs == [(0, 1, n, n + 1), (0, 1, n, n + 1)]
+    assert peak < 1 << 20
+
+
 def test_order_sequence_guards():
     curve = make_curve(make_field(31), 5, 2, 3)
     with pytest.raises(InvalidS):
@@ -324,8 +341,8 @@ def test_binomial_series_equals_newton_lift_at_splitting_site(case):
     work, root = site(curve, kind)
     ctx = work.ctx
     lift = newton_lift(work, kind, root, L)
-    A, B = localexp._coefficients(curve, kind, n + 1)
-    u = pow(A[0] * B[0], -1, p)
+    a0, _, b0, _ = localexp._coefficients(curve, kind)
+    u = pow(a0 * b0, -1, p)
     for series, scale in ((binomial_rows(curve, kind, -(-L // n), 1)[1], 1),
                           (localexp._branch_series(curve, kind, None, -(-L // n)), u)):
         expected = [ctx.zero] * L
@@ -389,8 +406,8 @@ def test_extension_base_field_without_a_root_equals_the_embedded_lift():
             work, root = site(curve, kind)
             iota, K = embedding(F, work.ctx), work.ctx
             assert K.q == F.q ** 2
-            A, B = localexp._coefficients(curve, kind, n + 1)
-            u = F.inv(F.mul(A[0], B[0]))
+            a0, _, b0, _ = localexp._coefficients(curve, kind)
+            u = F.inv(F.mul(a0, b0))
             for s in range(2, n):
                 if p <= s * (n + 1):
                     continue
