@@ -15,10 +15,13 @@ the only choice is the bytecode state.
   five pairs the sub-second rows read noise: `figure1 3..30` had head
   faster in 2 of 5 pairs with the two sides equal in-process.  Per run
   it records the wall time (`perf_counter` around the process), the peak
-  RSS from `os.wait4` (of that process only: the `--jobs` workers are not
-  counted), the exit code and the sha256 of stdout.  The digest and exit
-  code are checked against GOLDEN of the head's `tests/test_golden.py`, or
-  against PINS below for the rows too slow for Tier-1.
+  RSS of the CLI process (its own `VmHWM` at exit, which LAUNCHER writes to
+  a pipe; the `--jobs` workers are not counted), the exit code and the
+  sha256 of stdout.  `os.wait4`'s `ru_maxrss` is no such peak: it keeps
+  the high-water mark of the forked writer from before `exec`.  The digest
+  and exit code are checked against GOLDEN of the head's
+  `tests/test_golden.py`, or against PINS below for the rows too slow for
+  Tier-1.
 - The bytecode cache `src/gfcurves/__pycache__` of every checkout is
   cleared before every process (`clear`, the default) or compiled once up
   front (`warm`), and every process runs with PYTHONDONTWRITEBYTECODE=1 so
@@ -135,13 +138,40 @@ def warm_bytecode(checkout: Path) -> None:
                    check=True)
 
 
-def spawn(cmd, cwd: Path) -> dict:
-    """Run cmd to completion in cwd with src on PYTHONPATH, hashing stdout as
-    it arrives: wall time, peak RSS (MiB), exit code and stdout sha256."""
+# `python -c LAUNCHER FD MODULE ARGS...` runs `python -m MODULE ARGS...` in
+# its own process and, at exit, writes that process's VmHWM (kB) to FD; it
+# writes nothing where /proc/self/status has no VmHWM line.
+LAUNCHER = """\
+import atexit, os, runpy, sys
+fd = int(sys.argv.pop(1))
+def report():
+    try:
+        with open("/proc/self/status") as status:
+            os.write(fd, b"".join(line.split()[1].encode() for line in status
+                                  if line.startswith("VmHWM:")))
+    except OSError:
+        pass
+atexit.register(report)
+del sys.argv[0]
+runpy.run_module(sys.argv[0], run_name="__main__", alter_sys=True)
+"""
+
+
+def spawn(argv, cwd: Path) -> dict:
+    """Run `python -m gfcurves.cli *argv` to completion in cwd with src on
+    PYTHONPATH, hashing stdout as it arrives: wall time, peak RSS (MiB),
+    exit code and stdout sha256.  The peak is the process's own VmHWM from
+    LAUNCHER, or `ru_maxrss` where the host reports no VmHWM."""
     env = dict(os.environ, PYTHONPATH=str(cwd / "src"), PYTHONDONTWRITEBYTECODE="1")
+    peak_r, peak_w = os.pipe()
+    cmd = [sys.executable, "-c", LAUNCHER, str(peak_w), "gfcurves.cli", *argv]
     t0 = perf_counter()
-    proc = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.PIPE,
-                            stderr=subprocess.DEVNULL, stdin=subprocess.DEVNULL)
+    try:
+        proc = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL, stdin=subprocess.DEVNULL,
+                                pass_fds=(peak_w,))
+    finally:
+        os.close(peak_w)
     digest, size = hashlib.sha256(), 0
     try:
         while chunk := proc.stdout.read(1 << 16):
@@ -152,9 +182,13 @@ def spawn(cmd, cwd: Path) -> dict:
     except BaseException:
         proc.kill()
         proc.wait()
+        os.close(peak_r)
         raise
+    wall = perf_counter() - t0
+    with os.fdopen(peak_r, "rb") as pipe:
+        hwm_kib = pipe.read()
     proc.returncode = os.waitstatus_to_exitcode(status)
-    return {"wall_s": perf_counter() - t0, "peak_rss_mib": usage.ru_maxrss / 1024,
+    return {"wall_s": wall, "peak_rss_mib": int(hwm_kib or usage.ru_maxrss) / 1024,
             "exit": proc.returncode, "sha256": digest.hexdigest(), "bytes": size}
 
 
@@ -196,11 +230,10 @@ def time_rows(sides: dict, bytecode: str, pins: dict) -> list:
     rows = []
     for argv in ROWS:
         key = " ".join(argv)
-        cmd = [sys.executable, "-m", "gfcurves.cli", *argv]
 
         def run(name):
             set_bytecode(sides[name], bytecode)
-            return spawn(cmd, sides[name])
+            return spawn(argv, sides[name])
 
         for name in sides:  # the untimed warm-up
             run(name)

@@ -12,7 +12,8 @@ CSV tail formatted once, and each (p, n) is written as one text block.  The
 chord sweep behind `verify prop41` decides each orbit cell once, from the
 same rows and `chords.chord_columns`, and keeps only the failing cells.
 figure1 rounds each delta in floating point under an a-priori error bound
-(derived at `figure1_tsv_lines`) and exactly only near a half-integer.
+(derived at `figure1_tsv_lines`), first with one comparison per cell against
+the bound of its degree block, and exactly only near a half-integer.
 
 All output is generated in sorted key order with fixed formatting; identical
 invocations are byte-identical.
@@ -36,17 +37,20 @@ from .ffield import make_field, nth_root_count
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """The primes p <= limit.  A limit above curve.MAX_TABLE_Q raises
+    """The primes p <= limit, from a sieve of the odd numbers: sieve[i]
+    stands for 2i + 1, and an odd prime p strikes p^2, p^2 + 2p, ... at the
+    indices p^2 // 2, stepping by p.  A limit above curve.MAX_TABLE_Q raises
     FieldTooLarge before the sieve is allocated: no command covers such a p."""
     check_table_size(limit)
     if limit < 2:
         return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(limit) + 1):
+    sieve = bytearray([1]) * ((limit + 1) // 2)
+    sieve[0] = 0  # 1 is no prime
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
         if sieve[i]:
-            sieve[i * i:: i] = b"\x00" * len(sieve[i * i:: i])
-    return list(compress(range(limit + 1), sieve))
+            p = 2 * i + 1
+            sieve[p * p // 2:: p] = bytes(len(range(p * p // 2, len(sieve), p)))
+    return [2, *compress(range(1, limit + 1, 2), sieve)]
 
 
 def admissible_degrees(p: int) -> list[int]:
@@ -274,6 +278,14 @@ def figure1_cells(n_min: int, n_max: int):
                            boundary_p=boundary_p)
 
 
+def _k_digits(r: int, n: int) -> tuple[int, str]:
+    """r/n, 0 <= r < n, rounded half-even to six decimals as (carry, ".dddddd"):
+    carry is 1 where it rounds to 1.000000, so the k of p - 1 = q*n + r is
+    f"{q + carry}.dddddd", as `bounds.fixed(p - 1, 6, n)` prints it."""
+    whole, frac = B.fixed(r, 6, n).split(".")
+    return int(whole), "." + frac
+
+
 def figure1_tsv_lines(n_min: int, n_max: int):
     """The figure1 TSV as text: the header line, then one block of lines per n.
 
@@ -287,9 +299,19 @@ def figure1_tsv_lines(n_min: int, n_max: int):
     (103/19)c within 37u; the three sums and the scaling by 10^6 add u each, times
     M = h + (3c^2 + (103/19)c + 13/3)/2: |fl(delta) - delta| < 80u*M.  The exact
     route prints the enclosure midpoint `_delta_num`, within 1e-25 < u*M of delta.
-    So the half-even rounding of 10^6*delta is decided when 10^6*fl(delta) lies
-    farther than 10^6*epsilon, epsilon = 2^-40*M > 100*80u*M, from every
-    half-integer; the other cells (0.1% for n = 3..30) take the exact route."""
+    So the half-even rounding of x = 10^6*fl(delta) to units = round(x) is
+    decided when |x - units| + 10^6*epsilon < 1/2, epsilon = 2^-40*M >
+    100*80u*M: x then lies farther than 10^6*epsilon from every half-integer.
+
+    M grows with p (a test pins the float M nondecreasing in every degree
+    block of n = 3..62), so M_n, M at the block's largest p, bounds every
+    M(p): the test is made first with M_n, one comparison per cell, and with
+    M(p) only where that fails.  Float rounding is monotone, so the cells
+    both leave, which take the exact route (0.1% for n = 3..30), are those
+    the per-line test alone leaves.  A decided delta prints as
+    f"{units / 1e6:.6f}", exact for |units| < 2^52: the quotient is below
+    2^33, within half an ulp (2^-21 < 5*10^-7) of units/10^6; here
+    |delta| < 2^23.  The k column is (p-1)//n plus its residue's `_k_digits`."""
     degrees = _figure1_degrees(n_min, n_max)  # refuses an oversized sieve before the header
     yield "n\tp\tk\tdelta\tboundary_p\n"
     sqrt, r2, c1, c2, third = math.sqrt, math.sqrt(2), 103 / 19, 13 / 3, 1 / 3
@@ -297,7 +319,11 @@ def figure1_tsv_lines(n_min: int, n_max: int):
     for n, boundary_p, ps in degrees:
         den, g2, n2 = 4 * n * n * B._W_DEN, 2.0 * (n - 1) ** 2, 2.0 * n * n
         tail = f"\t{B.fixed(boundary_p, 6)}\n"
-        kcol = [(int(w), "." + f) for w, f in (B.fixed(r, 6, n).split(".") for r in range(n))]
+        kcol = [_k_digits(r, n) for r in range(n)]
+        # ps[-1] exists: by Bertrand's postulate a prime lies in (n + 2, 2n + 4]
+        h = (ps[-1] + 1 + g2 * sqrt(ps[-1])) / n2
+        c = (r2 * ((ps[-1] - 1) / n)) ** third
+        block_eps = (h + (3 * c * c + c1 * c + c2) / 2) * eps6  # 10^6 * 2^-40 * M_n
         lines = []
         for p in ps:
             h = (p + 1 + g2 * sqrt(p)) / n2
@@ -305,13 +331,13 @@ def figure1_tsv_lines(n_min: int, n_max: int):
             t1, t2 = 3 * c * c, c1 * c
             x = (h - (t1 - t2 + c2) / 2) * 1e6
             units = round(x)
-            if abs(x - units) + (h + (t1 + t2 + c2) / 2) * eps6 < 0.5:
-                whole, frac = divmod(abs(units), 10**6)
-                delta = f"{'-' if units < 0 else ''}{whole}.{frac:06d}"
-            else:
-                delta = B.fixed(_delta_num(p, n), 6, den)
+            d = abs(x - units)
             carry, kfrac = kcol[(p - 1) % n]
-            lines.append(f"{n}\t{p}\t{(p - 1) // n + carry}{kfrac}\t{delta}{tail}")
+            if d + block_eps < 0.5 or d + (h + (t1 + t2 + c2) / 2) * eps6 < 0.5:
+                lines.append(f"{n}\t{p}\t{(p - 1) // n + carry}{kfrac}\t{units / 1e6:.6f}{tail}")
+            else:
+                lines.append(f"{n}\t{p}\t{(p - 1) // n + carry}{kfrac}\t"
+                             f"{B.fixed(_delta_num(p, n), 6, den)}{tail}")
         yield "".join(lines)
 
 

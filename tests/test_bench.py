@@ -3,6 +3,7 @@ and the digests it reads from this directory are the golden ones."""
 
 import importlib.util
 import json
+import resource
 from pathlib import Path
 
 from test_golden import GOLDEN
@@ -32,3 +33,15 @@ def test_bench_runs_the_benchmark_workloads():
     declared = json.loads((bench.ROOT / "BENCHMARK.json").read_text())["workloads"]
     assert set(bench.PERF_WORKLOADS) <= {w["name"] for w in declared}
     assert len(set(bench.PERF_WORKLOADS)) == len(bench.PERF_WORKLOADS)
+
+
+def test_a_row_reads_the_peak_of_its_own_process():
+    # the writer holds a touched 32 MiB buffer, so its own peak is above any
+    # small row's; os.wait4's ru_maxrss carried that peak into the row
+    ballast = bytearray(b"\x01") * (32 << 20)
+    own_peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    argv = ("vtable", "--k-min", "2", "--k-max", "100")
+    row = bench.spawn(argv, bench.ROOT)
+    assert (row["exit"], row["sha256"]) == bench.golden(bench.ROOT)[" ".join(argv)]
+    assert 1 < row["peak_rss_mib"] < own_peak - 16
+    del ballast

@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 from fractions import Fraction
@@ -9,18 +10,38 @@ from gfcurves import harness as H
 from gfcurves.bounds import floor_kth_root, hasse_weil, k_threshold, sv_bound, w_bound
 from gfcurves.chords import build_polygon
 from gfcurves.cli import main
-from gfcurves.curve import OrbitRow, count_points_fast, curve_cell, make_curve
+from gfcurves.curve import MAX_TABLE_Q, OrbitRow, count_points_fast, curve_cell, make_curve
+from gfcurves.errors import FieldTooLarge
 from gfcurves.ffield import make_field
 from brute_oracles import diagonal_violations, vtable_rows_fraction
 from test_chords import chord_count_grid
 
 
-def test_primes_up_to():
+def test_primes_up_to(monkeypatch):
     assert H.primes_up_to(31) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
     assert H.primes_up_to(1) == []
-    primes = [x for x in range(2, 2001) if all(x % d for d in range(2, math.isqrt(x) + 1))]
-    for limit in range(2001):  # trial division pins every limit, 0 to 3 among them
+    primes = [x for x in range(2, 3001) if all(x % d for d in range(2, math.isqrt(x) + 1))]
+    for limit in range(3001):  # trial division pins every limit, 0 to 3 among them
         assert H.primes_up_to(limit) == [x for x in primes if x <= limit]
+    # at the caps of figure1 n = 3..62 (76 up to 4,100,340): each list is the
+    # largest one cut at its cap, and the 200 numbers below every cap are
+    # prime exactly where trial division by the primes up to 2024 says so
+    caps = [math.floor(n * k_threshold(n + 3)) + 1 for n in range(3, 63)]  # n*k_{n+3} + 1
+    top = H.primes_up_to(caps[-1])
+    small = [q for q in primes if q * q <= caps[-1]]
+    for cap in caps:
+        assert H.primes_up_to(cap) == top[:bisect.bisect_right(top, cap)]
+        window = range(max(2, cap - 199), cap + 1)
+        assert [p for p in top if window.start <= p <= cap] == [
+            x for x in window if all(x % q for q in small if q * q <= x)]
+    # above the index limit the guard raises before any sieve is allocated
+    def no_allocation(*args):
+        raise AssertionError("sieve allocated")
+
+    monkeypatch.setattr(H, "bytearray", no_allocation, raising=False)
+    for limit in (MAX_TABLE_Q + 1, 2 * MAX_TABLE_Q, 10**12):
+        with pytest.raises(FieldTooLarge):
+            H.primes_up_to(limit)
 
 
 def test_admissible_degrees():
@@ -249,6 +270,67 @@ def test_figure1_filter_equals_exact_route_on_full_grid(monkeypatch):
     calls = count_exact_calls(monkeypatch)
     assert "".join(H.figure1_tsv_lines(3, 30)).splitlines() == want
     assert 0 < len(calls) < len(want) // 500  # the filter decides nearly every cell
+
+
+def figure1_floats(n, ps):
+    """(x, M) per p of one degree block, in the float operations of
+    `figure1_tsv_lines`: x = 10^6*fl(delta) and M = h + (3c^2 + (103/19)c + 13/3)/2."""
+    sqrt, r2, c1, c2, third = math.sqrt, math.sqrt(2), 103 / 19, 13 / 3, 1 / 3
+    g2, n2 = 2.0 * (n - 1) ** 2, 2.0 * n * n
+    for p in ps:
+        h = (p + 1 + g2 * sqrt(p)) / n2
+        c = (r2 * ((p - 1) / n)) ** third
+        t1, t2 = 3 * c * c, c1 * c
+        yield (h - (t1 - t2 + c2) / 2) * 1e6, h + (t1 + t2 + c2) / 2
+
+
+def test_figure1_exact_route_is_the_per_line_bound_set(monkeypatch):
+    """The cells sent to `_delta_num` are those that the per-line bound
+    |x - round(x)| + 10^6*2^-40*M(p) < 1/2 alone leaves undecided."""
+    eps6 = 1e6 * 2.0**-40
+    undecided = [(p, n) for n, _, ps in H._figure1_degrees(3, 30)
+                 for p, (x, m) in zip(ps, figure1_floats(n, ps))
+                 if not abs(x - round(x)) + m * eps6 < 0.5]
+    calls = count_exact_calls(monkeypatch)
+    "".join(H.figure1_tsv_lines(3, 30))
+    assert calls == undecided and len(calls) == 180
+
+
+def test_figure1_m_is_nondecreasing_in_every_degree_block():
+    # the block bound M_n = M(largest p) of `figure1_tsv_lines` rests on it
+    for n, _, ps in H._figure1_degrees(3, 62):
+        ms = [m for _, m in figure1_floats(n, ps)]
+        assert all(a <= b for a, b in zip(ms, ms[1:])), n
+
+
+def divmod_delta(units):
+    """10^6*delta as six decimals by integer division, the exact formatting."""
+    whole, frac = divmod(abs(units), 10**6)
+    return f"{'-' if units < 0 else ''}{whole}.{frac:06d}"
+
+
+def test_decided_delta_prints_straight_from_its_units():
+    # every |units| <= 2*10^6 (|delta| <= 2), in chunks, then samples to 2^52 - 1
+    for lo in range(-2 * 10**6, 2 * 10**6 + 1, 10**5):
+        us = range(lo, min(lo + 10**5, 2 * 10**6 + 1))
+        assert [f"{u / 1e6:.6f}" for u in us] == list(map(divmod_delta, us))
+    rng = random.Random(30)
+    top = 2**52 - 1
+    for u in [0, top, -top, *(rng.randint(-top, top) for _ in range(50_000)),
+              *(rng.randint(1 - 2**k, 2**k - 1) for k in range(20, 53) for _ in range(500))]:
+        assert f"{u / 1e6:.6f}" == divmod_delta(u), u
+
+
+def test_k_column_keeps_the_carry():
+    # r/n rounds to 1.000000 once n >= 2*10^6 (0.9999995 rounds half-even up)
+    assert H._k_digits(2 * 10**6 - 1, 2 * 10**6) == (1, ".000000")
+    assert H._k_digits(3 * 10**6 - 1, 3 * 10**6) == (1, ".000000")
+    assert H._k_digits(1999998, 1999999) == (0, ".999999")
+    assert H._k_digits(0, 7) == (0, ".000000") and H._k_digits(5, 7) == (0, ".714286")
+    for n, r in [(2 * 10**6, 2 * 10**6 - 1), (3 * 10**6, 3 * 10**6 - 1), (7, 3), (62, 61)]:
+        carry, frac = H._k_digits(r, n)
+        for q in (0, 1, 41, 10**9):
+            assert f"{q + carry}{frac}" == B.fixed(q * n + r, 6, n)
 
 
 # cells whose 10^6*delta lies within 10^6*epsilon of a half-integer, from the
