@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import json
 import struct
+import sys
 from array import array
 from itertools import islice
 from typing import NamedTuple
@@ -180,6 +181,7 @@ def _index(ctx: FieldCtx) -> tuple[array, array]:
 
 
 _CHUNK = struct.Struct("1024i")
+_LOW_BYTE = 0 if sys.byteorder == "little" else array("i").itemsize - 1  # of a packed entry
 
 
 def _packed(table: list) -> array:
@@ -238,6 +240,21 @@ def curve_cell(ctx: FieldCtx, n: int, a: int, b: int) -> CurveCell:
     for larger n, where k is small, as k reads ind[ls - l], which beat the
     AND from about n = 40 on at every q timed (941 to 55441).
 
+    ind is built one of two ways.  In general the k logs of L are scattered
+    into it, one Python step each.  When n | 32 (then q - 1 is even, p odd)
+    it is read off zech with no Python step per log.  For l != 0, l is in L
+    exactly when log(g^l - 1) = log a + h mod n, and g^l - 1 = -(g^(l + h)
+    + 1) gives log(g^l - 1) = h + zech[(l + h) % order]; so l is in L iff
+    zech[(l + h) % order] = log a mod n.  As n | 256, that depends on the
+    low byte of zech[l + h] only, so one 256-entry `translate` table maps
+    zech's low-byte plane to J[i] = ind[(i + h) % order], once the -1 at
+    zech[h] (byte 0xFF, l = 0) is cleared.  J is ind shifted by h, and
+    serves as ind: 2h = order, so J[l] & J[(ls - l) % order] sums to the
+    same hits, and J[ls/2] + J[ls/2 + h] is the same diagonal pair.  The
+    translate costs about 0.75 ns per byte whatever n is, the scatter k
+    steps: at q = 65537, 48 against 134 us at n = 16, 49 against 67 at
+    n = 32 and 48 against 34 at n = 64 (best of 9, 2-core host).
+
     c_u = u on the roots of a*u^2 - 2u + b, that is (1 - a*u)^2 = 1 - ab:
     the diagonal classes have l = ls/2 or ls/2 + h for odd p (none when ls
     is odd) and l = ls * 2^-1 = ls * q/2 mod q - 1 for p = 2."""
@@ -245,18 +262,24 @@ def curve_cell(ctx: FieldCtx, n: int, a: int, b: int) -> CurveCell:
     la, lb, order = log[a], log[b], ctx.q - 1
     h = order // 2 if ctx.p > 2 else 0  # log(-1)
     ls = zech[(la + lb + h) % order]  # log(1 - ab)
-    logs = zech[(la + h) % n::n]  # log(1 - a*u), u in mu_k
-    if la % n == 0:
-        del logs[h // n]  # zech[h] = -1: u = 1/a
-    ind = bytearray(order)
-    for lv in logs:
-        ind[lv] = 1
+    if 32 % n == 0:  # table[v] = [v = log a mod n], for v the low byte of zech
+        r = la % n
+        ind = bytearray(zech)[_LOW_BYTE::zech.itemsize].translate(
+            (bytes(r) + b"\1" + bytes(n - 1 - r)) * (256 // n))
+        ind[h] = 0
+    else:
+        logs = zech[(la + h) % n::n]  # log(1 - a*u), u in mu_k
+        if la % n == 0:
+            del logs[h // n]  # zech[h] = -1: u = 1/a
+        ind = bytearray(order)
+        for lv in logs:
+            ind[lv] = 1
     if n <= 32:  # bit 8l of the AND is ind[l] & ind[(ls - l) % order]
         d = ls + 1
         hits = (int.from_bytes(ind, "little")
                 & int.from_bytes(ind[d:] + ind[:d], "big")).bit_count()
     else:  # a negative index wraps mod q - 1
-        hits = sum(map(ind.__getitem__, map(ls.__sub__, logs)))
+        hits = sum([ind[ls - l] for l in logs])
     if ctx.p == 2:
         diag = ind[ls * (ctx.q // 2) % order]
     else:
@@ -339,9 +362,10 @@ def count_points(curve: CurveParams) -> CountReport:
 
 
 def count_points_fast(curve: CurveParams) -> CountReport:
-    """Single pass over the n-th power classes (`curve_cell`); exact, O(q/n)
-    per curve.  y^n = b has n1 = n roots when n | log b, and 1/a is an n-th
-    power (n2 = n) when n | log a."""
+    """Single pass over the n-th power classes (`curve_cell`); exact, O(q)
+    C-level byte work plus O(q/n) Python steps per curve (none for n | 32).
+    y^n = b has n1 = n roots when n | log b, and 1/a is an n-th power
+    (n2 = n) when n | log a."""
     ctx, n = curve.ctx, curve.n
     a, b = ctx.encode(curve.a), ctx.encode(curve.b)
     log = _index(ctx)[0]

@@ -1,6 +1,7 @@
 import functools
 import gc
 import json
+import random
 import tracemalloc
 from array import array
 
@@ -405,18 +406,66 @@ def test_curve_cell_equals_per_class_loop_on_extension_fields():
                         assert C.curve_cell(ctx, n, a, b) == per_class_cell(ctx, n, a, b)
 
 
-@pytest.mark.parametrize("p,m,n", [(2, 8, 51), (2, 8, 85), (3, 4, 40)])
+def curve_pairs(ctx, n, count=None):
+    """(a, b) by encodings with a*b != 1: every pair when count is None, else
+    count seeded pairs over F_p, the i-th with log a = i and log b = i // n
+    mod n, so that n^2 pairs meet every pair of residues."""
+    q, log = ctx.q, C._index(ctx)[0]
+    if count is None:
+        return [(a, b) for a in range(1, q) for b in range(1, q) if (log[a] + log[b]) % (q - 1)]
+    assert ctx.m == 1
+    rng, g, pairs = random.Random(q * n), subgroup_generator(ctx, q - 1), []
+    while len(pairs) < count:
+        i = len(pairs)
+        la, lb = (n * rng.randrange((q - 1) // n) + r for r in (i % n, i // n % n))
+        if (la + lb) % (q - 1):
+            pairs.append((pow(g, la, q), pow(g, lb, q)))
+    return pairs
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 8, 51), (2, 8, 85), (3, 4, 40), (941, 1, 47),
+                                   (12211, 1, 55)])
 def test_curve_cell_equals_per_class_loop_past_the_cut(p, m, n):
     # the q <= 64 pin above has n > 32 only at k = 1 (F_49, n = 48 and F_64,
     # n = 63); these reach the k reads of ind[ls - l] at k = 5, 3 and 2, for
-    # p = 2 and odd p
+    # p = 2 and odd p, every pair, and over F_p at k = 20 and 222, 2,000
+    # seeded pairs each
     ctx = make_field(p, m)
-    q, log = ctx.q, C._index(ctx)[0]
-    assert n > 32 and (q - 1) // n >= 2
-    for a in range(1, q):
-        for b in range(1, q):
-            if (log[a] + log[b]) % (q - 1):  # a*b != 1
-                assert C.curve_cell(ctx, n, a, b) == per_class_cell(ctx, n, a, b)
+    assert n > 32 and (ctx.q - 1) // n >= 2
+    for a, b in curve_pairs(ctx, n, None if m > 1 else 2000):
+        assert C.curve_cell(ctx, n, a, b) == per_class_cell(ctx, n, a, b)
+
+
+@pytest.mark.parametrize("p,m,n", [(65537, 1, 2), (65537, 1, 4), (65537, 1, 8), (65537, 1, 16),
+                                   (65537, 1, 32), (3, 4, 16), (7, 2, 16)])
+def test_curve_cell_equals_per_class_loop_on_the_translate_route(p, m, n):
+    # n | 32 reads ind off zech's low bytes.  log a = n - 1 mod n is the case
+    # where the byte 0xFF of zech[h] = -1 would mark l = 0, which changes
+    # the count when 0 is the reflection of a log in L, that is n | log b:
+    # every pair of residues (log a, log b) mod n is drawn over F_65537
+    # (max(64, n^2) seeded pairs), and every pair is taken over F_81, F_49
+    ctx = make_field(p, m)
+    pairs = curve_pairs(ctx, n, None if m > 1 else max(64, n * n))
+    log = C._index(ctx)[0]
+    assert len({(log[a] % n, log[b] % n) for a, b in pairs}) == n * n
+    for a, b in pairs:
+        assert C.curve_cell(ctx, n, a, b) == per_class_cell(ctx, n, a, b)
+
+
+def test_translate_route_peak_memory():
+    # the indicator copies zech's 4q bytes once and takes q-byte planes of
+    # it: one n = 2 cell at q = 65537 peaks at about 5.2q bytes traced, where
+    # the scatter of the k = 32768 logs peaked at about 7.1q
+    ctx = make_field(65537)
+    C._index(ctx)
+    tracemalloc.start()
+    try:
+        cell = C.curve_cell(ctx, 2, 3, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cell == per_class_cell(ctx, 2, 3, 5)
+    assert peak <= 6 * ctx.q
 
 
 def test_index_walk_runs_once_per_prime(monkeypatch):
