@@ -7,10 +7,11 @@ against every applicable upper bound.  Counting is one orbit pass per (p, n):
 the counts depend only on the coset of a modulo mu_k = (F_p^*)^n and on
 a*b, so `curve.orbit_counts` gives the int columns of n representatives and
 every (a, b) reads its orbit's column entry.  The columns after b depend only
-on (affine_total, n1, n2); each distinct key gets one shared record with its
-CSV tail formatted once, and each (p, n) is written as one text block.  The
-chord sweep behind `verify prop41` decides each orbit cell once, from the
-same rows and `chords.chord_columns`, and keeps only the failing cells.
+on (affine_total, n1, n2); each distinct key is one CSV tail string, made on
+first use and looked up by an int key per orbit cell, and each (p, n) is
+written as one text block.  The chord sweep behind `verify prop41` decides
+each orbit cell once, from the same rows and `chords.chord_columns`, and
+keeps only the failing cells.
 figure1 rounds each delta in floating point under an a-priori error bound
 (derived at `figure1_tsv_lines`), first with one comparison per cell against
 the bound of its degree block, and exactly only near a half-integer.
@@ -89,20 +90,17 @@ def _pair_stride(p: int, sample: int | None) -> int:
     return max(1, total // max(1, sample))
 
 
-class _ScanTail(NamedTuple):
-    """The columns k..violation of every row with one (affine_total, n1, n2)."""
-
-    fields: tuple
-    csv: str
-
-
 def scan_task(p: int, n: int, sample: int | None):
-    """The rows of one (p, n) and whether any violates a bound.  Per a, in
-    order: (a, s, the tails of its orbit row by c, the b kept by the sample
-    stride); the curve (a, b) with a = r*s, s in mu_k, reads the row of r at
-    c = b*s, with affine_total = n^2*hist + 2*n1."""
+    """The rows of one (p, n), whether any violates a bound, and the fields
+    k..violation of each CSV tail used.  Per a, in order: (a, s, the tails
+    of its orbit row by c, the b kept by the sample stride); the curve
+    (a, b) with a = r*s, s in mu_k, reads the row of r at c = b*s.  A tail,
+    the CSV text of the columns k..violation, depends on (affine_total, n1,
+    n2) only: n1 = n*[c in mu_k] and affine_total = n^2*hist + 2*n1, so it
+    is keyed by the int 2*hist + [c in mu_k] in the table of its row's n2,
+    which is n on the row of r = 1 alone (1/r is in mu_k iff r is)."""
     ctx = make_field(p)
-    k = (p - 1) // n
+    k, nn = (p - 1) // n, n * n
     hw = B.hasse_weil(p, (n - 1) ** 2).value
     w_val = B.w_scalar_value(p, n)
     applicable_s = [s for s in range(2, n) if 2 * n * (s - 1) < p]
@@ -116,31 +114,30 @@ def scan_task(p: int, n: int, sample: int | None):
             best = sv_best[(n1, n2)] = min(cands) if cands else (None, None)
             sv_cols = "{},{}".format(*best) if cands else "-,-"
             columns[(n1, n2)] = f"{hw},{sv_cols},{w_col},{flags}"
-    shared: dict[tuple[int, int, int], _ScanTail] = {}
+    fields = {}  # CSV tail -> (k, affine_total, model_total, hw, ..., violation)
 
-    def tail(total: int, n1: int, n2: int) -> _ScanTail:
-        key = (total, n1, n2)
-        if key not in shared:
-            sv, sv_s = sv_best[(n1, n2)]
-            model = total + 2 * n2
-            violation = (model > hw or (sv is not None and model > sv)
-                         or (w_val is not None and model > w_val))
-            fields = (k, total, model, hw, sv, sv_s, w_val, flags, violation)
-            csv = f"{k},{total},{model},{columns[(n1, n2)]},{int(violation)}"
-            shared[key] = _ScanTail(fields, csv)
-        return shared[key]
+    def tail(key: int, n2: int) -> str:
+        n1 = n * (key & 1)
+        total = nn * (key >> 1) + 2 * n1
+        sv, sv_s = sv_best[(n1, n2)]
+        model = total + 2 * n2
+        violation = (model > hw or (sv is not None and model > sv)
+                     or (w_val is not None and model > w_val))
+        csv = f"{k},{total},{model},{columns[(n1, n2)]},{int(violation)}"
+        fields[csv] = (k, total, model, hw, sv, sv_s, w_val, flags, violation)
+        return csv
 
+    tables = {-1: None}, {-1: None}  # by n2 = 0, n; key -1: c = 0 and c = 1/r, no curve's
     orbits = orbit_counts(ctx, n)
-    # n1 = #{y : y^n = c} is n on mu_k, the coset of r = 1 (index 0)
-    rc = [n if e and e[0] == 0 else 0 for e in orbits.coset]
-    nn, tails = n * n, []
-    for r, row in zip(orbits.reps, orbits.rows):
-        skip = pow(r, -1, p)
-        keys = list(zip(row.hist, rc))  # (hist, n1) at each c
-        keys[0] = keys[skip] = None     # c = 0 and c = 1/r are no curve's
-        memo = {key: key and tail(nn * key[0] + 2 * key[1], key[1], rc[skip])
-                for key in set(keys)}
-        tails.append(list(map(memo.__getitem__, keys)))
+    unit = [1 if e and e[0] == 0 else 0 for e in orbits.coset]  # mu_k: the coset of r = 1
+    tails = []
+    for i, (r, row) in enumerate(zip(orbits.reps, orbits.rows)):
+        keys = [h + h + e for h, e in zip(row.hist, unit)]
+        keys[0] = keys[pow(r, -1, p)] = -1
+        table, n2 = tables[i == 0], n * (i == 0)
+        for key in set(keys).difference(table):
+            table[key] = tail(key, n2)
+        tails.append(list(map(table.__getitem__, keys)))
     stride = _pair_stride(p, sample)
 
     def rows():
@@ -149,23 +146,23 @@ def scan_task(p: int, n: int, sample: int | None):
             inv_a, first = pow(a, -1, p), (a - 1) * (p - 2)  # p - 2 rows per a, b != 1/a
             bs = chain(range(1, inv_a), range(inv_a + 1, p))
             yield a, s, tails[i], islice(bs, -first % stride, None, stride)
-    return rows(), any(tl.fields[-1] for tl in shared.values())
+    return rows(), any(f[-1] for f in fields.values()), fields
 
 
 def _scan_task_rows(task) -> list[ScanRow]:
     p, n, _ = task
-    return [ScanRow(p, 1, n, a, b, *row[b * s % p].fields)
-            for a, s, row, bs in scan_task(*task)[0] for b in bs]
+    rows, _, fields = scan_task(*task)
+    return [ScanRow(p, 1, n, a, b, *fields[row[b * s % p]]) for a, s, row, bs in rows for b in bs]
 
 
 def _scan_task_block(task) -> tuple[str, int]:
     """The CSV lines of one (p, n) as one text block, and its violation count:
     the violation column is last, so a violating line is one ending in ",1"."""
     p, n, _ = task
-    rows, violating = scan_task(*task)
+    rows, violating, _ = scan_task(*task)
     num = [f"{x}," for x in range(p)]  # each int formatted once
     head = [f"{p},1,{n},{x}," for x in range(p)]
-    text = "".join([f"{head[a]}{num[b]}{row[b * s % p].csv}\n"
+    text = "".join([f"{head[a]}{num[b]}{row[b * s % p]}\n"
                     for a, s, row, bs in rows for b in bs])
     return text, text.count(",1\n") if violating else 0
 

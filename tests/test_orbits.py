@@ -6,18 +6,21 @@ columns hist and D of its row at c = b*s with a = r*s.  These tests pin the
 counts the documented formulas give from those columns to `count_points_fast`
 and to the per-curve class pass `curve_cell` at every (a, b) for p <= 61, pin
 `curve_cell` to the inverse-table pass that it replaced, on both sides of
-its cut in n, and check the
-invariance it rests on with the brute double loop `count_points`
+its cut in n, pin the lane sums of `orbit_counts` to its pair loop, and
+check the invariance it rests on with the brute double loop `count_points`
 and the chord count `chords_through`.
 """
+
+import tracemalloc
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import gfcurves.curve as C
 from gfcurves.chords import build_polygon, chords_through
 from gfcurves.curve import (CurveCell, count_points, count_points_fast, curve_cell, make_curve,
                             orbit_counts)
-from gfcurves.ffield import make_field
+from gfcurves.ffield import make_field, subgroup_generator
 from gfcurves.harness import admissible_degrees, primes_up_to
 from test_ffield import inverse_recurrence
 
@@ -57,6 +60,45 @@ def test_orbit_rows_equal_per_curve_counts_to_61():
                     curves += 1
     assert curves == sum((p - 1) * (p - 2) * len(admissible_degrees(p))
                          for p in primes_up_to(61))
+
+
+def lane_and_pair_rows(monkeypatch, p, n):
+    """orbit_counts over F_p with its lanes at every k, then with its pair
+    loop at every k, whichever side of the cut k is on."""
+    monkeypatch.setattr(C, "_LANE_MIN_K", 1)
+    lanes = orbit_counts(make_field(p), n)
+    monkeypatch.setattr(C, "_LANE_MIN_K", p)
+    return lanes, orbit_counts(make_field(p), n)
+
+
+def test_lane_rows_equal_pair_loop_to_400(monkeypatch):
+    for p in primes_up_to(400):
+        for n in admissible_degrees(p):
+            lanes, pairs = lane_and_pair_rows(monkeypatch, p, n)
+            assert lanes == pairs, (p, n)
+
+
+def test_wide_lane_rows_equal_pair_loop(monkeypatch):
+    # k = 260 and 515 take 2-byte lanes, and some count there exceeds what
+    # one byte holds
+    for p in (521, 1031):
+        lanes, pairs = lane_and_pair_rows(monkeypatch, p, 2)
+        assert lanes == pairs, p
+        assert max(max(row.hist) for row in pairs.rows) > 255
+
+
+def test_lane_rows_peak_memory_at_4099():
+    # the k shifted columns are summed one at a time: held as a list they
+    # peak at 26 MB here, against 0.74 MB with the rows
+    ctx = make_field(4099)
+    subgroup_generator(ctx, ctx.q - 1)  # cached with the field
+    tracemalloc.start()
+    try:
+        orbits = orbit_counts(ctx, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(orbits.rows) == 2 and peak < 2 * 2**20
 
 
 def inverse_table_cells(p, n):
