@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Time the CLI workloads of one or two gfcurves checkouts and write BENCH_<label>.json.
 
-    python3 bench/run.py --label NAME [--base DIR] [--bytecode clear|warm] [--out FILE]
+    python3 bench/run.py --label NAME [--base DIR]
 
 Stdlib only; it measures the processes it starts and nothing else.  The
 head is the checkout this script sits in; the base, when given, is another
-checkout of the project, such as the parent commit.  The protocol is fixed:
-the only choice is the bytecode state.
+checkout of the project, such as the parent commit.  The protocol is fixed,
+and the report goes to BENCH_<label>.json at the head's root.
 
 - Each row of ROWS is one `python -m gfcurves.cli` process, run in the
   checkout with `src` on PYTHONPATH: one untimed warm-up per checkout, then
@@ -23,10 +23,10 @@ the only choice is the bytecode state.
   `tests/test_golden.py`, or against PINS below for the rows too slow for
   Tier-1.
 - The bytecode cache `src/gfcurves/__pycache__` of every checkout is
-  cleared before every process (`clear`, the default) or compiled once up
-  front (`warm`), and every process runs with PYTHONDONTWRITEBYTECODE=1 so
-  the state stays as recorded.  A cached checkout can run a sub-second row
-  in half the time of one that compiles, so both sides are kept alike.
+  cleared before every process (the report's bytecode mode `clear`), and
+  every process runs with PYTHONDONTWRITEBYTECODE=1 so the state stays as
+  recorded.  A cached checkout can run a sub-second row in half the time
+  of one that compiles, so both sides are kept alike.
 - A fixed stdlib loop (3 M multiply-mod steps) is timed before and after
   the set: numbers from sessions whose calibrations differ do not compare.
   Before every pair, three back-to-back slices of the same loop
@@ -124,18 +124,12 @@ def commit(checkout: Path) -> dict:
             "src_diff_sha256": hashlib.sha256(diff.encode()).hexdigest() if diff else None}
 
 
-def set_bytecode(checkout: Path, mode: str) -> int:
-    """Clear src/gfcurves/__pycache__ (mode 'clear') or leave it as warmed;
-    returns the number of .pyc files left there."""
+def clear_bytecode(checkout: Path) -> int:
+    """Clear src/gfcurves/__pycache__; returns the number of .pyc files left
+    there (0 unless something writes one back)."""
     cache = checkout / "src" / "gfcurves" / "__pycache__"
-    if mode == "clear":
-        shutil.rmtree(cache, ignore_errors=True)
+    shutil.rmtree(cache, ignore_errors=True)
     return len(list(cache.glob("*.pyc"))) if cache.is_dir() else 0
-
-
-def warm_bytecode(checkout: Path) -> None:
-    subprocess.run([sys.executable, "-m", "compileall", "-q", str(checkout / "src" / "gfcurves")],
-                   check=True)
 
 
 # `python -c LAUNCHER FD MODULE ARGS...` runs `python -m MODULE ARGS...` in
@@ -226,13 +220,13 @@ def alternate(sides: dict, pairs: int, run) -> tuple[dict, list]:
     return out, slices
 
 
-def time_rows(sides: dict, bytecode: str, pins: dict) -> list:
+def time_rows(sides: dict, pins: dict) -> list:
     rows = []
     for argv in ROWS:
         key = " ".join(argv)
 
         def run(name):
-            set_bytecode(sides[name], bytecode)
+            clear_bytecode(sides[name])
             return spawn(argv, sides[name])
 
         for name in sides:  # the untimed warm-up
@@ -264,8 +258,8 @@ def time_rows(sides: dict, bytecode: str, pins: dict) -> list:
     return rows
 
 
-def tier1(checkout: Path, bytecode: str) -> dict:
-    set_bytecode(checkout, bytecode)
+def tier1(checkout: Path) -> dict:
+    clear_bytecode(checkout)
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
     t0 = perf_counter()
     done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
@@ -282,14 +276,14 @@ def tier1(checkout: Path, bytecode: str) -> dict:
             "passed": counts.get("passed", 0), "failed": counts.get("failed", 0)}
 
 
-def perfbench(sides: dict, bytecode: str) -> list:
-    return [perfbench_pairs(sides, bytecode, workload, seed)
+def perfbench(sides: dict) -> list:
+    return [perfbench_pairs(sides, workload, seed)
             for workload in PERF_WORKLOADS for seed in PERF_SEEDS]
 
 
-def perfbench_pairs(sides: dict, bytecode: str, workload: str, seed: int) -> dict:
+def perfbench_pairs(sides: dict, workload: str, seed: int) -> dict:
     def run(name):
-        set_bytecode(sides[name], bytecode)
+        clear_bytecode(sides[name])
         cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(PERF_SECONDS), "--trace", "0"]
         done = subprocess.run(cmd, cwd=sides[name], capture_output=True, text=True,
@@ -317,31 +311,26 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="written to BENCH_<label>.json")
     ap.add_argument("--base", type=Path, help="the checkout to compare against")
-    ap.add_argument("--bytecode", choices=("clear", "warm"), default="clear")
-    ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
 
     sides = {"head": ROOT} if args.base is None else {"base": args.base.resolve(), "head": ROOT}
-    if args.bytecode == "warm":
-        for path in sides.values():
-            warm_bytecode(path)
     pins = {**PINS, **golden(sides["head"])}
     report = {
         "label": args.label,
         "machine": {"cpus": os.cpu_count(), "system": platform.system(),
                     "arch": platform.machine(), "python": sys.version.split()[0],
                     "implementation": platform.python_implementation()},
-        "bytecode": {"mode": args.bytecode,
-                     "pyc_files": {n: set_bytecode(p, args.bytecode) for n, p in sides.items()}},
+        "bytecode": {"mode": "clear",
+                     "pyc_files": {n: clear_bytecode(p) for n, p in sides.items()}},
         "checkouts": {name: commit(path) for name, path in sides.items()},
         "pairs": PAIRS,
         "calibration_s": {"before": calibrate()},
     }
-    report["rows"] = time_rows(sides, args.bytecode, pins)
-    report["perfbench"] = perfbench(sides, args.bytecode)
-    report["tier1"] = {name: tier1(path, args.bytecode) for name, path in sides.items()}
+    report["rows"] = time_rows(sides, pins)
+    report["perfbench"] = perfbench(sides)
+    report["tier1"] = {name: tier1(path) for name, path in sides.items()}
     report["calibration_s"]["after"] = calibrate()
-    out = args.out or ROOT / f"BENCH_{args.label}.json"
+    out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     bad = [" ".join(r["argv"]) for r in report["rows"]
            if any(r[n]["matches_pin"] is False or not r[n]["stable"] for n in sides)]

@@ -24,10 +24,12 @@ tests/test_curve.py.
 
 The chord through the vertices (t1, 1/t1) and (t2, 1/t2) is the line
 x + t1*t2*y = t1 + t2, so `chords_through` counts n_P in O(k), from the
-second meet of each line PV with XY = 1.  (x, y) -> (g*x, y/g), g in mu_k,
-maps the polygon onto itself, so the bulk sweep (`harness.prop41_sweep`)
-reads n_P from `chord_columns` on the n columns x = r_i through the coset
-representatives of mu_k: O(C(k,2)*n) instead of O(C(k,2)*p).
+second meet of each line PV with XY = 1.  The bulk sweep
+(`harness.prop41_sweep`) counts no chords: with u = 1/t1, v = 1/t2 the
+chords and tangents through P are the vertex pairs that the orbit rows of
+`curve.orbit_counts` already bin, so it reads every verdict off the rows
+(the derivation is at `prop41_sweep`; tests/test_orbits.py pins it to the
+polygon's chords and tangents).
 """
 
 from __future__ import annotations
@@ -164,22 +166,3 @@ def verify_prop41(p: int, n: int, point: tuple) -> IdentityReport:
         decomposition_exact=restricted == lhs + (n * n - n) * d,
     )
 
-
-# ---------------------------------------------------------------------------
-# bulk sweep machinery: the chord counts on the torus orbits of P
-
-
-def chord_columns(poly: Polygon, xs: list) -> list[list[int]]:
-    """cols[i][y] = number of chords through (xs[i], y): the chord through
-    (t1, 1/t1) and (t2, 1/t2) meets the column x at y = (t1 + t2 - x)*y1*y2
-    (y1*y2 = 1/(t1*t2)).  A vertex on a column counts its k-1 incident
-    chords; nondegeneracy rules out anything more."""
-    p = poly.p
-    chords = [(x1 + x2, y1 * y2 % p) for (x1, y1), (x2, y2) in combinations(poly.vertices, 2)]
-    cols = []
-    for x in xs:
-        col = [0] * p
-        for s, q in chords:
-            col[(s - x) * q % p] += 1
-        cols.append(col)
-    return cols

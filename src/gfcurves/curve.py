@@ -212,11 +212,12 @@ class CurveCell(NamedTuple):
 
 
 class OrbitRow(NamedTuple):
-    """The two columns, indexed by c, from which `orbit_counts` derives the
-    CurveCell of every curve (r, c) (c = 0 and c = 1/r are no curve's)."""
+    """The column hist, indexed by c, and the sparse tangency D, from which
+    `orbit_counts` derives the CurveCell of every curve (r, c) (c = 0 and
+    c = 1/r are no curve's)."""
 
     hist: list  # hist[c] = #{(u, v) in mu_k^2 : w = r*u - 1 != 0, u - v*w = c}
-    D: list     # D[c] = #{u in mu_k : 2u - r*u^2 = c}, the tangency
+    D: dict     # {c: #{u in mu_k : w != 0, 2u - r*u^2 = c}} at its <= k nonzero c
 
 
 class OrbitCounts(NamedTuple):
@@ -300,10 +301,11 @@ def orbit_counts(ctx: FieldCtx, n: int) -> OrbitCounts:
     On the curve (r, c), x^n = u in mu_k with w = r*u - 1 != 0 gives
     y^n = (u - c)/w.  That is v in mu_k iff c = u - v*w (n^2 points, binned
     in hist), 0 iff c = u (n points if c is in mu_k: n1 = rc[c] in all), and
-    u iff c = 2u - r*u^2 (binned in D).  With the n1 points on x = 0, the
-    CurveCell of (r, c) is affine = n^2*hist + 2*n1, restricted =
-    n^2*hist - n*D, tangency = D and refined = n^2*(hist - D); the rows keep
-    hist and D, and each consumer reads the formula it needs.
+    u iff c = 2u - r*u^2 (binned in D, which holds only the c it reaches:
+    D[c] is D.get(c, 0)).  With the n1 points on x = 0, the CurveCell of
+    (r, c) is affine = n^2*hist + 2*n1, restricted = n^2*hist - n*D,
+    tangency = D and refined = n^2*(hist - D); the rows keep hist and D, and
+    each consumer reads the formula it needs.
 
     hist is read off the lanes of one int (Kronecker substitution).  Column
     i has a 1 at lane p - t for each t in r_i*mu_k; a lane has the fewest
@@ -334,10 +336,11 @@ def orbit_counts(ctx: FieldCtx, n: int) -> OrbitCounts:
         cols.append(int.from_bytes(col, "little"))
     top = 8 * width * p
     for r in reps:
-        hist, diag, acc = [0] * p, [0] * p, 0
+        hist, diag, acc = [0] * p, {}, 0
         for u in mu:
             if w := (r * u - 1) % p:
-                diag[(2 * u - r * u * u) % p] += 1
+                c = (2 * u - r * u * u) % p
+                diag[c] = diag.get(c, 0) + 1
                 if by_lanes:
                     acc += cols[coset[w][0]] << 8 * width * u
                 else:

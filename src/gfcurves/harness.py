@@ -9,9 +9,10 @@ a*b, so `curve.orbit_counts` gives the int columns of n representatives and
 every (a, b) reads its orbit's column entry.  The columns after b depend only
 on (affine_total, n1, n2); each distinct key is one CSV tail string, made on
 first use and looked up by an int key per orbit cell, and each (p, n) is
-written as one text block.  The chord sweep behind `verify prop41` decides
-each orbit cell once, from the same rows and `chords.chord_columns`, and
-keeps only the failing cells.
+written as one text block.  The chord sweep behind `verify prop41` reads
+its verdicts off the same rows: the vertex pairs through an orbit cell are
+its chords and tangents (derived at `prop41_sweep`), so the failing cells
+are the support of the row's tangency, and only they are kept.
 figure1 rounds each delta in floating point under an a-priori error bound
 (derived at `figure1_tsv_lines`), first with one comparison per cell against
 the bound of its degree block, and exactly only near a half-integer.
@@ -31,7 +32,6 @@ from itertools import chain, compress, islice
 from typing import NamedTuple
 
 from . import bounds as B
-from . import chords as C
 from . import localexp as LE
 from .curve import check_table_size, make_curve, orbit_counts
 from .ffield import make_field, nth_root_count
@@ -170,9 +170,11 @@ def _scan_task_block(task) -> tuple[str, int]:
 # The fewest CSV lines for which `--jobs` starts a process pool.  Below it a
 # pool costs more than it saves: starting it takes about 10 ms, every task's
 # text block is pickled back through one pipe, and forked workers ran the
-# tasks about 20% slower than the parent.  In interleaved runs piped into a
-# hashing reader on a 2-core host, --jobs 2 lost at p <= 97 (389,460 lines)
-# and won from p <= 131 (1,015,968 lines) on; table in the README.
+# tasks about 20% slower than the parent.  At the floor the two cost about
+# the same: in alternating pairs piped into a hashing reader on a 2-core
+# host, --jobs 2 won 2 of 10 pairs at p <= 131 (1,015,968 lines), 5 of 10 at
+# p <= 151 and all 10 only at p <= 211 (4,679,088 lines, by 8%); table in
+# the README.
 POOL_MIN_LINES = 1_000_000
 
 
@@ -500,15 +502,15 @@ def _expand(blocks):
 class _ChordSweep(NamedTuple):
     points_checked: int
     holds: int
-    violating: tuple           # lhs != restricted
-    off_decomposition: tuple   # restricted != lhs + (n^2 - n)*D
+    violating: tuple  # lhs != restricted
 
 
 class ChordSweep(_ChordSweep):
-    """The counts of the prop41 sweep and the cells that fail each check, per
-    (p, n): (p, n, coset, cells) with cells[i] = {c: (lhs, restricted, D)}
-    on orbit row i.  The record lists are expanded from the cells when read
-    and cached in the instance dict (no __slots__, so it has one)."""
+    """The counts of the prop41 sweep and the cells that fail the as-stated
+    check, per (p, n): (p, n, coset, cells) with cells[i] =
+    {c: (lhs, restricted, D)} on orbit row i.  The records are expanded from
+    the cells when read and cached in the instance dict (no __slots__, so it
+    has one).  The other two checks cannot fail (proof at `prop41_sweep`)."""
 
     @property
     def violation_count(self) -> int:
@@ -522,31 +524,38 @@ class ChordSweep(_ChordSweep):
     def violations(self) -> list:  # (p, n, a, b, lhs, restricted, tangency)
         return list(_expand(self.violating))
 
-    @functools.cached_property
-    def decomposition_failures(self) -> list:  # (p, n, a, b)
-        return [rec[:4] for rec in _expand(self.off_decomposition)]
+    @property
+    def decomposition_failures(self) -> list:  # (p, n, a, b): restricted != lhs + (n^2 - n)*D
+        return []
 
     @property
-    def refined_failures(self) -> list:  # the same condition on orbit rows (prop41_sweep)
-        return self.decomposition_failures
+    def refined_failures(self) -> list:  # (p, n, a, b): lhs != refined
+        return []
 
 
 def prop41_sweep(p_max: int = 199) -> ChordSweep:
     """Every prime p <= p_max, every proper divisor n >= 2 of p-1 with
-    k >= 3, every P = (a, b) with ab not in {0, 1}.  Each orbit cell (r_i, c)
-    is decided once for its k points (r_i*s, c/s), s in mu_k, from the orbit
-    row and the chord column n_P = col[c]: lhs = 2n^2*col, restricted =
-    n^2*hist - n*D and refined = n^2*(hist - D), so a cell passes all three
-    checks iff D = 0 and hist = 2*col.  Only failing cells are kept.
+    k >= 3, every P = (a, b) with ab not in {0, 1}.  Each orbit cell (r, c)
+    stands for its k points (r*s, c/s), s in mu_k, and is decided from its
+    orbit row alone.
 
-    On these rows the decomposition restricted = lhs + (n^2 - n)*D and the
-    refined identity lhs = refined are one condition, hist = 2*col + D, so
-    `decomposition_failures` and `refined_failures` agree by construction,
-    as they do in `curve.curve_cell` (refined = n^2*(hits - D)); the
-    independent refined counts are the brute CurveCells of tests/test_orbits.py
-    and tests/test_curve.py, pinned to the orbit rows and to `curve_cell`."""
+    The pair histogram counts the lines through P = (r, c) that join two
+    vertices.  With u = 1/t1 and v = 1/t2 for vertices (t1, 1/t1) and
+    (t2, 1/t2), the line x + t1*t2*y = t1 + t2 passes through (r, c) iff
+    c = u - v*(r*u - 1): the secant when t1 != t2, the tangent
+    x + t^2*y = 2t when t1 = t2.  r*u = 1 (the vertex on the column x = r)
+    gives c = 1/r only.  So at every c outside {0, 1/r}, where P is no
+    vertex, each chord through P is two ordered pairs and each tangent one:
+    hist[c] = 2*n_P + D[c].  Then lhs = 2n^2*n_P = n^2*(hist - D), which is
+    refined, and restricted = n^2*hist - n*D = lhs + (n^2 - n)*D: the
+    decomposition and the refined identity hold everywhere, and the
+    as-stated identity fails exactly where D != 0 (n >= 2).  D's support
+    never holds 1/r ((r*u - 1)^2 = 0 has w = 0, which D skips), so the
+    failing cells are that support less c = 0, at most k per row.  Tier-1
+    pins the vertex-pair count against the polygon's chords and tangents
+    to p <= 199, and the verdicts against a per-point route to p <= 61."""
     checked = holds = 0
-    violating, off_decomposition = [], []
+    violating = []
     for p in primes_up_to(p_max):
         if p < 7:  # k = (p-1)/n >= 3 needs p >= 7
             continue
@@ -556,20 +565,14 @@ def prop41_sweep(p_max: int = 199) -> ChordSweep:
             if k < 3:
                 continue
             orbits = orbit_counts(ctx, n)
-            cols = C.chord_columns(C.build_polygon(ctx, k), orbits.reps)
-            nn, bad, off = n * n, [], []
-            for r, (hist, tang), col in zip(orbits.reps, orbits.rows, cols):
-                skip = pow(r, -1, p)  # c = 0 and c = 1/r are no curve's
-                cells = {c: (2 * nn * x, nn * h - n * d, d)
-                         for c, h, d, x in zip(range(p), hist, tang, col)
-                         if (d or h != 2 * x) and c and c != skip}
-                bad.append({c: v for c, v in cells.items() if v[0] != v[1]})
-                off.append({c: v for c, v in cells.items() if v[1] != v[0] + (nn - n) * v[2]})
+            nn, bad = n * n, []
+            for hist, tang in orbits.rows:
+                bad.append({c: (nn * (hist[c] - d), nn * hist[c] - n * d, d)
+                            for c, d in tang.items() if c})
                 holds += k * (p - 2 - len(bad[-1]))
             checked += len(bad) * k * (p - 2)
             violating.append((p, n, orbits.coset, bad))
-            off_decomposition.append((p, n, orbits.coset, off))
-    return ChordSweep(checked, holds, tuple(violating), tuple(off_decomposition))
+    return ChordSweep(checked, holds, tuple(violating))
 
 
 def verify_prop41_suite(p_max: int = 199) -> list[Check]:

@@ -4,7 +4,6 @@ import pytest
 
 from gfcurves.chords import (
     build_polygon,
-    chord_columns,
     chord_set,
     chords_through,
     restricted_count,
@@ -179,16 +178,13 @@ def test_chord_count_grid_matches_pointwise_and_conserves():
         assert total_nonvertex == chords * (p - 2)
 
 
-def test_chord_columns_and_chords_through_equal_raster_to_61():
-    """Every column of the raster from `chord_columns`, and the O(k) count
-    `chords_through` at every non-vertex point, of every polygon with
-    n >= 2, k >= 3 and p <= 61."""
+def test_chords_through_equals_raster_to_61():
+    """The O(k) count `chords_through` at every non-vertex point of every
+    polygon with n >= 2, k >= 3 and p <= 61, against the raster."""
     points = 0
     for p, k in admissible_polygons(61):
         poly = build_polygon(make_field(p), k)
         grid = chord_count_grid(poly)
-        assert chord_columns(poly, list(range(p))) == grid
-        assert chord_columns(poly, [p - 1, 2]) == [grid[p - 1], grid[2]]
         vset = set(poly.vertices)
         for x in range(p):
             for y in range(p):

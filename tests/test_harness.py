@@ -473,56 +473,44 @@ def test_prop41_sweep_equals_per_point_reference_to_61():
 
 
 def test_prop41_sweep_decides_cells_by_the_documented_formulas(monkeypatch):
-    """On random columns hist, D and col, which no curve has, every point
-    (a, b) gets the verdicts of the formulas at its orbit cell c = b*s,
-    a = r_i*s: lhs = 2n^2*col, restricted = n^2*hist - n*D and refined =
-    n^2*(hist - D).  Here cells with D != 0 and hist = 2*col occur, and the
-    decomposition fails."""
+    """On random rows, a column hist and a sparse D that no curve has (D
+    keeps off c = 1/r, as every real D does, and sometimes holds c = 0),
+    every point (a, b) with D != 0 at its orbit cell c = b*s, a = r_i*s, and
+    no other, is a violation, with lhs = n^2*(hist - D) and restricted =
+    n^2*hist - n*D; the other two checks hold by proof and list nothing."""
     rng = random.Random(9)
-    drawn = []  # [p, n, orbits, chord columns] as the sweep saw them, in its order
+    drawn = []  # (p, n, orbits) as the sweep saw them, in its order
     real_orbits = H.orbit_counts
 
     def orbit_counts(ctx, n):
-        orbits = real_orbits(ctx, n)
-        rows = [OrbitRow([rng.randrange(4) for _ in range(ctx.p)],
-                         [rng.randrange(3) for _ in range(ctx.p)]) for _ in orbits.rows]
-        drawn.append([ctx.p, n, orbits._replace(rows=rows), None])
+        orbits, p = real_orbits(ctx, n), ctx.p
+        rows = [OrbitRow([rng.randrange(4) for _ in range(p)],
+                         {c: rng.randrange(1, 3) for c in rng.sample(range(p), n)
+                          if c * r % p != 1})
+                for r in orbits.reps]
+        drawn.append((p, n, orbits._replace(rows=rows)))
         return drawn[-1][2]
 
-    def chord_columns(poly, xs):  # called right after orbit_counts, for the same (p, n)
-        drawn[-1][3] = [[rng.randrange(3) for _ in range(poly.p)] for _ in xs]
-        return drawn[-1][3]
-
     monkeypatch.setattr(H, "orbit_counts", orbit_counts)
-    monkeypatch.setattr(H.C, "chord_columns", chord_columns)
     sweep = H.prop41_sweep(23)
-    checked = holds = tangent_only = 0
-    violations, decomp_bad, refined_bad = [], [], []
-    for p, n, orbits, cols in drawn:
+    checked, violations, zero_cells = 0, [], 0
+    for p, n, orbits in drawn:
+        zero_cells += sum(0 in row.D for row in orbits.rows)
         for a in range(1, p):
             i, s = orbits.coset[a]
             for b in range(1, p):
                 if a * b % p == 1:
                     continue
-                c = b * s % p
-                h, d, x = orbits.rows[i].hist[c], orbits.rows[i].D[c], cols[i][c]
-                lhs, restricted = 2 * n * n * x, n * n * h - n * d
                 checked += 1
-                tangent_only += d != 0 and h == 2 * x
-                if lhs == restricted:
-                    holds += 1
-                else:
-                    violations.append((p, n, a, b, lhs, restricted, d))
-                if restricted != lhs + (n * n - n) * d:
-                    decomp_bad.append((p, n, a, b))
-                if lhs != n * n * (h - d):
-                    refined_bad.append((p, n, a, b))
-    assert (sweep.points_checked, sweep.holds) == (checked, holds)
+                c = b * s % p
+                h, d = orbits.rows[i].hist[c], orbits.rows[i].D.get(c, 0)
+                if d:
+                    violations.append((p, n, a, b, n * n * (h - d), n * n * h - n * d, d))
+    assert (sweep.points_checked, sweep.holds) == (checked, checked - len(violations))
     assert sweep.violations == violations and sweep.violation_count == len(violations)
     assert sweep.first_violation == violations[0]
-    assert sweep.decomposition_failures == decomp_bad
-    assert sweep.refined_failures == refined_bad
-    assert tangent_only and decomp_bad
+    assert sweep.decomposition_failures == sweep.refined_failures == []
+    assert zero_cells
 
 
 def test_verify_suite_dispatch():

@@ -6,12 +6,14 @@ columns hist and D of its row at c = b*s with a = r*s.  These tests pin the
 counts the documented formulas give from those columns to `count_points_fast`
 and to the per-curve class pass `curve_cell` at every (a, b) for p <= 61, pin
 `curve_cell` to the inverse-table pass that it replaced, on both sides of
-its cut in n, pin the lane sums of `orbit_counts` to its pair loop, and
-check the invariance it rests on with the brute double loop `count_points`
-and the chord count `chords_through`.
+its cut in n, pin the lane sums of `orbit_counts` to its pair loop and its
+rows to the polygon's chords and tangents to p <= 199, and check the
+invariance it rests on with the brute double loop `count_points` and the
+chord count `chords_through`.
 """
 
 import tracemalloc
+from itertools import combinations
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -35,7 +37,7 @@ def test_orbit_rows_equal_per_curve_counts_to_61():
             for y in range(p):
                 rc[pow(y, n, p)] += 1
             mu_k = {pow(x, n, p) for x in range(1, p)}
-            assert all(len(row.hist) == len(row.D) == p for row in orbits.rows)
+            assert all(len(row.hist) == p and 0 not in row.D.values() for row in orbits.rows)
             for a in range(1, p):
                 i, s = orbits.coset[a]
                 assert s in mu_k
@@ -44,7 +46,7 @@ def test_orbit_rows_equal_per_curve_counts_to_61():
                     if a * b % p == 1:
                         continue
                     c = b * s % p
-                    h, tang = row.hist[c], row.D[c]
+                    h, tang = row.hist[c], row.D.get(c, 0)
                     cell = CurveCell(n * n * h + 2 * rc[c], n * n * h - n * tang, tang,
                                      n * n * (h - tang))
                     rep = count_points_fast(make_curve(ctx, n, a, b))
@@ -60,6 +62,39 @@ def test_orbit_rows_equal_per_curve_counts_to_61():
                     curves += 1
     assert curves == sum((p - 1) * (p - 2) * len(admissible_degrees(p))
                          for p in primes_up_to(61))
+
+
+def test_orbit_rows_count_chords_and_tangents_to_199():
+    """The vertex-pair count that `harness.prop41_sweep` reads its verdicts
+    from: on every orbit row r with k >= 3, hist[c] = 2*(chords through
+    (r, c)) + (vertex tangents through (r, c)) and D[c] is that tangent count
+    at every c outside {0, 1/r}, and D never holds 1/r.  The lines are met
+    with the column x = r from the polygon's vertices: the chord through
+    (t1, y1) and (t2, y2) at y = (t1 + t2 - r)*y1*y2, the tangent
+    x + t^2*y = 2t at y = (2t - r)*y^2."""
+    rows = 0
+    for p in primes_up_to(199):
+        ctx = make_field(p)
+        for n in admissible_degrees(p):
+            if (p - 1) // n < 3:
+                continue
+            vertices = build_polygon(ctx, (p - 1) // n).vertices
+            chords = [(x1 + x2, y1 * y2) for (x1, y1), (x2, y2) in combinations(vertices, 2)]
+            orbits = orbit_counts(ctx, n)
+            for r, row in zip(orbits.reps, orbits.rows):
+                col, tan = [0] * p, [0] * p
+                for s, q in chords:
+                    col[(s - r) * q % p] += 1
+                for t, y in vertices:
+                    tan[(2 * t - r) * y * y % p] += 1
+                skip = pow(r, -1, p)
+                assert skip not in row.D, (p, n, r)
+                for c in range(1, p):
+                    if c != skip:
+                        assert row.hist[c] == 2 * col[c] + tan[c], (p, n, r, c)
+                        assert row.D.get(c, 0) == tan[c], (p, n, r, c)
+                rows += 1
+    assert rows == 2651
 
 
 def lane_and_pair_rows(monkeypatch, p, n):
