@@ -38,6 +38,9 @@ and the report goes to BENCH_<label>.json at the head's root.
   primary read is `head_faster`, on raw times within each pair, where the
   two sides ran back to back and the scaling cancels; `wall_scaled` is a
   secondary view across pairs.
+- Each checkout is recorded by its commit, when git knows one, and by a
+  sha256 of its `src` tree, sorted paths with their bytes, so a checkout
+  exported with `git archive` is named too.
 - Tier-1 (`python -m pytest -q`) runs once per checkout, for its wall time
   and passed count.
 - `perfbench/run.py` runs each workload of PERF_WORKLOADS (all three of
@@ -116,12 +119,28 @@ def golden(checkout: Path) -> dict:
 
 
 def commit(checkout: Path) -> dict:
+    """The checkout's commit and its uncommitted diff under src, when git
+    knows the checkout, and the sha256 of its src tree, which names the
+    timed code also when it has no commit (a `git archive` export)."""
     def git(*args):
         done = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
         return done.stdout.strip() if done.returncode == 0 else None
     diff = git("diff", "HEAD", "--", "src")  # the timed code, less what is committed
-    return {"commit": git("rev-parse", "HEAD"),
+    return {"commit": git("rev-parse", "HEAD"), "src_sha256": src_digest(checkout),
             "src_diff_sha256": hashlib.sha256(diff.encode()).hexdigest() if diff else None}
+
+
+def src_digest(checkout: Path) -> str:
+    """sha256 over the files of the checkout's src tree in sorted order of
+    their paths: each path, its length in bytes and its bytes.  Bytecode
+    caches are left out."""
+    digest = hashlib.sha256()
+    files = sorted(path.relative_to(checkout).as_posix() for path in (checkout / "src").rglob("*")
+                   if path.is_file() and "__pycache__" not in path.parts)
+    for name in files:
+        data = (checkout / name).read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
 
 
 def clear_bytecode(checkout: Path) -> int:

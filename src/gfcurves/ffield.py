@@ -293,11 +293,23 @@ def make_field(p: int, m: int = 1, modulus=None) -> FieldCtx:
 
 @functools.cache
 def _canonical_modulus(p: int, m: int) -> tuple:
-    """The smallest-encoding monic irreducible of degree m over F_p, found once per (p, m)."""
-    for enc in range(p**m):
-        cand = _digits(enc, p, m) + [1]
-        if poly_is_irreducible(cand, p):
-            return tuple(cand)
+    """The smallest-encoding monic irreducible of degree m over F_p, found
+    once per (p, m).  A candidate with a root in F_p has a linear factor and
+    is skipped before Rabin's test, which decides every other one.  The
+    encodings run over blocks of p that share c_1, ..., c_(m-1), and f =
+    T^m + ... + c_1*T + c_0 has a root exactly when -c_0 is a value of
+    f - c_0 on F_p, one set of p values per block."""
+    for upper in range(p ** (m - 1)):
+        tail = _digits(upper, p, m - 1) + [1]  # c_1 .. c_m
+        values = set()
+        for x in range(p):
+            v = 0
+            for c in reversed(tail):
+                v = (v * x + c) % p
+            values.add(v * x % p)
+        for c0 in range(p):
+            if -c0 % p not in values and poly_is_irreducible([c0, *tail], p):
+                return (c0, *tail)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 

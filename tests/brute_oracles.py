@@ -12,6 +12,10 @@ The bound kernels work on integer numerators over fixed denominators.
 `vtable_rows_fraction` is the k-table as `Fraction` rows, the route that
 preceded the integer fields of `harness.vtable_rows`.
 
+The discrete logarithm and Zech tables of a field are built here by field
+arithmetic alone, one multiplication per power of the primitive element,
+and the canonical modulus by Rabin's test alone on every candidate.
+
 Three small views that only the tests read live here too: the nonzero
 elements of a field, the CLI spelling of an element and the diagonal
 violations of a prop41 sweep.
@@ -19,6 +23,7 @@ violations of a prop41 sweep.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -33,7 +38,13 @@ from gfcurves.bounds import (
 )
 from gfcurves.curve import CurveParams
 from gfcurves.errors import DomainError
-from gfcurves.ffield import FieldCtx, _check_root_query
+from gfcurves.ffield import (
+    FieldCtx,
+    _check_root_query,
+    _digits,
+    poly_is_irreducible,
+    subgroup_generator,
+)
 from gfcurves.localexp import TruncatedSeries
 
 
@@ -51,6 +62,34 @@ def format_element(ctx: FieldCtx, a) -> str:
 def diagonal_violations(sweep) -> list:
     """The records of `ChordSweep.violations` on the diagonal a = b."""
     return [rec for rec in sweep.violations if rec[2] == rec[3]]
+
+
+@functools.cache
+def index_by_arithmetic(ctx: FieldCtx) -> tuple[list, list]:
+    """(log, zech) of F_q as lists, for the smallest primitive element g:
+    log[enc(g^i)] = i with log[0] = -1, and zech[i] = log[enc(g^i + 1)],
+    -1 where g^i = -1, for one period i < q - 1.  The powers of g are
+    multiplied out one by one with `FieldCtx.mul`, and each g^i + 1 with
+    `FieldCtx.add`."""
+    q, g = ctx.q, subgroup_generator(ctx, ctx.q - 1)
+    powers, x = [], ctx.one
+    for _ in range(q - 1):
+        powers.append(x)
+        x = ctx.mul(x, g)
+    log = [-1] * q
+    for i, x in enumerate(powers):
+        log[ctx.encode(x)] = i
+    return log, [log[ctx.encode(ctx.add(x, ctx.one))] for x in powers]
+
+
+def canonical_modulus_rabin(p: int, m: int) -> tuple:
+    """The smallest-encoding monic irreducible of degree m over F_p, by
+    Rabin's test on every candidate in encoding order."""
+    for enc in range(p**m):
+        cand = _digits(enc, p, m) + [1]
+        if poly_is_irreducible(cand, p):
+            return tuple(cand)
+    raise AssertionError("no irreducible polynomial found")
 
 
 def nth_root_count_brute(ctx: FieldCtx, c, n: int) -> int:

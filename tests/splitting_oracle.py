@@ -283,7 +283,7 @@ def nth_root_extension(ctx: FieldCtx, c, n: int):
             return ctx, nth_roots(ctx, c, n)[0]
         K = make_field(ctx.p, ctx.m * d)
         image = embedding(ctx, K)(c)
-        root = K.pow(subgroup_generator(K, K.q - 1), _index(K)[0][K.encode(image)] // n)
+        root = K.pow(subgroup_generator(K, K.q - 1), _index(K)[K.encode(image)] // n)
         if K.pow(root, n) != image:
             raise AssertionError("the index of the splitting field yields no root")
         return K, root

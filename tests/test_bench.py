@@ -45,3 +45,23 @@ def test_a_row_reads_the_peak_of_its_own_process():
     assert (row["exit"], row["sha256"]) == bench.golden(bench.ROOT)[" ".join(argv)]
     assert 1 < row["peak_rss_mib"] < own_peak - 16
     del ballast
+
+
+def test_a_checkout_is_named_by_the_digest_of_its_src_tree(tmp_path):
+    # outside git a checkout has no commit; its src digest is the same for
+    # a copy, blind to bytecode caches, and moves with one byte or one name
+    def checkout(name, files):
+        for path, text in files.items():
+            (tmp_path / name / "src" / path).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name / "src" / path).write_text(text)
+        return bench.commit(tmp_path / name)
+
+    base = {"pkg/a.py": "x = 1\n", "pkg/b.py": "y = 2\n"}
+    first = checkout("first", base)
+    copy = checkout("copy", {**base, "pkg/__pycache__/a.cpython-311.pyc": "\0"})
+    changed = checkout("changed", {**base, "pkg/b.py": "y = 3\n"})
+    renamed = checkout("renamed", {"pkg/a.py": "x = 1\n", "pkg/c.py": "y = 2\n"})
+    assert first["commit"] is None
+    assert first["src_sha256"] == copy["src_sha256"]
+    assert len({first["src_sha256"], changed["src_sha256"], renamed["src_sha256"]}) == 3
+    assert bench.commit(bench.ROOT)["src_sha256"] == bench.src_digest(bench.ROOT)

@@ -22,7 +22,7 @@ from gfcurves.curve import (
 from gfcurves.errors import DegenerateParams, DegreeTooSmall, IncompatibleOrder
 from gfcurves.ffield import make_field, subgroup_generator
 from gfcurves.harness import admissible_degrees, primes_up_to, scan_task
-from brute_oracles import equation_value
+from brute_oracles import equation_value, index_by_arithmetic
 from test_ffield import inverse_recurrence, prime_powers
 
 
@@ -323,18 +323,16 @@ def test_extension_tables_equal_enumeration_to_400():
 @example((5, 3, (4, 1, 0, 1)))  # not the canonical modulus (1, 1, 0, 1)
 @example((2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1)))  # x^8+x^4+x^3+x^2+1, not the canonical one
 def test_index_and_zech_tables_match_field_arithmetic(field):
+    # log on every field and zech on every F_{p^m}, m > 1 (the only fields
+    # that build one), against the powers of g multiplied out one by one
     ctx = make_field(*field)
-    q, one = ctx.q, ctx.one
-    log, zech = C._index(ctx)
+    q, (log, zech) = ctx.q, index_by_arithmetic(ctx)
+    assert C._index(ctx).tolist() == log
     assert sorted(log) == list(range(-1, q - 1)) and log[0] == -1
-    g, x = subgroup_generator(ctx, q - 1), one
-    for i in range(q - 1):  # the powers of g, multiplied out one by one
-        assert log[ctx.encode(x)] == i
-        assert zech[i] == log[ctx.encode(ctx.add(x, one))]
-        x = ctx.mul(x, g)
-    # g^i + 1 = 0 only at g^i = -1: i = (q-1)/2 for odd q, i = 0 for even q
-    assert [i for i, z in enumerate(zech[:q - 1]) if z == -1] == [(q - 1) // 2 if q % 2 else 0]
-    assert len(zech) == q - 1  # one period
+    if ctx.m > 1:
+        assert C._zech(ctx).tolist() == zech
+        # g^i + 1 = 0 only at g^i = -1: i = (q-1)/2 for odd q, i = 0 for even q
+        assert [i for i, z in enumerate(zech) if z == -1] == [(q - 1) // 2 if q % 2 else 0]
 
 
 # the prime fields to 61 and every F_{p^m}, m > 1, with q <= 343
@@ -368,8 +366,9 @@ def test_count_points_fast_equals_double_loop(case):
 
 def per_class_cell(ctx, n, a, b):
     """Oracle: the per-class loop that `curve_cell` ran before its bulk count,
-    over the Zech windows of two periods, by encodings."""
-    log, zech = C._index(ctx)
+    over the Zech windows of two periods, by encodings, on the tables of
+    `index_by_arithmetic`."""
+    log, zech = index_by_arithmetic(ctx)
     order = ctx.q - 1
     h = order // 2 if ctx.p > 2 else 0
     sa, sb, zech = (log[a] - h) % order, (-log[b] - h) % order, zech * 2
@@ -397,7 +396,7 @@ def test_curve_cell_equals_per_class_loop_on_extension_fields():
     assert fields == [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (5, 2), (7, 2)]
     for p, m in fields:
         ctx = make_field(p, m)
-        q, log = ctx.q, C._index(ctx)[0]
+        q, log = ctx.q, index_by_arithmetic(ctx)[0]
         for n in range(2, q):
             if (q - 1) % n:
                 continue
@@ -411,7 +410,7 @@ def curve_pairs(ctx, n, count=None):
     """(a, b) by encodings with a*b != 1: every pair when count is None, else
     count seeded pairs over F_p, the i-th with log a = i and log b = i // n
     mod n, so that n^2 pairs meet every pair of residues."""
-    q, log = ctx.q, C._index(ctx)[0]
+    q, log = ctx.q, index_by_arithmetic(ctx)[0]
     if count is None:
         return [(a, b) for a in range(1, q) for b in range(1, q) if (log[a] + log[b]) % (q - 1)]
     assert ctx.m == 1
@@ -439,34 +438,97 @@ def test_curve_cell_equals_per_class_loop_past_the_cut(p, m, n):
 
 @pytest.mark.parametrize("p,m,n", [(65537, 1, 2), (65537, 1, 4), (65537, 1, 8), (65537, 1, 16),
                                    (65537, 1, 32), (3, 4, 16), (7, 2, 16)])
-def test_curve_cell_equals_per_class_loop_on_the_translate_route(p, m, n):
-    # n | 32 reads ind off zech's low bytes.  log a = n - 1 mod n is the case
-    # where the byte 0xFF of zech[h] = -1 would mark l = 0, which changes
-    # the count when 0 is the reflection of a log in L, that is n | log b:
-    # every pair of residues (log a, log b) mod n is drawn over F_65537
-    # (max(64, n^2) seeded pairs), and every pair is taken over F_81, F_49
+def test_curve_cell_equals_per_class_loop_at_n_dividing_32(p, m, n):
+    # F_65537 counts on the bit planes of log: max(64, n^2) seeded pairs
+    # meet every pair of residues (log a, log b) mod n, so every pattern of
+    # the low bits of log a the planes are matched against, with and
+    # without n | log b.  F_81 and F_49 read the Zech column, every pair
     ctx = make_field(p, m)
     pairs = curve_pairs(ctx, n, None if m > 1 else max(64, n * n))
-    log = C._index(ctx)[0]
+    log = index_by_arithmetic(ctx)[0]
     assert len({(log[a] % n, log[b] % n) for a, b in pairs}) == n * n
     for a, b in pairs:
         assert C.curve_cell(ctx, n, a, b) == per_class_cell(ctx, n, a, b)
 
 
-def test_translate_route_peak_memory():
-    # the indicator copies zech's 4q bytes once and takes q-byte planes of
-    # it: one n = 2 cell at q = 65537 peaks at about 5.2q bytes traced, where
-    # the scatter of the k = 32768 logs peaked at about 7.1q
+def orbit_pairs(ctx, n):
+    """(a, b) over F_p with a*b != 1: a the least element of each coset of
+    mu_k and b every element.  (x, y) -> (t*x, t*y) maps the curve (a, b)
+    onto (t^n*a, b/t^n), which keeps log a and log b mod n and 1 - ab, so
+    these pairs meet every torus orbit of curves."""
+    p, log = ctx.p, index_by_arithmetic(ctx)[0]
+    reps = [next(a for a in range(1, p) if log[a] % n == r) for r in range(n)]
+    return [(a, b) for a in reps for b in range(1, p) if a * b % p != 1]
+
+
+def value_order_cases(p_max, n_route):
+    """(ctx, n, pairs) over F_p, p <= p_max, for the n with n_route(n):
+    every pair for p <= 61, every torus orbit above."""
+    for p in primes_up_to(p_max):
+        ctx = make_field(p)
+        for n in range(2, p):
+            if (p - 1) % n == 0 and n_route(n):
+                yield ctx, n, curve_pairs(ctx, n) if p <= 61 else orbit_pairs(ctx, n)
+
+
+def test_bit_plane_route_equals_per_class_loop_to_400():
+    # every n | 32 over F_p counts on the bit planes of log (every pair to
+    # 400 would be 6.75 million cells, the orbits are 132,000)
+    reached = set()
+    for ctx, n, pairs in value_order_cases(400, lambda n: 32 % n == 0):
+        reached.add((ctx.p, n))
+        for a, b in pairs:
+            assert C.curve_cell(ctx, n, a, b) == per_class_cell(ctx, n, a, b)
+    assert {(3, 2), (17, 16), (97, 32), (257, 32), (397, 4)} <= reached
+
+
+def test_residue_route_equals_per_class_loop_to_211():
+    # n < _WALK_MIN_N not dividing 32 counts on the residues of log mod n
+    reached = set()
+    for ctx, n, pairs in value_order_cases(211, lambda n: 32 % n and n < C._WALK_MIN_N):
+        reached.add((ctx.p, n))
+        for a, b in pairs:
+            assert C.curve_cell(ctx, n, a, b) == per_class_cell(ctx, n, a, b)
+    assert {(7, 3), (7, 6), (11, 5), (29, 7), (199, 9), (211, 7)} <= reached
+
+
+def test_coset_walk_drops_the_mark_at_log_0():
+    # a in mu_k (n | log a) puts v = 1 first in the walk of a*mu_k, whose
+    # log(v - 1) is the mark log[0] = -1: at every n the walk serves to 400,
+    # the cut at n = 32 and the reads past it included, every such a with
+    # every b for p <= 101, and a = 1, the orbit of every such a, above
+    reached = set()
+    for p in primes_up_to(400):
+        ctx = make_field(p)
+        log = index_by_arithmetic(ctx)[0]
+        for n in admissible_degrees(p):
+            if 32 % n and n >= C._WALK_MIN_N:
+                reached.add((p, n))
+                for a in [a for a in range(1, p) if log[a] % n == 0] if p <= 101 else [1]:
+                    for b in range(1, p):
+                        if a * b % p != 1:
+                            assert C.curve_cell(ctx, n, a, b) == per_class_cell(ctx, n, a, b)
+    assert {(61, 10), (97, 48), (397, 198)} <= reached
+
+
+def test_bit_plane_route_peak_memory():
+    # the planes of F_65537 are built from one 4q-byte copy of log and q-byte
+    # planes of its low bytes, about 5.4q bytes at the peak of the first
+    # cell; later cells hold a few p-bit ints, about 1.1q (the translate
+    # route this replaced peaked at about 5.2q on every cell)
     ctx = make_field(65537)
     C._index(ctx)
-    tracemalloc.start()
-    try:
-        cell = C.curve_cell(ctx, 2, 3, 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert cell == per_class_cell(ctx, 2, 3, 5)
-    assert peak <= 6 * ctx.q
+    C._planes.cache_clear()
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            cell = C.curve_cell(ctx, 2, 3, 5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert cell == per_class_cell(ctx, 2, 3, 5)
+    assert peaks[0] <= 5.5 * ctx.q and peaks[1] <= 1.25 * ctx.q
 
 
 def test_index_walk_runs_once_per_prime(monkeypatch):
@@ -488,11 +550,12 @@ def test_index_walk_runs_once_per_prime(monkeypatch):
     assert walks == [2833, 343]  # no table per degree n
 
 
-def test_cached_index_retains_at_most_9_bytes_per_element():
-    # log and zech are packed into arrays of 4-byte C ints: 8 bytes per
-    # element; the lists they are built in (a slot and an int object per
-    # element, about 48 bytes) or a 64-bit typecode would exceed 9; and a
-    # collection visits every slot of a list, but of an array only its type
+def test_cached_index_retains_4_bytes_per_element():
+    # log is packed into an array of 4-byte C ints, and an array grows by
+    # a sixteenth over what it holds; the list it is built in (a slot and
+    # an int object per element, about 48 bytes) or a 64-bit typecode would
+    # exceed that; and a collection visits every slot of a list, but of an
+    # array only its type.  Over F_p no Zech table is kept
     ctx = make_field(29077)
     subgroup_generator(ctx, ctx.q - 1)  # cached with the field, not the index
     tracemalloc.start()
@@ -502,9 +565,9 @@ def test_cached_index_retains_at_most_9_bytes_per_element():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert [len(t) for t in index] == [ctx.q, ctx.q - 1]
-    assert retained <= 9 * ctx.q
-    assert [gc.get_referents(t) for t in index] == [[array]] * 2
+    assert len(index) == ctx.q
+    assert retained <= (4 + 4 / 16) * ctx.q + 256
+    assert gc.get_referents(index) == [array]
 
 
 # -- smoothness -------------------------------------------------------------------

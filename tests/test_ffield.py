@@ -19,7 +19,13 @@ from gfcurves.ffield import (
     subgroup_generator,
 )
 from gfcurves.harness import primes_up_to
-from brute_oracles import format_element, nonzero_elements, nth_root_count_brute, nth_roots
+from brute_oracles import (
+    canonical_modulus_rabin,
+    format_element,
+    nonzero_elements,
+    nth_root_count_brute,
+    nth_roots,
+)
 from splitting_oracle import (
     _pdivmod,
     _pmul,
@@ -170,10 +176,19 @@ def test_canonical_modulus_search_runs_once_per_field(monkeypatch):
                         lambda f, p: tested.append(f) or real(f, p))
     ffield._canonical_modulus.cache_clear()
     first = make_field(7, 3)
-    assert len(tested) > 1
+    assert tested == [[2, 0, 0, 1]]  # T^3 and T^3 + 1 have roots and are sieved
     tested.clear()
     second = make_field(7, 3)
     assert tested == [] and second == first and second is not first
+
+
+def test_canonical_modulus_sieve_equals_rabin_search_to_400():
+    # candidates with a root in F_p are skipped before Rabin's test; the
+    # search that runs Rabin's test on every candidate returns the same
+    fields = [(p, m) for p, m, _ in prime_powers(400) if m > 1]
+    assert (2, 8) in fields and (3, 5) in fields and (19, 2) in fields
+    for p, m in fields:
+        assert ffield._canonical_modulus.__wrapped__(p, m) == canonical_modulus_rabin(p, m)
 
 
 @pytest.mark.parametrize("p,m", [(2, 3), (3, 3), (5, 2), (7, 2), (11, 2), (3, 4)])
@@ -308,7 +323,7 @@ def test_inverse_fermat_vs_euclid_agree():
     # and against the inverse read off the discrete-log index, g^(-log a)
     for p in (13, 31):
         ctx = make_field(p)
-        table, (log, _), g = inverse_recurrence(p), _index(ctx), subgroup_generator(ctx, p - 1)
+        table, log, g = inverse_recurrence(p), _index(ctx), subgroup_generator(ctx, p - 1)
         for a in range(1, p):
             assert ctx.inv(a) == table[a] == pow(g, p - 1 - log[a], p)
 
