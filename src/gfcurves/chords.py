@@ -27,7 +27,8 @@ x + t1*t2*y = t1 + t2, so `chords_through` counts n_P in O(k), from the
 second meet of each line PV with XY = 1.  The bulk sweep
 (`harness.prop41_sweep`) counts no chords: with u = 1/t1, v = 1/t2 the
 chords and tangents through P are the vertex pairs that the orbit rows of
-`curve.orbit_counts` already bin, so it reads every verdict off the rows
+`curve.orbit_counts` bin, so its verdicts fall exactly on the support of
+the tangent count D, and it reads the rows only for the records it prints
 (the derivation is at `prop41_sweep`; tests/test_orbits.py pins it to the
 polygon's chords and tangents).
 """

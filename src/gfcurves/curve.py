@@ -14,10 +14,11 @@ The per-curve counts (`count_points_fast`, `curve_cell`) rest on the
 cyclotomic-number identity (1 - a*u)(1 - a*c_u) = 1 - ab, which makes the
 class count one set of logs met with its own reflection.
 `smoothness_scan` counts the same cell: no affine point is singular, by
-the proof in its docstring.  The bulk sweeps use `orbit_counts`, which counts
-one curve per torus orbit of (a, b) from pair histograms over mu_k, each
-the folded sum of k coset columns shifted as lanes of one int, and is
-pinned to `count_points_fast` in the tests.
+the proof in its docstring.  The scan, and the records the prop41 sweep
+prints, read `orbit_counts`, which counts one curve per torus orbit of
+(a, b) from pair histograms over mu_k, each the folded sum of k coset
+columns shifted as lanes of one int, and is pinned to `count_points_fast`
+in the tests.
 
 Every field F_q has one index, log on encodings, from one walk over the
 powers of its smallest primitive element g, kept packed as `array('i')`.
@@ -242,19 +243,10 @@ class CurveCell(NamedTuple):
     refined: int      # off the axes with x^n != y^n: n^2*(hits - D)
 
 
-class OrbitRow(NamedTuple):
-    """The column hist, indexed by c, and the sparse tangency D, from which
-    `orbit_counts` derives the CurveCell of every curve (r, c) (c = 0 and
-    c = 1/r are no curve's)."""
-
-    hist: list  # hist[c] = #{(u, v) in mu_k^2 : w = r*u - 1 != 0, u - v*w = c}
-    D: dict     # {c: #{u in mu_k : w != 0, 2u - r*u^2 = c}} at its <= k nonzero c
-
-
 class OrbitCounts(NamedTuple):
     reps: list   # r_i, the least element of the i-th coset of mu_k
     coset: list  # a -> (i, s) with a = r_i * s, s in mu_k (index 0 unused)
-    rows: list   # rows[i]: OrbitRow of the curves (r_i, c)
+    rows: list   # rows[i][c] = #{(u, v) in mu_k^2 : w = r_i*u - 1 != 0, u - v*w = c}
 
 
 _WALK_MIN_N = 10  # the least n not dividing 32 whose F_p cells walk the coset
@@ -409,17 +401,16 @@ _LANE_MIN_K = 7  # the least k at which `orbit_counts` sums lanes
 
 
 def orbit_counts(ctx: FieldCtx, n: int) -> OrbitCounts:
-    """OrbitRow for one representative r of each coset of mu_k in F_p^*, from
-    pair histograms (generalized cyclotomic numbers of order n).
+    """The pair histogram hist of one representative r of each coset of mu_k
+    in F_p^* (generalized cyclotomic numbers of order n), one row per r.
 
     On the curve (r, c), x^n = u in mu_k with w = r*u - 1 != 0 gives
     y^n = (u - c)/w.  That is v in mu_k iff c = u - v*w (n^2 points, binned
     in hist), 0 iff c = u (n points if c is in mu_k: n1 = rc[c] in all), and
-    u iff c = 2u - r*u^2 (binned in D, which holds only the c it reaches:
-    D[c] is D.get(c, 0)).  With the n1 points on x = 0, the CurveCell of
-    (r, c) is affine = n^2*hist + 2*n1, restricted = n^2*hist - n*D,
-    tangency = D and refined = n^2*(hist - D); the rows keep hist and D, and
-    each consumer reads the formula it needs.
+    u, the pair v = u, iff c = 2u - r*u^2.  So affine = n^2*hist + 2*n1 with
+    the n1 points on x = 0; restricted = n^2*hist - n*D and refined =
+    n^2*(hist - D) need the tangency D of that diagonal, which the prop41
+    sweep counts in its own pass (`harness._tangency`) and no row keeps.
 
     hist is read off the lanes of one int (Kronecker substitution).  Column
     i has a 1 at lane p - t for each t in r_i*mu_k; a lane has the fewest
@@ -428,11 +419,12 @@ def orbit_counts(ctx: FieldCtx, n: int) -> OrbitCounts:
     has a 1 at lane p + u - v*w, which is c + p or c for c = u - v*w mod p:
     the sum over u, folded (lane c plus lane c + p), is hist, from k
     shift-adds in C per row, not k^2 Python steps.  Below k = _LANE_MIN_K
-    the pair loop is faster.  Per call, pairs against lanes: k = 2 60
-    against 100 us (p = 41), k = 6 51 against 49 (p = 37), k = 9 59 against
-    41 (p = 37), k = 65 589 against 73 (p = 131); the 318 calls of a
-    perfbench `sweep` round took 8.4 ms by pairs, 7.3 by lanes and 6.3 with
-    the cut, within noise for cuts 5 to 8 (best of 60, 2-core host)."""
+    the pair loop is faster.  Per call, pairs against lanes: k = 2 21
+    against 44 us (p = 41), k = 6 26 against 23 (p = 37), k = 9 35 against
+    21 (p = 37), k = 65 599 against 65 (p = 131); the 120 calls of the scans
+    of a perfbench `sweep` round took 2.2 ms by pairs, 2.0 by lanes and 1.6
+    with the cut, within 3% for cuts 5 to 8: 6, the closest, beat 7 in 9, 8
+    and 6 of 10 pairs in three sets (best of 30, 2-core host)."""
     p, g = ctx.p, subgroup_generator(ctx, ctx.p - 1)
     k = (p - 1) // n
     mu = [pow(g, n * j, p) for j in range(k)]  # any order: the histograms are sums
@@ -450,11 +442,9 @@ def orbit_counts(ctx: FieldCtx, n: int) -> OrbitCounts:
         cols.append(int.from_bytes(col, "little"))
     top = 8 * width * p
     for r in reps:
-        hist, diag, acc = [0] * p, {}, 0
+        hist, acc = [0] * p, 0
         for u in mu:
             if w := (r * u - 1) % p:
-                c = (2 * u - r * u * u) % p
-                diag[c] = diag.get(c, 0) + 1
                 if by_lanes:
                     acc += cols[coset[w][0]] << 8 * width * u
                 else:
@@ -464,7 +454,7 @@ def orbit_counts(ctx: FieldCtx, n: int) -> OrbitCounts:
             b = ((acc & (1 << top) - 1) + (acc >> top)).to_bytes(width * p, "little")
             hist = list(b) if width == 1 else [
                 int.from_bytes(b[c:c + width], "little") for c in range(0, width * p, width)]
-        rows.append(OrbitRow(hist, diag))
+        rows.append(hist)
     return OrbitCounts(reps, coset, rows)
 
 

@@ -5,14 +5,15 @@ every parameter pair (a, b) with a*b outside {0, 1} (or a deterministic
 stride-subsample), counts points on the nonsingular model and compares
 against every applicable upper bound.  Counting is one orbit pass per (p, n):
 the counts depend only on the coset of a modulo mu_k = (F_p^*)^n and on
-a*b, so `curve.orbit_counts` gives the int columns of n representatives and
-every (a, b) reads its orbit's column entry.  The columns after b depend only
+a*b, so `curve.orbit_counts` gives the pair histograms of n representatives
+and every (a, b) reads its orbit's entry.  The columns after b depend only
 on (affine_total, n1, n2); each distinct key is one CSV tail string, made on
 first use and looked up by an int key per orbit cell, and each (p, n) is
-written as one text block.  The chord sweep behind `verify prop41` reads
-its verdicts off the same rows: the vertex pairs through an orbit cell are
+written as one text block.  The chord sweep behind `verify prop41` needs
+no histogram for its verdicts: the vertex pairs through an orbit cell are
 its chords and tangents (derived at `prop41_sweep`), so the failing cells
-are the support of the row's tangency, and only they are kept.
+are the support of the row's tangency D, which one O(p) pass per (p, n)
+counts; the histograms are read only for the records it prints.
 figure1 rounds each delta in floating point under an a-priori error bound
 (derived at `figure1_tsv_lines`), first with one comparison per cell against
 the bound of its degree block, and exactly only near a half-integer.
@@ -34,7 +35,7 @@ from typing import NamedTuple
 from . import bounds as B
 from . import localexp as LE
 from .curve import check_table_size, make_curve, orbit_counts
-from .ffield import make_field, nth_root_count
+from .ffield import make_field, nth_root_count, subgroup_generator
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -131,8 +132,8 @@ def scan_task(p: int, n: int, sample: int | None):
     orbits = orbit_counts(ctx, n)
     unit = [1 if e and e[0] == 0 else 0 for e in orbits.coset]  # mu_k: the coset of r = 1
     tails = []
-    for i, (r, row) in enumerate(zip(orbits.reps, orbits.rows)):
-        keys = [h + h + e for h, e in zip(row.hist, unit)]
+    for i, (r, hist) in enumerate(zip(orbits.reps, orbits.rows)):
+        keys = [h + h + e for h, e in zip(hist, unit)]
         keys[0] = keys[pow(r, -1, p)] = -1
         table, n2 = tables[i == 0], n * (i == 0)
         for key in set(keys).difference(table):
@@ -487,16 +488,16 @@ def _class_representatives(p: int, n: int, per_class: int) -> list[tuple[int, in
 
 def _expand(blocks):
     """(p, n, a, b, lhs, restricted, D) at every point of the cells in
-    blocks, in (p, n, a, b) order."""
-    for p, n, coset, cells in blocks:
-        if not any(cells):
-            continue
+    blocks, in (p, n, a, b) order, hist from one `orbit_counts` per block."""
+    for p, n, cells in blocks:
+        orbits, nn = orbit_counts(make_field(p), n), n * n
         for a in range(1, p):
-            i, s = coset[a]  # a = r_i * s: the cell (r_i, c) holds (a, c/s)
+            i, s = orbits.coset[a]  # a = r_i * s: the cell (r_i, c) holds (a, c/s)
             if row := cells[i]:
-                inv_s = pow(s, -1, p)
+                hist, inv_s = orbits.rows[i], pow(s, -1, p)
                 for b in sorted([c * inv_s % p for c in row]):
-                    yield (p, n, a, b, *row[b * s % p])
+                    d, h = row[b * s % p], hist[b * s % p]
+                    yield p, n, a, b, nn * (h - d), nn * h - n * d, d
 
 
 class _ChordSweep(NamedTuple):
@@ -507,10 +508,10 @@ class _ChordSweep(NamedTuple):
 
 class ChordSweep(_ChordSweep):
     """The counts of the prop41 sweep and the cells that fail the as-stated
-    check, per (p, n): (p, n, coset, cells) with cells[i] =
-    {c: (lhs, restricted, D)} on orbit row i.  The records are expanded from
-    the cells when read and cached in the instance dict (no __slots__, so it
-    has one).  The other two checks cannot fail (proof at `prop41_sweep`)."""
+    check, per (p, n): (p, n, cells) with cells[i] = {c: D} on orbit row i.
+    The records are expanded from the cells when read and cached in the
+    instance dict (no __slots__, so it has one).  The other two checks
+    cannot fail (proof at `prop41_sweep`)."""
 
     @property
     def violation_count(self) -> int:
@@ -533,11 +534,32 @@ class ChordSweep(_ChordSweep):
         return []
 
 
+def _tangency(p: int, n: int) -> list:
+    """D of every orbit row over F_p, in the row order of `orbit_counts`:
+    the cosets r*mu_k by ascending least element r, each marked off in one
+    bytearray when met, and D[c] = #{u in mu_k : r*u != 1, 2u - r*u^2 = c}
+    at every c it reaches, 0 included.  As (r*u - 1)^2 = 1 - r*c, c = 1/r
+    comes from r*u = 1 alone, so popping it skips that u."""
+    t, k = pow(subgroup_generator(make_field(p), p - 1), n, p), (p - 1) // n
+    mu = [pow(t, j, p) for j in range(k)]
+    seen, rows = bytearray(p), []
+    for r in range(1, p):
+        if not seen[r]:
+            D = {}
+            for u in mu:
+                seen[r * u % p] = 1
+                c = (2 * u - r * u * u) % p
+                D[c] = D.get(c, 0) + 1
+            D.pop(pow(r, -1, p), None)
+            rows.append(D)
+    return rows
+
+
 def prop41_sweep(p_max: int = 199) -> ChordSweep:
     """Every prime p <= p_max, every proper divisor n >= 2 of p-1 with
     k >= 3, every P = (a, b) with ab not in {0, 1}.  Each orbit cell (r, c)
     stands for its k points (r*s, c/s), s in mu_k, and is decided from its
-    orbit row alone.
+    tangency D alone.
 
     The pair histogram counts the lines through P = (r, c) that join two
     vertices.  With u = 1/t1 and v = 1/t2 for vertices (t1, 1/t1) and
@@ -550,28 +572,26 @@ def prop41_sweep(p_max: int = 199) -> ChordSweep:
     refined, and restricted = n^2*hist - n*D = lhs + (n^2 - n)*D: the
     decomposition and the refined identity hold everywhere, and the
     as-stated identity fails exactly where D != 0 (n >= 2).  D's support
-    never holds 1/r ((r*u - 1)^2 = 0 has w = 0, which D skips), so the
-    failing cells are that support less c = 0, at most k per row.  Tier-1
-    pins the vertex-pair count against the polygon's chords and tangents
-    to p <= 199, and the verdicts against a per-point route to p <= 61."""
+    never holds 1/r (see `_tangency`), so the failing cells are that
+    support less c = 0, at most k per row: the verdicts need D alone, and
+    hist is read for the printed records only (`_expand`).  Tier-1 pins
+    the vertex-pair count against the polygon's chords and tangents to
+    p <= 199, and the verdicts against a per-point route to p <= 61."""
     checked = holds = 0
     violating = []
     for p in primes_up_to(p_max):
         if p < 7:  # k = (p-1)/n >= 3 needs p >= 7
             continue
-        ctx = make_field(p)
         for n in admissible_degrees(p):
             k = (p - 1) // n
             if k < 3:
                 continue
-            orbits = orbit_counts(ctx, n)
-            nn, bad = n * n, []
-            for hist, tang in orbits.rows:
-                bad.append({c: (nn * (hist[c] - d), nn * hist[c] - n * d, d)
-                            for c, d in tang.items() if c})
-                holds += k * (p - 2 - len(bad[-1]))
-            checked += len(bad) * k * (p - 2)
-            violating.append((p, n, orbits.coset, bad))
+            cells = _tangency(p, n)
+            for D in cells:  # p - 2 curves per row, c = 0 and 1/r no curve's
+                D.pop(0, None)
+                holds += k * (p - 2 - len(D))
+            checked += len(cells) * k * (p - 2)
+            violating.append((p, n, cells))
     return ChordSweep(checked, holds, tuple(violating))
 
 

@@ -16,6 +16,10 @@ The discrete logarithm and Zech tables of a field are built here by field
 arithmetic alone, one multiplication per power of the primitive element,
 and the canonical modulus by Rabin's test alone on every candidate.
 
+The tangency D of each orbit row is counted here by a u loop over the
+representatives of `curve.orbit_counts`, the oracle of the prop41 sweep's
+own pass over the cosets.
+
 Three small views that only the tests read live here too: the nonzero
 elements of a field, the CLI spelling of an element and the diagonal
 violations of a prop41 sweep.
@@ -36,7 +40,7 @@ from gfcurves.bounds import (
     v_of_k,
     vtilde,
 )
-from gfcurves.curve import CurveParams
+from gfcurves.curve import CurveParams, orbit_counts
 from gfcurves.errors import DomainError
 from gfcurves.ffield import (
     FieldCtx,
@@ -62,6 +66,22 @@ def format_element(ctx: FieldCtx, a) -> str:
 def diagonal_violations(sweep) -> list:
     """The records of `ChordSweep.violations` on the diagonal a = b."""
     return [rec for rec in sweep.violations if rec[2] == rec[3]]
+
+
+def tangency_rows(ctx: FieldCtx, n: int) -> list:
+    """{c: #{u in mu_k : w = r*u - 1 != 0, 2u - r*u^2 = c}} at every c it
+    reaches, 0 included, for each representative r of `orbit_counts`."""
+    p, g = ctx.p, subgroup_generator(ctx, ctx.p - 1)
+    mu = [pow(g, n * j, p) for j in range((p - 1) // n)]
+    rows = []
+    for r in orbit_counts(ctx, n).reps:
+        diag = {}
+        for u in mu:
+            if (r * u - 1) % p:
+                c = (2 * u - r * u * u) % p
+                diag[c] = diag.get(c, 0) + 1
+        rows.append(diag)
+    return rows
 
 
 @functools.cache

@@ -269,7 +269,7 @@ def test_scan_columns_equal_enumeration_to_199():
             for a, s, tails, bs in rows:
                 assert list(bs) == [*range(1, inv[a]), *range(inv[a] + 1, p)]
                 if s == 1:  # a = r_i: the tails of row i by c
-                    hist = orbits.rows[orbits.coset[a][0]].hist
+                    hist = orbits.rows[orbits.coset[a][0]]
                     assert [c for c, t in enumerate(tails) if t is None] == [0, inv[a]]
                     assert all(fields[t][1] == n * n * h + 2 * root_count[c]
                                for c, (t, h) in enumerate(zip(tails, hist)) if t)

@@ -10,7 +10,7 @@ from gfcurves import harness as H
 from gfcurves.bounds import floor_kth_root, hasse_weil, k_threshold, sv_bound, w_bound
 from gfcurves.chords import build_polygon
 from gfcurves.cli import main
-from gfcurves.curve import MAX_TABLE_Q, OrbitRow, count_points_fast, curve_cell, make_curve
+from gfcurves.curve import MAX_TABLE_Q, count_points_fast, curve_cell, make_curve
 from gfcurves.errors import FieldTooLarge
 from gfcurves.ffield import make_field
 from brute_oracles import diagonal_violations, vtable_rows_fraction
@@ -473,29 +473,32 @@ def test_prop41_sweep_equals_per_point_reference_to_61():
 
 
 def test_prop41_sweep_decides_cells_by_the_documented_formulas(monkeypatch):
-    """On random rows, a column hist and a sparse D that no curve has (D
-    keeps off c = 1/r, as every real D does, and sometimes holds c = 0),
-    every point (a, b) with D != 0 at its orbit cell c = b*s, a = r_i*s, and
-    no other, is a violation, with lhs = n^2*(hist - D) and restricted =
-    n^2*hist - n*D; the other two checks hold by proof and list nothing."""
-    rng = random.Random(9)
-    drawn = []  # (p, n, orbits) as the sweep saw them, in its order
-    real_orbits = H.orbit_counts
+    """On random D cells for the tangency pass and random hist rows for the
+    orbit pass, which no curve has (D keeps off c = 1/r, as every real D
+    does, and sometimes holds c = 0), every point (a, b) with D != 0 at its
+    orbit cell c = b*s, c != 0, a = r_i*s, and no other, is a violation,
+    with lhs = n^2*(hist - D) and restricted = n^2*hist - n*D; the other
+    two checks hold by proof and list nothing."""
+    real_orbits, drawn = H.orbit_counts, []  # drawn: (p, n, D rows) in sweep order
 
-    def orbit_counts(ctx, n):
-        orbits, p = real_orbits(ctx, n), ctx.p
-        rows = [OrbitRow([rng.randrange(4) for _ in range(p)],
-                         {c: rng.randrange(1, 3) for c in rng.sample(range(p), n)
-                          if c * r % p != 1})
-                for r in orbits.reps]
-        drawn.append((p, n, orbits._replace(rows=rows)))
-        return drawn[-1][2]
+    def orbit_counts(ctx, n):  # the same random rows at every call of one (p, n)
+        orbits, p, rng = real_orbits(ctx, n), ctx.p, random.Random(ctx.p * 100 + n)
+        return orbits._replace(rows=[[rng.randrange(4) for _ in range(p)] for _ in orbits.reps])
+
+    def tangency(p, n):
+        rng = random.Random(p * 100 + n + 50)
+        rows = [{c: rng.randrange(1, 3) for c in rng.sample(range(p), n) if c * r % p != 1}
+                for r in real_orbits(make_field(p), n).reps]
+        drawn.append((p, n, [dict(D) for D in rows]))
+        return rows
 
     monkeypatch.setattr(H, "orbit_counts", orbit_counts)
+    monkeypatch.setattr(H, "_tangency", tangency)
     sweep = H.prop41_sweep(23)
     checked, violations, zero_cells = 0, [], 0
-    for p, n, orbits in drawn:
-        zero_cells += sum(0 in row.D for row in orbits.rows)
+    for p, n, tang in drawn:
+        orbits = orbit_counts(make_field(p), n)
+        zero_cells += sum(0 in D for D in tang)
         for a in range(1, p):
             i, s = orbits.coset[a]
             for b in range(1, p):
@@ -503,14 +506,37 @@ def test_prop41_sweep_decides_cells_by_the_documented_formulas(monkeypatch):
                     continue
                 checked += 1
                 c = b * s % p
-                h, d = orbits.rows[i].hist[c], orbits.rows[i].D.get(c, 0)
-                if d:
+                h, d = orbits.rows[i][c], tang[i].get(c, 0)
+                if d and c:
                     violations.append((p, n, a, b, n * n * (h - d), n * n * h - n * d, d))
     assert (sweep.points_checked, sweep.holds) == (checked, checked - len(violations))
     assert sweep.violations == violations and sweep.violation_count == len(violations)
     assert sweep.first_violation == violations[0]
     assert sweep.decomposition_failures == sweep.refined_failures == []
     assert zero_cells
+
+
+def test_prop41_sweep_reads_orbit_rows_only_for_the_records(monkeypatch):
+    # the counts and verdicts come from the tangency pass alone; the first
+    # record reads the orbit rows of its own block, and the full list those
+    # of every block, each with a failing cell (k >= 3 puts some u with
+    # r*u outside {1, 2}, so c = u*(2 - r*u) is neither 0 nor 1/r, in every row)
+    calls, real_orbits = [], H.orbit_counts
+
+    def orbit_counts(ctx, n):
+        calls.append((ctx.p, n))
+        return real_orbits(ctx, n)
+
+    monkeypatch.setattr(H, "orbit_counts", orbit_counts)
+    sweep = H.prop41_sweep(61)
+    assert calls == []
+    assert sweep.first_violation == (7, 2, 1, 6, 0, 2, 1) and calls == [(7, 2)]
+    calls.clear()
+    assert len(sweep.violations) == 15_891
+    assert calls == [(p, n) for p, n, cells in sweep.violating if all(cells)]
+    assert len(calls) == len(sweep.violating) == 49
+    calls.clear()
+    assert not H.verify_prop41_suite(61)[0].ok and calls == [(7, 2)]
 
 
 def test_verify_suite_dispatch():

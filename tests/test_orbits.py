@@ -1,13 +1,15 @@
 """The torus-orbit pass against the independent per-curve routes.
 
 `orbit_counts` counts one curve (r, c) per coset representative r of
-mu_k = (F_p^*)^n and per c, from pair histograms, and every (a, b) reads the
-columns hist and D of its row at c = b*s with a = r*s.  These tests pin the
+mu_k = (F_p^*)^n and per c, from pair histograms, and the prop41 sweep's
+tangency pass `harness._tangency` counts D on the same rows; every (a, b)
+reads hist and D of its row at c = b*s with a = r*s.  These tests pin the
 counts the documented formulas give from those columns to `count_points_fast`
 and to the per-curve class pass `curve_cell` at every (a, b) for p <= 61, pin
 `curve_cell` to the inverse-table pass that it replaced, on both sides of
-its cut in n, pin the lane sums of `orbit_counts` to its pair loop and its
-rows to the polygon's chords and tangents to p <= 199, and check the
+its cut in n, pin the lane sums of `orbit_counts` to its pair loop, its
+rows and the sweep's cells to the polygon's chords and tangents and the
+tangency pass to the u loop it replaced to p <= 199, and check the
 invariance it rests on with the brute double loop `count_points` and the
 chord count `chords_through`.
 """
@@ -23,7 +25,8 @@ from gfcurves.chords import build_polygon, chords_through
 from gfcurves.curve import (CurveCell, count_points, count_points_fast, curve_cell, make_curve,
                             orbit_counts)
 from gfcurves.ffield import make_field, subgroup_generator
-from gfcurves.harness import admissible_degrees, primes_up_to
+from gfcurves.harness import _tangency, admissible_degrees, primes_up_to, prop41_sweep
+from brute_oracles import tangency_rows
 from test_ffield import inverse_recurrence
 
 
@@ -32,21 +35,21 @@ def test_orbit_rows_equal_per_curve_counts_to_61():
     for p in primes_up_to(61):
         ctx = make_field(p)
         for n in admissible_degrees(p):
-            orbits = orbit_counts(ctx, n)
+            orbits, tangency = orbit_counts(ctx, n), _tangency(p, n)
             rc = [0] * p  # rc[c] = #{y : y^n = c}, by enumeration
             for y in range(p):
                 rc[pow(y, n, p)] += 1
             mu_k = {pow(x, n, p) for x in range(1, p)}
-            assert all(len(row.hist) == p and 0 not in row.D.values() for row in orbits.rows)
+            assert all(len(hist) == p for hist in orbits.rows)
+            assert len(tangency) == n and all(0 not in D.values() for D in tangency)
             for a in range(1, p):
                 i, s = orbits.coset[a]
                 assert s in mu_k
-                row = orbits.rows[i]
                 for b in range(1, p):
                     if a * b % p == 1:
                         continue
                     c = b * s % p
-                    h, tang = row.hist[c], row.D.get(c, 0)
+                    h, tang = orbits.rows[i][c], tangency[i].get(c, 0)
                     cell = CurveCell(n * n * h + 2 * rc[c], n * n * h - n * tang, tang,
                                      n * n * (h - tang))
                     rep = count_points_fast(make_curve(ctx, n, a, b))
@@ -65,14 +68,14 @@ def test_orbit_rows_equal_per_curve_counts_to_61():
 
 
 def test_orbit_rows_count_chords_and_tangents_to_199():
-    """The vertex-pair count that `harness.prop41_sweep` reads its verdicts
+    """The vertex-pair count that `harness.prop41_sweep` derives its verdicts
     from: on every orbit row r with k >= 3, hist[c] = 2*(chords through
-    (r, c)) + (vertex tangents through (r, c)) and D[c] is that tangent count
-    at every c outside {0, 1/r}, and D never holds 1/r.  The lines are met
-    with the column x = r from the polygon's vertices: the chord through
-    (t1, y1) and (t2, y2) at y = (t1 + t2 - r)*y1*y2, the tangent
-    x + t^2*y = 2t at y = (2t - r)*y^2."""
-    rows = 0
+    (r, c)) + (vertex tangents through (r, c)), and the sweep's failing cells
+    are that tangent count D[c] at every c outside {0, 1/r}, its support
+    never holding 0 or 1/r.  The lines are met with the column x = r from
+    the polygon's vertices: the chord through (t1, y1) and (t2, y2) at
+    y = (t1 + t2 - r)*y1*y2, the tangent x + t^2*y = 2t at y = (2t - r)*y^2."""
+    rows, blocks = 0, {(p, n): cells for p, n, cells in prop41_sweep(199).violating}
     for p in primes_up_to(199):
         ctx = make_field(p)
         for n in admissible_degrees(p):
@@ -81,20 +84,35 @@ def test_orbit_rows_count_chords_and_tangents_to_199():
             vertices = build_polygon(ctx, (p - 1) // n).vertices
             chords = [(x1 + x2, y1 * y2) for (x1, y1), (x2, y2) in combinations(vertices, 2)]
             orbits = orbit_counts(ctx, n)
-            for r, row in zip(orbits.reps, orbits.rows):
+            for r, hist, cells in zip(orbits.reps, orbits.rows, blocks.pop((p, n))):
                 col, tan = [0] * p, [0] * p
                 for s, q in chords:
                     col[(s - r) * q % p] += 1
                 for t, y in vertices:
                     tan[(2 * t - r) * y * y % p] += 1
                 skip = pow(r, -1, p)
-                assert skip not in row.D, (p, n, r)
+                assert skip not in cells and 0 not in cells, (p, n, r)
                 for c in range(1, p):
                     if c != skip:
-                        assert row.hist[c] == 2 * col[c] + tan[c], (p, n, r, c)
-                        assert row.D.get(c, 0) == tan[c], (p, n, r, c)
+                        assert hist[c] == 2 * col[c] + tan[c], (p, n, r, c)
+                        assert cells.get(c, 0) == tan[c], (p, n, r, c)
                 rows += 1
-    assert rows == 2651
+    assert rows == 2651 and not blocks
+
+
+def test_tangency_pass_equals_the_row_loop_to_199():
+    # D by the u loop over the representatives of `orbit_counts`, at every
+    # admissible (p, n), and the sweep's failing cells as its support less 0
+    blocks = {(p, n): cells for p, n, cells in prop41_sweep(199).violating}
+    for p in primes_up_to(199):
+        ctx = make_field(p)
+        for n in admissible_degrees(p):
+            ref = tangency_rows(ctx, n)
+            assert _tangency(p, n) == ref, (p, n)
+            if (p - 1) // n >= 3:
+                cells = [{c: d for c, d in D.items() if c} for D in ref]
+                assert blocks.pop((p, n)) == cells, (p, n)
+    assert not blocks
 
 
 def lane_and_pair_rows(monkeypatch, p, n):
@@ -119,7 +137,7 @@ def test_wide_lane_rows_equal_pair_loop(monkeypatch):
     for p in (521, 1031):
         lanes, pairs = lane_and_pair_rows(monkeypatch, p, 2)
         assert lanes == pairs, p
-        assert max(max(row.hist) for row in pairs.rows) > 255
+        assert max(max(hist) for hist in pairs.rows) > 255
 
 
 def test_lane_rows_peak_memory_at_4099():
