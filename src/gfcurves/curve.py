@@ -30,9 +30,10 @@ inverted.  Over F_p, x -> x + 1 is a rotation of the encoding order, and
 residues mod n for small n, and at the coset of a, walked, otherwise.
 Over F_{p^m}, m > 1, it is not, and the logs of 1 - a*u are read off the
 Zech logarithm zech[i] = log(g^i + 1), kept for these fields only.  Every
-n-th-power question reads the same index and g: mu_k is the powers of g^n
-and the n roots of v are g^(log v / n + j*k), j < n; no table is kept per
-degree n.  No index is built for q above `MAX_TABLE_Q` (`FieldTooLarge`).
+n-th-power question reads the same index and g: mu_k is the powers of g^n,
+the coset of a is g^i*mu_k for i = log a mod n, and the n roots of v are
+g^(log v / n + j*k), j < n; no table is kept per degree n.  No index is
+built for q above `MAX_TABLE_Q` (`FieldTooLarge`).
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def check_table_size(q: int) -> None:
     """Raise FieldTooLarge, before anything is allocated, when q is above
     MAX_TABLE_Q: the index of F_q takes O(q) memory."""
     if q > MAX_TABLE_Q:
-        raise FieldTooLarge(f"q = {q} is above the class-table limit {MAX_TABLE_Q}")
+        raise FieldTooLarge(f"q = {q} is above the index limit {MAX_TABLE_Q}")
 
 
 @functools.cache
@@ -244,8 +245,9 @@ class CurveCell(NamedTuple):
 
 
 class OrbitCounts(NamedTuple):
-    reps: list   # r_i, the least element of the i-th coset of mu_k
-    coset: list  # a -> (i, s) with a = r_i * s, s in mu_k (index 0 unused)
+    reps: list   # reps[i] = g^i, i < n, g the generator of `_index`: row i is g^i*mu_k
+    log: array   # the index of F_p: a = reps[i] * mu[e] for (e, i) = divmod(log[a], n)
+    mu: list     # mu[e] = g^(n*e), e < k
     rows: list   # rows[i][c] = #{(u, v) in mu_k^2 : w = r_i*u - 1 != 0, u - v*w = c}
 
 
@@ -286,10 +288,12 @@ def curve_cell(ctx: FieldCtx, n: int, a: int, b: int) -> CurveCell:
     [l in L], hits = #{l in L : ind[ls - l]} is read one of two ways: for
     n <= 32 as the popcount of one big-int AND of ind with ind reversed and
     rotated by ls + 1, O(q) byte work in C; for larger n, where k is small,
-    as k reads ind[ls - l], which beat the AND from about n = 40 on at every
-    q timed (941 to 55441).  diag is ind[ls/2] + ind[ls/2 + h] for odd p
-    (0 when ls is odd) and ind[ls * 2^-1] = ind[ls * q/2 mod q - 1] for p =
-    2."""
+    as k reads ind[ls - l].  On the walk-route cells of the perfbench
+    `queries` mix the two cross between n = 14 and 20, below the cut: the
+    k reads took 95 us against 51 for the AND at F_12211, n = 10, and 44
+    against 54 at n = 22 (best of 40, 2-core host).  diag is ind[ls/2] +
+    ind[ls/2 + h] for odd p (0 when ls is odd) and ind[ls * 2^-1] =
+    ind[ls * q/2 mod q - 1] for p = 2."""
     log, order = _index(ctx), ctx.q - 1
     la, lb = log[a], log[b]
     h = order // 2 if ctx.p > 2 else 0  # log(-1)
@@ -401,8 +405,10 @@ _LANE_MIN_K = 7  # the least k at which `orbit_counts` sums lanes
 
 
 def orbit_counts(ctx: FieldCtx, n: int) -> OrbitCounts:
-    """The pair histogram hist of one representative r of each coset of mu_k
-    in F_p^* (generalized cyclotomic numbers of order n), one row per r.
+    """The pair histogram hist of each coset of mu_k in F_p^* (generalized
+    cyclotomic numbers of order n), one row per coset: row i is r*mu_k, r =
+    g^i for g the generator of `_index`, i < n, and a = g^i * mu[e] for (e,
+    i) = divmod(log a, n), mu[e] = g^(n*e), so no table is kept per (p, n).
 
     On the curve (r, c), x^n = u in mu_k with w = r*u - 1 != 0 gives
     y^n = (u - c)/w.  That is v in mu_k iff c = u - v*w (n^2 points, binned
@@ -415,25 +421,19 @@ def orbit_counts(ctx: FieldCtx, n: int) -> OrbitCounts:
     hist is read off the lanes of one int (Kronecker substitution).  Column
     i has a 1 at lane p - t for each t in r_i*mu_k; a lane has the fewest
     bytes that hold k, one while k < 256, as no count exceeds k.  As v runs
-    over mu_k, v*w runs over the coset of w, so its column shifted u lanes
-    has a 1 at lane p + u - v*w, which is c + p or c for c = u - v*w mod p:
-    the sum over u, folded (lane c plus lane c + p), is hist, from k
-    shift-adds in C per row, not k^2 Python steps.  Below k = _LANE_MIN_K
-    the pair loop is faster.  Per call, pairs against lanes: k = 2 21
+    over mu_k, v*w runs over the coset of w, so column log w mod n shifted
+    u lanes has a 1 at lane p + u - v*w, which is c + p or c for c = u -
+    v*w mod p: the sum over u, folded (lane c plus lane c + p), is hist,
+    from k shift-adds in C per row, not k^2 Python steps.  Below k =
+    _LANE_MIN_K the pair loop is faster.  Per call, pairs against lanes: k = 2 21
     against 44 us (p = 41), k = 6 26 against 23 (p = 37), k = 9 35 against
     21 (p = 37), k = 65 599 against 65 (p = 131); the 120 calls of the scans
     of a perfbench `sweep` round took 2.2 ms by pairs, 2.0 by lanes and 1.6
     with the cut, within 3% for cuts 5 to 8: 6, the closest, beat 7 in 9, 8
     and 6 of 10 pairs in three sets (best of 30, 2-core host)."""
-    p, g = ctx.p, subgroup_generator(ctx, ctx.p - 1)
+    log, p, g = _index(ctx), ctx.p, subgroup_generator(ctx, ctx.p - 1)
     k = (p - 1) // n
-    mu = [pow(g, n * j, p) for j in range(k)]  # any order: the histograms are sums
-    coset, reps, rows = [None] * p, [], []
-    for r in range(1, p):
-        if coset[r] is None:
-            for s in mu:
-                coset[r * s % p] = (len(reps), s)
-            reps.append(r)
+    reps, mu, rows = [pow(g, i, p) for i in range(n)], [pow(g, n * e, p) for e in range(k)], []
     by_lanes, width, cols = k >= _LANE_MIN_K, -(-k.bit_length() // 8), []  # width: bytes per lane
     for r in reps if by_lanes else ():
         col = bytearray(width * p)
@@ -446,7 +446,7 @@ def orbit_counts(ctx: FieldCtx, n: int) -> OrbitCounts:
         for u in mu:
             if w := (r * u - 1) % p:
                 if by_lanes:
-                    acc += cols[coset[w][0]] << 8 * width * u
+                    acc += cols[log[w] % n] << 8 * width * u
                 else:
                     for v in mu:
                         hist[(u - v * w) % p] += 1
@@ -455,7 +455,7 @@ def orbit_counts(ctx: FieldCtx, n: int) -> OrbitCounts:
             hist = list(b) if width == 1 else [
                 int.from_bytes(b[c:c + width], "little") for c in range(0, width * p, width)]
         rows.append(hist)
-    return OrbitCounts(reps, coset, rows)
+    return OrbitCounts(reps, log, mu, rows)
 
 
 # ---------------------------------------------------------------------------

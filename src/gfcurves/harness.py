@@ -5,8 +5,8 @@ every parameter pair (a, b) with a*b outside {0, 1} (or a deterministic
 stride-subsample), counts points on the nonsingular model and compares
 against every applicable upper bound.  Counting is one orbit pass per (p, n):
 the counts depend only on the coset of a modulo mu_k = (F_p^*)^n and on
-a*b, so `curve.orbit_counts` gives the pair histograms of n representatives
-and every (a, b) reads its orbit's entry.  The columns after b depend only
+a*b, so `curve.orbit_counts` gives the pair histograms of the n cosets
+g^i*mu_k, and (a, b) reads row log a mod n.  The columns after b depend only
 on (affine_total, n1, n2); each distinct key is one CSV tail string, made on
 first use and looked up by an int key per orbit cell, and each (p, n) is
 written as one text block.  The chord sweep behind `verify prop41` needs
@@ -29,7 +29,7 @@ import functools
 import math
 import os
 from fractions import Fraction
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
 from typing import NamedTuple
 
 from . import bounds as B
@@ -95,11 +95,12 @@ def scan_task(p: int, n: int, sample: int | None):
     """The rows of one (p, n), whether any violates a bound, and the fields
     k..violation of each CSV tail used.  Per a, in order: (a, s, the tails
     of its orbit row by c, the b kept by the sample stride); the curve
-    (a, b) with a = r*s, s in mu_k, reads the row of r at c = b*s.  A tail,
-    the CSV text of the columns k..violation, depends on (affine_total, n1,
-    n2) only: n1 = n*[c in mu_k] and affine_total = n^2*hist + 2*n1, so it
-    is keyed by the int 2*hist + [c in mu_k] in the table of its row's n2,
-    which is n on the row of r = 1 alone (1/r is in mu_k iff r is)."""
+    (a, b) with a = r_i*s, s = mu[e] for (e, i) = divmod(log a, n), reads
+    row i at c = b*s.  A tail, the CSV text of the columns k..violation,
+    depends on (affine_total, n1, n2) only: n1 = n*[c in mu_k], c in mu_k
+    iff n | log c, and affine_total = n^2*hist + 2*n1, so it is keyed by
+    the int 2*hist + [c in mu_k] in the table of its row's n2, which is n
+    on the row of r = 1 alone (1/r is in mu_k iff r is)."""
     ctx = make_field(p)
     k, nn = (p - 1) // n, n * n
     hw = B.hasse_weil(p, (n - 1) ** 2).value
@@ -129,10 +130,10 @@ def scan_task(p: int, n: int, sample: int | None):
         return csv
 
     tables = {-1: None}, {-1: None}  # by n2 = 0, n; key -1: c = 0 and c = 1/r, no curve's
-    orbits = orbit_counts(ctx, n)
-    unit = [1 if e and e[0] == 0 else 0 for e in orbits.coset]  # mu_k: the coset of r = 1
+    reps, log, mu, hists = orbit_counts(ctx, n)
+    unit = [0 if l % n else 1 for l in log]  # mu_k: the coset of r = 1 (log[0] = -1)
     tails = []
-    for i, (r, hist) in enumerate(zip(orbits.reps, orbits.rows)):
+    for i, (r, hist) in enumerate(zip(reps, hists)):
         keys = [h + h + e for h, e in zip(hist, unit)]
         keys[0] = keys[pow(r, -1, p)] = -1
         table, n2 = tables[i == 0], n * (i == 0)
@@ -142,11 +143,10 @@ def scan_task(p: int, n: int, sample: int | None):
     stride = _pair_stride(p, sample)
 
     def rows():
-        for a in range(1, p):
-            i, s = orbits.coset[a]
+        for a, (e, i) in enumerate(map(divmod, islice(log, 1, None), repeat(n)), 1):
             inv_a, first = pow(a, -1, p), (a - 1) * (p - 2)  # p - 2 rows per a, b != 1/a
             bs = chain(range(1, inv_a), range(inv_a + 1, p))
-            yield a, s, tails[i], islice(bs, -first % stride, None, stride)
+            yield a, mu[e], tails[i], islice(bs, -first % stride, None, stride)
     return rows(), any(f[-1] for f in fields.values()), fields
 
 
@@ -488,13 +488,14 @@ def _class_representatives(p: int, n: int, per_class: int) -> list[tuple[int, in
 
 def _expand(blocks):
     """(p, n, a, b, lhs, restricted, D) at every point of the cells in
-    blocks, in (p, n, a, b) order, hist from one `orbit_counts` per block."""
+    blocks, in (p, n, a, b) order, hist from one `orbit_counts` per block,
+    and a = r_i * mu[e], 1/mu[e] = mu[-e], for (e, i) = divmod(log a, n)."""
     for p, n, cells in blocks:
         orbits, nn = orbit_counts(make_field(p), n), n * n
         for a in range(1, p):
-            i, s = orbits.coset[a]  # a = r_i * s: the cell (r_i, c) holds (a, c/s)
+            e, i = divmod(orbits.log[a], n)  # s = mu[e]: the cell (r_i, c) holds (a, c/s)
             if row := cells[i]:
-                hist, inv_s = orbits.rows[i], pow(s, -1, p)
+                hist, s, inv_s = orbits.rows[i], orbits.mu[e], orbits.mu[-e]
                 for b in sorted([c * inv_s % p for c in row]):
                     d, h = row[b * s % p], hist[b * s % p]
                     yield p, n, a, b, nn * (h - d), nn * h - n * d, d
@@ -535,23 +536,20 @@ class ChordSweep(_ChordSweep):
 
 
 def _tangency(p: int, n: int) -> list:
-    """D of every orbit row over F_p, in the row order of `orbit_counts`:
-    the cosets r*mu_k by ascending least element r, each marked off in one
-    bytearray when met, and D[c] = #{u in mu_k : r*u != 1, 2u - r*u^2 = c}
-    at every c it reaches, 0 included.  As (r*u - 1)^2 = 1 - r*c, c = 1/r
-    comes from r*u = 1 alone, so popping it skips that u."""
-    t, k = pow(subgroup_generator(make_field(p), p - 1), n, p), (p - 1) // n
-    mu = [pow(t, j, p) for j in range(k)]
-    seen, rows = bytearray(p), []
-    for r in range(1, p):
-        if not seen[r]:
-            D = {}
-            for u in mu:
-                seen[r * u % p] = 1
-                c = (2 * u - r * u * u) % p
-                D[c] = D.get(c, 0) + 1
-            D.pop(pow(r, -1, p), None)
-            rows.append(D)
+    """D of every orbit row over F_p, row i < n the coset r*mu_k, r = g^i
+    for the generator g of the field index, as in `orbit_counts`: D[c] =
+    #{u in mu_k : r*u != 1, 2u - r*u^2 = c} at every c it reaches, 0
+    included.  As (r*u - 1)^2 = 1 - r*c, c = 1/r comes from r*u = 1 alone,
+    so popping it skips that u."""
+    g, rows = subgroup_generator(make_field(p), p - 1), []
+    mu = [pow(g, n * e, p) for e in range((p - 1) // n)]
+    for i in range(n):
+        r, D = pow(g, i, p), {}
+        for u in mu:
+            c = (2 * u - r * u * u) % p
+            D[c] = D.get(c, 0) + 1
+        D.pop(pow(r, -1, p), None)
+        rows.append(D)
     return rows
 
 

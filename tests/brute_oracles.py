@@ -17,8 +17,8 @@ arithmetic alone, one multiplication per power of the primitive element,
 and the canonical modulus by Rabin's test alone on every candidate.
 
 The tangency D of each orbit row is counted here by a u loop over the
-representatives of `curve.orbit_counts`, the oracle of the prop41 sweep's
-own pass over the cosets.
+representatives r = g^i, i < n, of the cosets of mu_k, g the primitive
+element of `subgroup_generator`, the oracle of the prop41 sweep's own pass.
 
 Three small views that only the tests read live here too: the nonzero
 elements of a field, the CLI spelling of an element and the diagonal
@@ -40,7 +40,7 @@ from gfcurves.bounds import (
     v_of_k,
     vtilde,
 )
-from gfcurves.curve import CurveParams, orbit_counts
+from gfcurves.curve import CurveParams
 from gfcurves.errors import DomainError
 from gfcurves.ffield import (
     FieldCtx,
@@ -70,11 +70,12 @@ def diagonal_violations(sweep) -> list:
 
 def tangency_rows(ctx: FieldCtx, n: int) -> list:
     """{c: #{u in mu_k : w = r*u - 1 != 0, 2u - r*u^2 = c}} at every c it
-    reaches, 0 included, for each representative r of `orbit_counts`."""
+    reaches, 0 included, on row i < n, the coset of r = g^i for the
+    primitive element g of F_p."""
     p, g = ctx.p, subgroup_generator(ctx, ctx.p - 1)
     mu = [pow(g, n * j, p) for j in range((p - 1) // n)]
     rows = []
-    for r in orbit_counts(ctx, n).reps:
+    for r in (pow(g, i, p) for i in range(n)):
         diag = {}
         for u in mu:
             if (r * u - 1) % p:

@@ -791,7 +791,7 @@ def test_field_above_table_limit_exits_2_without_allocating(capsys, argv):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"class-table limit {MAX_TABLE_Q}" in err and "Traceback" not in err
+    assert f"index limit {MAX_TABLE_Q}" in err and "Traceback" not in err
     assert elapsed < 1.0
     assert peak < 1 << 20  # one list over F_q would take 32 MiB or more
 
@@ -818,7 +818,7 @@ def test_sieve_above_table_limit_exits_2_without_allocating(capsys, argv):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"class-table limit {MAX_TABLE_Q}" in err and "Traceback" not in err
+    assert f"index limit {MAX_TABLE_Q}" in err and "Traceback" not in err
     assert peak < 1 << 20
 
 

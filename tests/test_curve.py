@@ -253,8 +253,8 @@ def test_index_tables_equal_enumeration_to_400():
             ctx, (_, nonzero, preimages, _) = make_field(p), _enumerated_tables(p, n)
             _assert_roots_equal_enumeration(ctx, n, preimages)
             orbits = orbit_counts(ctx, n)
-            assert {s for _, s in orbits.coset[1:]} == set(nonzero)
-            assert [c for c in range(1, p) if orbits.coset[c][0] == 0] == nonzero
+            assert {orbits.mu[l // n] for l in orbits.log[1:]} == set(nonzero)
+            assert [c for c in range(1, p) if orbits.log[c] % n == 0] == nonzero
 
 
 def test_scan_columns_equal_enumeration_to_199():
@@ -269,7 +269,7 @@ def test_scan_columns_equal_enumeration_to_199():
             for a, s, tails, bs in rows:
                 assert list(bs) == [*range(1, inv[a]), *range(inv[a] + 1, p)]
                 if s == 1:  # a = r_i: the tails of row i by c
-                    hist = orbits.rows[orbits.coset[a][0]]
+                    hist = orbits.rows[orbits.log[a] % n]
                     assert [c for c, t in enumerate(tails) if t is None] == [0, inv[a]]
                     assert all(fields[t][1] == n * n * h + 2 * root_count[c]
                                for c, (t, h) in enumerate(zip(tails, hist)) if t)

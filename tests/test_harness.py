@@ -500,7 +500,8 @@ def test_prop41_sweep_decides_cells_by_the_documented_formulas(monkeypatch):
         orbits = orbit_counts(make_field(p), n)
         zero_cells += sum(0 in D for D in tang)
         for a in range(1, p):
-            i, s = orbits.coset[a]
+            e, i = divmod(orbits.log[a], n)
+            s = orbits.mu[e]
             for b in range(1, p):
                 if a * b % p == 1:
                     continue

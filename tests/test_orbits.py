@@ -1,9 +1,11 @@
 """The torus-orbit pass against the independent per-curve routes.
 
-`orbit_counts` counts one curve (r, c) per coset representative r of
-mu_k = (F_p^*)^n and per c, from pair histograms, and the prop41 sweep's
-tangency pass `harness._tangency` counts D on the same rows; every (a, b)
-reads hist and D of its row at c = b*s with a = r*s.  These tests pin the
+`orbit_counts` counts one curve (r, c) per coset r*mu_k of mu_k =
+(F_p^*)^n, r = g^i on row i < n for the generator g of the field index,
+and per c, from pair histograms, and the prop41 sweep's tangency pass
+`harness._tangency` counts D on the same rows; every (a, b) reads hist and
+D of row i at c = b*s with a = r*s, s = mu[e], (e, i) = divmod(log a, n).
+One test pins the rows and mu_k to the powers of g.  The others pin the
 counts the documented formulas give from those columns to `count_points_fast`
 and to the per-curve class pass `curve_cell` at every (a, b) for p <= 61, pin
 `curve_cell` to the inverse-table pass that it replaced, on both sides of
@@ -43,7 +45,8 @@ def test_orbit_rows_equal_per_curve_counts_to_61():
             assert all(len(hist) == p for hist in orbits.rows)
             assert len(tangency) == n and all(0 not in D.values() for D in tangency)
             for a in range(1, p):
-                i, s = orbits.coset[a]
+                e, i = divmod(orbits.log[a], n)
+                s = orbits.mu[e]
                 assert s in mu_k
                 for b in range(1, p):
                     if a * b % p == 1:
@@ -113,6 +116,21 @@ def test_tangency_pass_equals_the_row_loop_to_199():
                 cells = [{c: d for c, d in D.items() if c} for D in ref]
                 assert blocks.pop((p, n)) == cells, (p, n)
     assert not blocks
+
+
+def test_orbit_rows_are_the_classes_of_the_index_to_400():
+    # row i is the coset g^i*mu_k and mu[e] = g^(n*e), g the generator of the
+    # field index, so a = reps[i]*mu[e] at (e, i) = divmod(log a, n), every a
+    for p in primes_up_to(400):
+        ctx = make_field(p)
+        g = subgroup_generator(ctx, p - 1)
+        for n in admissible_degrees(p):
+            orbits = orbit_counts(ctx, n)
+            assert orbits.reps == [pow(g, i, p) for i in range(n)], (p, n)
+            assert orbits.mu == [pow(g, n * e, p) for e in range((p - 1) // n)], (p, n)
+            for a in range(1, p):
+                e, i = divmod(orbits.log[a], n)
+                assert a == orbits.reps[i] * orbits.mu[e] % p, (p, n, a)
 
 
 def lane_and_pair_rows(monkeypatch, p, n):
